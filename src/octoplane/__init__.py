@@ -12,7 +12,6 @@ numerically.
 from .errors import NumericsError
 from .octonion import (
     FANO_TRIPLES,
-    Octonion,
     basis,
     oct_conj,
     oct_inv,
@@ -25,8 +24,6 @@ from .geometry import (
     E1,
     E2,
     JordanMatrix,
-    OctPair,
-    SpherePoint,
     ball_volume_est,
     ball_volume_quadrature,
     boundary_embed,
@@ -44,7 +41,6 @@ from .geometry import (
 from .special import (
     RHO,
     KTypeIndex,
-    SpectralParam,
     gauss_2f1,
     hc_c_function,
     log_gamma,
@@ -77,7 +73,6 @@ from .poisson import (
     hardy_norm,
     m2_norm,
     molecule_check,
-    molecule_tools,
     operator_norm_est,
     poisson_kernel,
     poisson_kernel_lambda,

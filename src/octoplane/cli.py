@@ -3,9 +3,11 @@
     octoplane-verify --suite all --seed 7 --out report.json --format json
 
 Flags: --suite, --lambda, --lmax, --rgrid, --tgrid, --nmc, --ngauss, --seed,
---tol.<check>=<value>, --out, --format, --config.  A config file holds
-key = value lines with the same keys; flags override it.  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 usage error, 3 I/O error.
+--tol.<check>=<value>, --out, --format, --config, --quiet.  A config file
+holds key = value lines with the same keys apart from config and quiet;
+flags override it, and SuiteConfig supplies every setting given by neither.
+--quiet suppresses the summary lines on stderr.  Exit codes: 0 all checks
+pass, 1 at least one check failed, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ import sys
 from .report import render_csv, render_json, summary_lines
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
-_CONFIG_KEYS = {
-    "suite", "lambda", "lmax", "rgrid", "tgrid", "nmc", "ngauss", "seed",
-    "out", "format",
-}
-
-
 def _parse_floats(text: str) -> tuple:
     try:
         vals = tuple(float(x) for x in text.replace(",", " ").split())
@@ -30,6 +26,21 @@ def _parse_floats(text: str) -> tuple:
     if not vals:
         raise ValueError("empty numeric list")
     return vals
+
+
+# config key -> (SuiteConfig field, also the flag's dest; converter)
+_CONFIG_KEYS = {
+    "suite": ("suite", str),
+    "lambda": ("lambdas", _parse_floats),
+    "lmax": ("l_max", int),
+    "rgrid": ("r_grid", _parse_floats),
+    "tgrid": ("t_grid", _parse_floats),
+    "nmc": ("n_mc", int),
+    "ngauss": ("n_gauss", int),
+    "seed": ("seed", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -59,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITE_NAMES, default=None)
     p.add_argument("--lambda", dest="lambdas", default=None, metavar="L1,L2,...",
                    help="spectral parameters (nonzero reals)")
-    p.add_argument("--lmax", type=int, default=None)
-    p.add_argument("--rgrid", default=None, metavar="R1,R2,...")
-    p.add_argument("--tgrid", default=None, metavar="T1,T2,...")
-    p.add_argument("--nmc", type=int, default=None)
-    p.add_argument("--ngauss", type=int, default=None)
+    p.add_argument("--lmax", dest="l_max", type=int, default=None)
+    p.add_argument("--rgrid", dest="r_grid", default=None, metavar="R1,R2,...")
+    p.add_argument("--tgrid", dest="t_grid", default=None, metavar="T1,T2,...")
+    p.add_argument("--nmc", dest="n_mc", type=int, default=None)
+    p.add_argument("--ngauss", dest="n_gauss", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
@@ -88,49 +99,37 @@ def _extract_tol_flags(argv: list[str]) -> tuple[list[str], dict]:
     return rest, tols
 
 
-def build_config(argv: list[str]) -> SuiteConfig:
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, SuiteConfig]:
     argv, tol_flags = _extract_tol_flags(argv)
     args = _build_parser().parse_args(argv)
 
-    settings: dict = {}
-    if args.config:
-        settings.update(_read_config_file(args.config))
+    settings = _read_config_file(args.config) if args.config else {}
     tols = dict(settings.pop("tol", {}))
     tols.update(tol_flags)
 
-    def pick(flag_val, key, conv, default):
-        if flag_val is not None:
-            return conv(flag_val) if isinstance(flag_val, str) else flag_val
-        if key in settings:
-            return conv(settings[key])
-        return default
+    fields = {}
+    for key, (name, conv) in _CONFIG_KEYS.items():
+        if getattr(args, name) is not None:
+            fields[name] = conv(getattr(args, name))
+        elif key in settings:
+            fields[name] = conv(settings[key])
+    return args, SuiteConfig(tolerances=tols, **fields)
 
-    return SuiteConfig(
-        suite=pick(args.suite, "suite", str, "all"),
-        lambdas=pick(args.lambdas, "lambda", _parse_floats, (0.5, 1.0, 2.0)),
-        l_max=pick(args.lmax, "lmax", int, 10),
-        r_grid=pick(args.rgrid, "rgrid", _parse_floats, (0.5, 0.9, 0.99)),
-        t_grid=pick(args.tgrid, "tgrid", _parse_floats, (4.0, 8.0, 16.0, 32.0)),
-        n_mc=pick(args.nmc, "nmc", int, 200_000),
-        n_gauss=pick(args.ngauss, "ngauss", int, 200),
-        seed=pick(args.seed, "seed", int, 0),
-        tolerances=tols,
-        out=pick(args.out, "out", str, None),
-        fmt=pick(args.fmt, "format", str, "json"),
-    )
+
+def build_config(argv: list[str]) -> SuiteConfig:
+    return _parse(argv)[1]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = build_config(argv)
+        args, config = _parse(argv)
     except SystemExit as exc:  # argparse errors carry code 2 already
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    quiet = "--quiet" in argv
     report = run_suite(config)
     rendered = render_json(report) if config.fmt == "json" else render_csv(report)
 
@@ -144,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(rendered)
 
-    if not quiet:
+    if not args.quiet:
         for line in summary_lines(report):
             print(line, file=sys.stderr)
     return 0 if report.overall_status == "pass" else 1

@@ -27,12 +27,8 @@ from .octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 
 __all__ = [
     "pair",
-    "slot1",
-    "slot2",
     "E1",
     "E2",
-    "OctPair",
-    "SpherePoint",
     "phi_form",
     "bracket",
     "psi_form",
@@ -57,56 +53,8 @@ def pair(x1, x2) -> np.ndarray:
     return np.concatenate([x1, x2], axis=-1)
 
 
-def slot1(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)[..., :8]
-
-
-def slot2(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)[..., 8:]
-
-
 E1 = pair(basis(0), np.zeros(8))   # (1, 0)
 E2 = pair(np.zeros(8), basis(0))   # (0, 1)
-
-
-class OctPair:
-    """A point of O^2 with finite coordinates."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        a = np.asarray(array, dtype=float)
-        if a.shape != (16,):
-            raise ValueError(f"expected 16 coordinates, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coordinates must be finite")
-        self.array = a
-
-    @property
-    def x1(self) -> np.ndarray:
-        return self.array[:8]
-
-    @property
-    def x2(self) -> np.ndarray:
-        return self.array[8:]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
-    def __repr__(self):
-        return f"OctPair({self.array.tolist()})"
-
-
-class SpherePoint(OctPair):
-    """A point of the unit sphere of O^2; the constructor renormalizes
-    inputs within 1e-12 of unit norm and rejects anything further out."""
-
-    def __init__(self, array):
-        super().__init__(array)
-        n = np.linalg.norm(self.array)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"not a sphere point: |omega| = {n!r}")
-        self.array = self.array / n
 
 
 def phi_form(x, y) -> np.ndarray:
@@ -149,12 +97,24 @@ def bracket(x, y) -> np.ndarray:
     return np.where(degenerate[..., None], fallback, main)
 
 
+def _psi_r(r, dot, phi):
+    """Psi(r theta, omega) = 1 - 2 r <theta, omega> + r^2 Phi(theta, omega),
+    from the r-independent dot product and Phi; r = 1 gives Psi(theta, omega)."""
+    return 1.0 - 2.0 * r * dot + (r * r) * phi
+
+
+def _zonal_psi(r, u, v):
+    """Psi(r e1, omega) = |1 - r omega_1|^2 for omega_1 = u + v i, i.e.
+    (u, v) = (Re omega_1, |Im omega_1|) as in the zonal rule."""
+    return (1.0 - r * u) ** 2 + (r * v) ** 2
+
+
 def psi_form(x, y) -> np.ndarray:
     """Psi(x,y) = 1 - 2<x,y>_R + Phi(x,y); strictly positive when one
     argument is in the open ball and the other in the closed ball."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return 1.0 - 2.0 * np.sum(x * y, axis=-1) + phi_form(x, y)
+    return _psi_r(1.0, np.sum(x * y, axis=-1), phi_form(x, y))
 
 
 def psi_from_bracket(x, y) -> np.ndarray:
@@ -239,10 +199,6 @@ class JordanMatrix:
         self.imag = imag
 
     @classmethod
-    def zeros(cls) -> "JordanMatrix":
-        return cls(np.zeros((3, 3, 8)))
-
-    @classmethod
     def diag_unit(cls) -> "JordanMatrix":
         """E_1 = diag(1, 0, 0)."""
         p = np.zeros((3, 3, 8))
@@ -270,11 +226,6 @@ class JordanMatrix:
                     rq[r, c] += oct_mul(ap, bq) + oct_mul(aq, bp)
         return JordanMatrix(rp, rq)
 
-    def jordan(self, other: "JordanMatrix") -> "JordanMatrix":
-        ab = self.mat_mul(other)
-        ba = other.mat_mul(self)
-        return JordanMatrix(0.5 * (ab.plain + ba.plain), 0.5 * (ab.imag + ba.imag))
-
     def trace(self) -> float:
         return float(self.plain[0, 0, 0] + self.plain[1, 1, 0] + self.plain[2, 2, 0])
 
@@ -292,19 +243,12 @@ class JordanMatrix:
             max(np.max(np.abs(self.plain - other.plain)), np.max(np.abs(self.imag - other.imag)))
         )
 
-    def __add__(self, other: "JordanMatrix") -> "JordanMatrix":
-        return JordanMatrix(self.plain + other.plain, self.imag + other.imag)
-
-    def __sub__(self, other: "JordanMatrix") -> "JordanMatrix":
-        return JordanMatrix(self.plain - other.plain, self.imag - other.imag)
-
-    def scale(self, t: float) -> "JordanMatrix":
-        return JordanMatrix(t * self.plain, t * self.imag)
-
 
 def jordan_product(a: JordanMatrix, b: JordanMatrix) -> JordanMatrix:
     """A o B = (AB + BA)/2; commutative, E1 o E1 = E1."""
-    return a.jordan(b)
+    ab = a.mat_mul(b)
+    ba = b.mat_mul(a)
+    return JordanMatrix(0.5 * (ab.plain + ba.plain), 0.5 * (ab.imag + ba.imag))
 
 
 def jordan_embed(x) -> JordanMatrix:

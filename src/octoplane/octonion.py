@@ -36,7 +36,6 @@ __all__ = [
     "oct_norm_sq",
     "oct_inv",
     "basis",
-    "Octonion",
 ]
 
 
@@ -155,71 +154,3 @@ def basis(k: int) -> np.ndarray:
     e = np.zeros(8)
     e[k] = 1.0
     return e
-
-
-class Octonion:
-    """A single octonion with value semantics.
-
-    Thin convenience wrapper over an 8-vector of coordinates; the array
-    functions in this module do the actual work.  Constructors reject
-    non-finite coordinates.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (8,):
-            raise ValueError(f"expected 8 coordinates, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("octonion coordinates must be finite")
-        self.coeffs = c
-
-    @classmethod
-    def unit(cls, k: int) -> "Octonion":
-        return cls(basis(k))
-
-    @classmethod
-    def from_real(cls, t: float) -> "Octonion":
-        c = np.zeros(8)
-        c[0] = t
-        return cls(c)
-
-    def conj(self) -> "Octonion":
-        return Octonion(oct_conj(self.coeffs))
-
-    def norm(self) -> float:
-        return float(oct_norm(self.coeffs))
-
-    def inverse(self) -> "Octonion":
-        return Octonion(oct_inv(self.coeffs))
-
-    @property
-    def re(self) -> float:
-        return float(self.coeffs[0])
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(oct_mul(self.coeffs, other.coeffs))
-        return Octonion(self.coeffs * float(other))
-
-    def __rmul__(self, other):
-        return Octonion(self.coeffs * float(other))
-
-    def __add__(self, other):
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Octonion(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Octonion(-self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Octonion) and bool(np.all(self.coeffs == other.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-    def __repr__(self):
-        return f"Octonion({self.coeffs.tolist()})"

@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import E1, dist_to_e1, ni_dist, phi_form, bracket, psi_form
-from .octonion import oct_mul, oct_norm, oct_norm_sq
+from .geometry import E1, _psi_r, _zonal_psi, bracket, dist_to_e1, ni_dist, phi_form, psi_form
+from .octonion import oct_mul, oct_norm
 from .quadrature import (
     S15,
     QuadratureSpec,
@@ -38,7 +38,7 @@ from .quadrature import (
     sphere_average,
     zonal_integrate,
 )
-from .special import RHO, SpectralParam, hc_c_function, spherical_fn, spherical_fn_scaled
+from .special import RHO, hc_c_function, spherical_fn, spherical_fn_scaled
 
 __all__ = [
     "poisson_kernel",
@@ -63,15 +63,7 @@ __all__ = [
     "delta_j_kernel",
     "MoleculeCheck",
     "molecule_check",
-    "MoleculeTools",
-    "molecule_tools",
 ]
-
-
-def _lam_value(lam) -> complex:
-    if isinstance(lam, SpectralParam):
-        return complex(lam.lam)
-    return complex(lam)
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +82,7 @@ def poisson_kernel(x, omega) -> np.ndarray:
 
 def poisson_kernel_lambda(lam, x, omega) -> np.ndarray:
     """P_lam(x, omega) = exp(s log((1-|x|^2)/Psi(x,omega))), s = (i lam + rho)/2."""
-    lv = _lam_value(lam)
+    lv = complex(lam)
     s = (1j * lv + RHO) / 2.0
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -100,19 +92,17 @@ def poisson_kernel_lambda(lam, x, omega) -> np.ndarray:
     return np.exp(s * np.log((1.0 - n2) / psi_form(x, omega)))
 
 
-def _psi_r(r, theta, omega) -> np.ndarray:
-    # Psi(r theta, omega) = 1 - 2 r <theta, omega> + r^2 Phi(theta, omega)
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    dot = np.sum(theta * omega, axis=-1)
-    return 1.0 - 2.0 * r * dot + (r * r) * phi_form(theta, omega)
+def _szego_power(lam, psi) -> np.ndarray:
+    """psi^{(-i lam - rho)/2}: the Szego kernel value at Psi(r theta, omega) = psi."""
+    return np.exp(((-1j * lam - RHO) / 2.0) * np.log(psi))
 
 
 def szego_kernel(lam, r, theta, omega) -> np.ndarray:
     """Psi_r(lam, theta, omega) = |1 - r[theta,omega]|^{-i lam - rho}."""
-    lv = _lam_value(lam)
-    e = (-1j * lv - RHO) / 2.0
-    return np.exp(e * np.log(_psi_r(r, theta, omega)))
+    theta = np.asarray(theta, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    psi = _psi_r(r, np.sum(theta * omega, axis=-1), phi_form(theta, omega))
+    return _szego_power(complex(lam), psi)
 
 
 def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -122,7 +112,6 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     the per-point slot products x1 x2, so the whole matrix assembles from
     two matrix multiplications.
     """
-    lv = _lam_value(lam)
     t = np.asarray(thetas, dtype=float)
     o = np.asarray(omegas, dtype=float)
     dot = t @ o.T
@@ -131,8 +120,7 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     pt = oct_mul(t[:, :8], t[:, 8:])
     po = oct_mul(o[:, :8], o[:, 8:])
     phi = np.outer(n1t, n1o) + np.outer(n2t, n2o) + 2.0 * (pt @ po.T)
-    psi = 1.0 - 2.0 * r * dot + (r * r) * phi
-    return np.exp(((-1j * lv - RHO) / 2.0) * np.log(psi))
+    return _szego_power(complex(lam), _psi_r(r, dot, phi))
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +158,7 @@ class EigenProfile:
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
-        self.lam = _lam_value(lam)
+        self.lam = complex(lam)
         self.l = int(l)
         self.m = int(m)
 
@@ -199,11 +187,6 @@ class EigenProfile:
         return out.reshape(np.shape(radii)) if np.shape(radii) else out[0]
 
 
-def plam_one(lam) -> EigenProfile:
-    """P_lam applied to the constant function 1."""
-    return EigenProfile(lam, 0, 0)
-
-
 # --------------------------------------------------------------------------
 # Poisson transform
 # --------------------------------------------------------------------------
@@ -224,41 +207,32 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
     uses sphere Monte Carlo (optionally returning the standard error).
     Refuses |x| > spec.r_cap, where the kernel peak outruns the quadrature.
     """
-    lv = _lam_value(lam)
-    x = np.asarray(getattr(x, "array", x), dtype=float)
+    lv = complex(lam)
+    x = np.asarray(x, dtype=float)
     radius = float(np.linalg.norm(x))
     if radius > spec.r_cap:
         raise ValueError(f"|x| = {radius} exceeds r_cap = {spec.r_cap} accuracy guard")
     s = (1j * lv + RHO) / 2.0
 
+    r = None
     if isinstance(f, BoundaryConstant):
         r = radius
+    elif isinstance(f, BoundaryZonal):
+        r = _radius_aligned(x)
+    if r is not None:
         omr2 = 1.0 - r * r
 
         def g(u, v):
-            return np.exp(s * np.log(omr2 / ((1.0 - r * u) ** 2 + (r * v) ** 2)))
+            kern = np.exp(s * np.log(omr2 / _zonal_psi(r, u, v)))
+            return kern * f.g(u, v) if isinstance(f, BoundaryZonal) else kern
 
-        val = f.value * zonal_integrate(g, spec)
+        val = zonal_integrate(g, spec)
+        if isinstance(f, BoundaryConstant):
+            val = f.value * val
         return (val, 0.0) if return_stderr else val
 
-    if isinstance(f, BoundaryZonal):
-        aligned = _radius_aligned(x)
-        if aligned is not None:
-            r = aligned
-            omr2 = 1.0 - r * r
-
-            def g(u, v):
-                kern = np.exp(s * np.log(omr2 / ((1.0 - r * u) ** 2 + (r * v) ** 2)))
-                return kern * f.g(u, v)
-
-            val = zonal_integrate(g, spec)
-            return (val, 0.0) if return_stderr else val
-        fn = f
-    else:
-        fn = f
-
     def integrand(omega):
-        return poisson_kernel_lambda(lv, x, omega) * np.asarray(fn(omega))
+        return poisson_kernel_lambda(lv, x, omega) * np.asarray(f(omega))
 
     val, se = sphere_average(integrand, spec)
     return (val, se) if return_stderr else val
@@ -358,7 +332,7 @@ def boundary_recover_gt(lam, F, t: float, spec: QuadratureSpec, *,
     times a fixed measure normalization, which this package measures rather
     than assumes (every limit constant is reported).
     """
-    lv = _lam_value(lam)
+    lv = complex(lam)
     if lv.imag == 0.0 and lv.real == 0.0:
         raise ValueError("lambda must be nonzero")
     c2 = abs(hc_c_function(lv)) ** 2
@@ -366,7 +340,7 @@ def boundary_recover_gt(lam, F, t: float, spec: QuadratureSpec, *,
         return complex(_geodesic_mean_sq(F, t) / c2)
     if omega is None:
         raise ValueError("general inputs need an explicit boundary point omega")
-    omega = np.asarray(getattr(omega, "array", omega), dtype=float)
+    omega = np.asarray(omega, dtype=float)
 
     def integrand(x):
         return poisson_kernel_lambda(-lv, x, omega) * np.asarray(F(x))
@@ -405,7 +379,7 @@ def operator_norm_est(lam, r: float, n: int, seed: int, *,
         raise ValueError("n must be >= 16")
     if not (0.0 <= r <= r_cap):
         raise ValueError(f"r must lie in [0, {r_cap}]")
-    lv = _lam_value(lam)
+    lv = complex(lam)
     s_theta, s_omega, s_start = spawn_seeds(seed, 3)
     thetas = sample_sphere(n, s_theta)
     omegas = sample_sphere(n, s_omega)
@@ -500,7 +474,7 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     place theta' at log-spaced distances from theta so the sup is probed
     across separation scales, not just at typical ones.
     """
-    lv = _lam_value(lam)
+    lv = complex(lam)
     la = abs(lv)
     if la == 0:
         raise ValueError("lambda must be nonzero")
@@ -518,9 +492,9 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     # Phi(theta,omega) are r-independent, so hoist them out of the r loop
     dot_to = np.sum(theta * omega, axis=-1)
     phi_to = phi_form(theta, omega)
-    psi1 = 1.0 - 2.0 * dot_to + phi_to
+    psi1 = _psi_r(1.0, dot_to, phi_to)
     for r in rs:
-        psir = 1.0 - 2.0 * r * dot_to + (r * r) * phi_to
+        psir = _psi_r(r, dot_to, phi_to)
         ratio = (psi1 / psir) ** (RHO / 2.0)
         rep.size_per_r[r] = float(np.max(ratio))
         rep.violations_shift += int(
@@ -546,11 +520,10 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     nz = admissible & (d_tt > 0)
     dot_po = np.sum(theta_p * omega, axis=-1)
     phi_po = phi_form(theta_p, omega)
-    e = (-1j * lv - RHO) / 2.0
     pow_to = d_to ** (2 * RHO + 1)
     for r in rs:
-        k1 = np.exp(e * np.log(1.0 - 2.0 * r * dot_to + (r * r) * phi_to))
-        k2 = np.exp(e * np.log(1.0 - 2.0 * r * dot_po + (r * r) * phi_po))
+        k1 = _szego_power(lv, _psi_r(r, dot_to, phi_to))
+        k2 = _szego_power(lv, _psi_r(r, dot_po, phi_po))
         num = np.abs(k1 - k2) * pow_to
         den = d_tt * (1.0 + la)
         ratio = np.where(nz, num / np.where(nz, den, 1.0), 0.0)
@@ -558,15 +531,13 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     rep.smooth_constant = max(rep.smooth_per_r.values())
 
     # (iii) truncated means through the zonal rule
-    e = (-1j * lv - RHO) / 2.0
     for r in rs:
         best = 0.0
         for dta in ds:
             d4 = dta ** 4
 
             def g(u, v):
-                kern = np.exp(e * np.log((1.0 - r * u) ** 2 + (r * v) ** 2))
-                return kern * (((1.0 - u) ** 2 + v ** 2) <= d4)
+                return _szego_power(lv, _zonal_psi(r, u, v)) * (_zonal_psi(1.0, u, v) <= d4)
 
             val = abs(zonal_integrate(g, spec)) / (1.0 + 1.0 / la)
             rep.truncated_per_cell[(r, dta)] = val
@@ -574,23 +545,25 @@ def cz_suite(lam, spec: QuadratureSpec, *,
         rep.truncated_per_r[r] = best
     rep.truncated_constant = max(rep.truncated_per_r.values())
 
-    # Hormander tail (measured): theta at dyadic distances from e1
+    # Hormander tail (measured): theta at dyadic distances from e1; the
+    # r-independent <om, th> and Phi(om, th) are formed once per probe point
     m = min(n, 100_000)
     om_h = sample_sphere(m, s4 + 1)
     d_om = dist_to_e1(om_h)
+    probes = []
+    for k in range(0, 4):
+        th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
+        th = th[None, :] / np.linalg.norm(th)
+        mask = d_om > 2.0 * float(dist_to_e1(th)[0])
+        if mask.any():
+            probes.append((mask, np.sum(om_h * th, axis=-1), phi_form(om_h, th)))
+    dot_e1 = np.sum(om_h * E1[None, :], axis=-1)
+    phi_e1 = phi_form(om_h, E1[None, :])
     for r in rs:
+        k_e1 = _szego_power(lv, _psi_r(r, dot_e1, phi_e1))
         worst = 0.0
-        for k in range(0, 4):
-            scale = 2.0 ** (-k)
-            th = E1 + scale * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
-            th = th / np.linalg.norm(th)
-            h = float(dist_to_e1(th[None, :])[0])
-            mask = d_om > 2.0 * h
-            if not mask.any():
-                continue
-            vals = np.abs(
-                szego_kernel(lv, r, om_h, th[None, :]) - szego_kernel(lv, r, om_h, E1[None, :])
-            )
+        for mask, dot, phi in probes:
+            vals = np.abs(_szego_power(lv, _psi_r(r, dot, phi)) - k_e1)
             worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
         rep.hormander_per_r[r] = worst
     return rep
@@ -685,8 +658,8 @@ def molecule_check(j: int, delta: float, spec: QuadratureSpec, *,
     rj, rj1 = eta_j(j), eta_j(j + 1)
 
     def g(u, v):
-        q1 = ((1.0 - rj1 * rj1) / ((1.0 - rj1 * u) ** 2 + (rj1 * v) ** 2)) ** RHO
-        q0 = ((1.0 - rj * rj) / ((1.0 - rj * u) ** 2 + (rj * v) ** 2)) ** RHO
+        q1 = ((1.0 - rj1 * rj1) / _zonal_psi(rj1, u, v)) ** RHO
+        q0 = ((1.0 - rj * rj) / _zonal_psi(rj, u, v)) ** RHO
         return q1 - q0
 
     cancel = float(np.real(zonal_integrate(g, spec)))
@@ -694,29 +667,4 @@ def molecule_check(j: int, delta: float, spec: QuadratureSpec, *,
         j=j, delta=float(delta), width=width,
         c_size=c_size, c_smooth=c_smooth,
         cancellation=cancel, n_samples=2 * n_samples,
-    )
-
-
-@dataclass(frozen=True)
-class MoleculeTools:
-    eta_j: float
-    delta_j: float
-    omega_weight: float
-    check: MoleculeCheck
-
-
-def molecule_tools(j: int, theta, omega, *, eta: float, delta: float,
-                   spec: QuadratureSpec) -> MoleculeTools:
-    """Bundle of the molecule quantities at one (theta, omega) pair: the
-    radius eta_j, the kernel increment Delta_j(theta, omega), the weight
-    Omega_{eta,delta}(theta, omega), and the sampled molecule check."""
-    theta = np.asarray(getattr(theta, "array", theta), dtype=float)
-    omega = np.asarray(getattr(omega, "array", omega), dtype=float)
-    dj = float(delta_j_kernel(j, theta[None, :], omega[None, :])[0])
-    wo = float(weight_omega(eta, delta, theta[None, :], omega[None, :])[0])
-    return MoleculeTools(
-        eta_j=eta_j(j),
-        delta_j=dj,
-        omega_weight=wo,
-        check=molecule_check(j, delta, spec),
     )

@@ -184,16 +184,14 @@ def _radial_rule(t: float, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
     return gauss_panels(0.0, r_max, breaks, order)
 
 
-def ball_integrate(F: Callable, t: float, spec: QuadratureSpec, *,
-                   radial: bool = False) -> complex:
+def ball_integrate(F: Callable, t: float, spec: QuadratureSpec) -> complex:
     """Integral of F over the geodesic ball of radius t against the
     invariant measure:
 
         S15 * int_0^tanh(t) <F(r theta)>_theta (1-r^2)^{-rho-1} r^15 dr
 
     with <.>_theta the normalized sphere mean (Monte Carlo, one sample set
-    reused across radii).  With radial=True, F is called as F(r) on the
-    radius array and the sphere stage is skipped.
+    reused across radii).
 
     The weight (1-r^2)^{-12} overflows for t beyond ~60; profile-style
     integrands close to the boundary should use the scaled geodesic forms
@@ -205,14 +203,11 @@ def ball_integrate(F: Callable, t: float, spec: QuadratureSpec, *,
     weight = (1.0 - r * r) ** (-12.0) * r ** 15
     if not np.all(np.isfinite(weight)):
         raise NumericsError(f"radial weight overflow at t = {t}; reduce t")
-    if radial:
-        vals = np.asarray(F(r))
-    else:
-        pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
-        vals = np.empty(len(r), dtype=complex)
-        for i, ri in enumerate(r):
-            sample_vals = np.asarray(F(ri * pts))
-            vals[i] = np.mean(sample_vals)
+    pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
+    vals = np.empty(len(r), dtype=complex)
+    for i, ri in enumerate(r):
+        sample_vals = np.asarray(F(ri * pts))
+        vals[i] = np.mean(sample_vals)
     if not np.all(np.isfinite(vals)):
         raise NumericsError("non-finite integrand sample in ball_integrate")
     return complex(S15 * np.sum(w * weight * vals))

@@ -28,7 +28,6 @@ from .errors import NumericsError
 
 __all__ = [
     "RHO",
-    "SpectralParam",
     "KTypeIndex",
     "log_gamma",
     "pochhammer",
@@ -238,27 +237,6 @@ def gauss_2f1(a, b, c, z: float, *, z_switch: float = 0.75,
 
 
 @dataclass(frozen=True)
-class SpectralParam:
-    """Nonzero real spectral parameter with derived exponent (i lam + rho)/2."""
-
-    lam: float
-
-    def __post_init__(self):
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam == 0.0:
-            raise ValueError("spectral parameter must be finite, real and nonzero")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def s(self) -> complex:
-        return (1j * self.lam + RHO) / 2.0
-
-    @property
-    def ilam_plus_rho(self) -> complex:
-        return 1j * self.lam + RHO
-
-
-@dataclass(frozen=True)
 class KTypeIndex:
     """Boundary harmonic index: l >= m >= 0 integers with l +- m even."""
 
@@ -274,19 +252,13 @@ class KTypeIndex:
             raise ValueError(f"l +- m must be even, got ({self.l}, {self.m})")
 
 
-def _lam_value(lam) -> complex:
-    if isinstance(lam, SpectralParam):
-        return complex(lam.lam)
-    return complex(lam)
-
-
 def hc_c_function(lam) -> complex:
     """c(lambda) = Gamma(8) Gamma(i lam) / (Gamma(s-3) Gamma(s)), s = (i lam + rho)/2.
 
     Pole at lam = 0; |c(lambda)| is even in lambda and blows up like
     1/|lambda| at the origin.
     """
-    lv = _lam_value(lam)
+    lv = complex(lam)
     if lv == 0:
         raise ValueError("c(lambda) has a pole at lambda = 0")
     s = (1j * lv + RHO) / 2.0
@@ -295,35 +267,37 @@ def hc_c_function(lam) -> complex:
     )
 
 
-def _phi_prefactor(lam: complex, l: int, m: int) -> tuple[complex, complex, complex, complex]:
+def _phi_parameters(lam, l: int, m: int) -> tuple[complex, complex, complex]:
+    """The 2F1 parameters (a, b, c) of Phi_{lambda,lm}."""
     s = (1j * lam + RHO) / 2.0
-    a = s + (l + m) / 2.0
-    b = s + (l - m) / 2.0 - 3.0
-    c = complex(l + 8)
-    pref = (
+    return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
+
+
+def _phi_prefactor(lam: complex, l: int, m: int) -> complex:
+    s = (1j * lam + RHO) / 2.0
+    return (
         pochhammer(s, (m + l) // 2)
         * pochhammer(s - 3.0, (l - m) // 2)
         / pochhammer(8.0, l)
     )
-    return pref, a, b, c
 
 
 def spherical_fn(lam, l: int, m: int, r: float) -> complex:
     """Generalized spherical function Phi_{lambda,lm}(r) for 0 <= r < 1.
 
     The power (1-r^2)^s is exp(s log(1-r^2)) on the positive real base.
-    lam may be a SpectralParam, a real number, or a complex number (the
-    harmonic value -i rho makes Phi_{lam,00} identically one).
+    lam may be a real or a complex number (the harmonic value -i rho makes
+    Phi_{lam,00} identically one).
     """
     KTypeIndex(l, m)
     if not (0.0 <= r < 1.0):
         raise ValueError(f"radius must satisfy 0 <= r < 1, got {r}")
-    lv = _lam_value(lam)
-    pref, a, b, c = _phi_prefactor(lv, l, m)
+    lv = complex(lam)
+    a, b, c = _phi_parameters(lv, l, m)
     omz = 1.0 - r * r
     s = (1j * lv + RHO) / 2.0
     return (
-        pref
+        _phi_prefactor(lv, l, m)
         * r ** l
         * cmath.exp(s * math.log(omz))
         * gauss_2f1(a, b, c, r * r, one_minus_z=omz)
@@ -341,10 +315,10 @@ def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
     omz = float(one_minus_r2)
     if not (0.0 < omz <= 1.0):
         raise ValueError(f"need 0 < 1-r^2 <= 1, got {omz}")
-    lv = _lam_value(lam)
-    pref, a, b, c = _phi_prefactor(lv, l, m)
+    lv = complex(lam)
+    a, b, c = _phi_parameters(lv, l, m)
     z = 1.0 - omz
     r = math.sqrt(z) if z > 0.0 else 0.0
     # (1-r^2)^{s - rho/2} = (1-r^2)^{i lam / 2}
     osc = cmath.exp((1j * lv / 2.0) * math.log(omz))
-    return pref * r ** l * osc * gauss_2f1(a, b, c, z, one_minus_z=omz)
+    return _phi_prefactor(lv, l, m) * r ** l * osc * gauss_2f1(a, b, c, z, one_minus_z=omz)

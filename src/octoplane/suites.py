@@ -12,17 +12,18 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import geometry as geo
 from . import poisson as po
 from .octonion import basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import QuadratureSpec, sample_sphere, sphere_average, zonal_integrate
+from .quadrature import QuadratureSpec, sample_sphere, zonal_integrate
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
+    _phi_parameters,
     gauss_2f1,
     hc_c_function,
     log_gamma,
@@ -268,9 +269,11 @@ def _suite_geometry(config: SuiteConfig) -> list[CheckResult]:
     pts = _random_ball_points(64, rng)
     idem = trace_dev = herm = comm = jid = 0.0
     mats = [geo.jordan_embed(p) for p in pts[:16]]
-    for X in mats:
+    for p, X in zip(pts, mats):
+        # the entries of X grow like s = 1/(1-|x|^2) and those of X o X like s^2
+        s = 1.0 / (1.0 - float(np.sum(p * p)))
         XX = geo.jordan_product(X, X)
-        idem = max(idem, XX.max_abs_diff(X))
+        idem = max(idem, XX.max_abs_diff(X) / (s * s))
         trace_dev = max(trace_dev, abs(X.trace() - 1.0))
         herm = max(herm, X.hermitian_defect())
     for A, B in zip(mats[:8], mats[8:]):
@@ -332,11 +335,6 @@ def _suite_geometry(config: SuiteConfig) -> list[CheckResult]:
 # --------------------------------------------------------------------------
 # special functions
 # --------------------------------------------------------------------------
-
-def _phi_parameters(lam: float, l: int, m: int) -> tuple[complex, complex, complex]:
-    s = (1j * lam + RHO) / 2.0
-    return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
-
 
 def _suite_special(config: SuiteConfig) -> list[CheckResult]:
     out = []
@@ -519,14 +517,13 @@ def _suite_poisson(config: SuiteConfig) -> list[CheckResult]:
                            worst, 1e-10, 400, seed))
 
     worst = 0.0
-    e = (-1j * lam0 - RHO) / 2.0
     for r in (0.2, 0.5, 0.8):
         omr2 = 1.0 - r * r
         s = (1j * lam0 + RHO) / 2.0
         direct = po.poisson_transform(lam0, po.BoundaryConstant(1.0), r * geo.E1, spec)
 
         def g(u, v):
-            return np.exp(e * np.log((1.0 - r * u) ** 2 + (r * v) ** 2))
+            return po._szego_power(lam0, geo._zonal_psi(r, u, v))
 
         via_szego = np.exp(s * np.log(omr2)) * zonal_integrate(g, spec)
         worst = max(worst, abs(direct - via_szego) / abs(direct))

@@ -166,6 +166,13 @@ class TestDeterminism:
         assert strip_wall_times(a.read_text()) == strip_wall_times(b.read_text())
         assert a.read_text() != "" and b.read_text()
 
+    def test_quiet_prefix_suppresses_summary(self, tmp_path, capsys):
+        # argparse accepts unambiguous prefixes, so --qui means --quiet
+        code = run_cli(["--suite", "algebra", "--seed", "1", "--nmc", "1000", "--qui",
+                        "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_stdout_default(self, capsys):
         code = run_cli(["--suite", "algebra", "--seed", "1", "--quiet", "--nmc", "1000"])
         captured = capsys.readouterr()

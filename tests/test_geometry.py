@@ -7,8 +7,6 @@ from octoplane.geometry import (
     E1,
     E2,
     JordanMatrix,
-    OctPair,
-    SpherePoint,
     ball_volume_est,
     ball_volume_quadrature,
     boundary_embed,
@@ -25,6 +23,7 @@ from octoplane.geometry import (
 )
 from octoplane.octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 from octoplane.quadrature import sample_sphere
+from octoplane.suites import SuiteConfig, run_suite
 
 
 def ball_points(n, seed, rmax=1.0):
@@ -180,6 +179,12 @@ class TestJordan:
             scale = max(1.0, np.max(np.abs(lhs.plain)), np.max(np.abs(lhs.imag)))
             assert lhs.max_abs_diff(rhs) / scale < 1e-10
 
+    def test_suite_idempotent_check_scales_with_the_point(self):
+        # entries of X o X grow like s^2, s = 1/(1-|x|^2); at seed 0 the
+        # sample reaches s ~ 1e4 and the absolute defect 2e-8 is rounding
+        report = run_suite(SuiteConfig(suite="geometry", seed=0))
+        assert [c.check_id for c in report.checks if c.status == "fail"] == []
+
     def test_boundary_embed(self):
         Y = boundary_embed(basis(0), np.zeros(8))
         assert Y.max_abs_diff(JordanMatrix.corner_unit()) == 0.0
@@ -191,18 +196,6 @@ class TestJordan:
         assert np.all(Y2.plain[0, 2] == 0.0) and np.all(Y2.plain[2, 0] == 0.0)
         with pytest.raises(ValueError):
             boundary_embed(basis(0), basis(0))  # |u|^2 + |v|^2 = 2
-
-
-class TestPointTypes:
-    def test_sphere_point_renormalizes(self):
-        w = SpherePoint((1.0 + 5e-13) * E1)
-        assert np.linalg.norm(w.array) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            SpherePoint(1.1 * E1)
-
-    def test_octpair_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            OctPair(np.full(16, np.inf))
 
 
 class TestVolume:

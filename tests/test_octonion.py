@@ -13,7 +13,6 @@ from octoplane.octonion import (
     FANO_TRIPLES,
     MUL_INDEX,
     MUL_SIGN,
-    Octonion,
     basis,
     oct_conj,
     oct_inv,
@@ -138,16 +137,6 @@ class TestScalarOps:
         assert np.max(oct_norm(oct_mul(a, oct_inv(a)) - E[0])) < 1e-12
         with pytest.raises(ValueError, match="non-invertible"):
             oct_inv(np.zeros(8))
-
-    def test_octonion_class(self):
-        x = Octonion.unit(1) * Octonion.unit(2)
-        assert x == Octonion.unit(3)
-        assert (Octonion.from_real(2.0).inverse()).coeffs[0] == 0.5
-        assert Octonion.unit(3).conj() == -Octonion.unit(3)
-        with pytest.raises(ValueError, match="finite"):
-            Octonion([np.nan] + [0.0] * 7)
-        with pytest.raises(ValueError):
-            Octonion([1.0, 2.0])
 
     def test_basis_range(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from octoplane.errors import NumericsError
-from octoplane.geometry import E1, ni_dist, psi_form
+from octoplane.geometry import E1, dist_to_e1, ni_dist, psi_form
 from octoplane.poisson import (
     BoundaryConstant,
     BoundaryZonal,
@@ -18,7 +18,6 @@ from octoplane.poisson import (
     hardy_norm,
     m2_norm,
     molecule_check,
-    molecule_tools,
     operator_norm_est,
     poisson_kernel,
     poisson_kernel_lambda,
@@ -27,7 +26,7 @@ from octoplane.poisson import (
     szego_matrix,
     weight_omega,
 )
-from octoplane.quadrature import QuadratureSpec, sample_sphere, zonal_integrate
+from octoplane.quadrature import QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
 from octoplane.special import RHO, hc_c_function, spherical_fn
 
 SPEC = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=1)
@@ -330,6 +329,29 @@ class TestCZSuite:
         with pytest.raises(ValueError):
             cz_suite(0.0, SPEC)
 
+    def test_hormander_tail_matches_per_kernel_reference(self):
+        # reference: one szego_kernel call per (r, probe point, e1), on the
+        # sample cz_suite draws for the tail
+        spec = QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7)
+        lam = 1.0
+        rep = cz_suite(lam, spec)
+        om = sample_sphere(2_000, spawn_seeds(spec.seed, 4)[3] + 1)
+        d_om = dist_to_e1(om)
+        ref = {}
+        for r in rep.r_grid:
+            worst = 0.0
+            for k in range(4):
+                th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
+                th = th / np.linalg.norm(th)
+                mask = d_om > 2.0 * float(dist_to_e1(th[None, :])[0])
+                if not mask.any():
+                    continue
+                vals = np.abs(szego_kernel(lam, r, om, th[None, :])
+                              - szego_kernel(lam, r, om, E1[None, :]))
+                worst = max(worst, float(np.mean(vals * mask)) / (1.0 + abs(lam)))
+            ref[r] = worst
+        assert rep.hormander_per_r == ref
+
 
 class TestMolecules:
     def test_eta_values(self):
@@ -377,12 +399,3 @@ class TestMolecules:
         # growth per dyadic step is sub-linear once past the first radii
         for a, b in zip(checks[2:-1], checks[3:]):
             assert b.c_size / a.c_size < 2.0
-
-    def test_molecule_tools_bundle(self):
-        spec = QuadratureSpec(n_mc=1000, n_gauss=160, seed=10)
-        th = sample_sphere(1, 11)[0]
-        tools = molecule_tools(2, th, E1, eta=0.25, delta=1.0, spec=spec)
-        assert tools.eta_j == eta_j(2)
-        assert np.isfinite(tools.delta_j)
-        assert tools.omega_weight > 0
-        assert tools.check.j == 2

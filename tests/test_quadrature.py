@@ -120,12 +120,6 @@ class TestBallIntegrate:
     def test_zero_function(self):
         assert ball_integrate(lambda x: np.zeros(x.shape[0]), 3.0, SPEC) == 0.0
 
-    def test_radial_bypass(self):
-        val = ball_integrate(lambda r: r ** 2, 1.0, SPEC, radial=True)
-        r, w = gauss_panels(0.0, math.tanh(1.0), [0.5], order=24)
-        oracle = S15 * np.sum(w * (1 - r * r) ** (-12.0) * r ** 17)
-        assert abs(val - oracle) / oracle < 1e-10
-
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             ball_integrate(lambda x: np.ones(x.shape[0]), 0.0, SPEC)

@@ -12,7 +12,6 @@ from octoplane.errors import NumericsError
 from octoplane.special import (
     RHO,
     KTypeIndex,
-    SpectralParam,
     gauss_2f1,
     hc_c_function,
     log_gamma,
@@ -254,11 +253,3 @@ class TestSphericalFn:
             spherical_fn(1.0, 0, 0, 1.0)
         with pytest.raises(ValueError):
             spherical_fn(1.0, 0, 0, -0.1)
-
-    def test_spectral_param_validation(self):
-        sp = SpectralParam(2.0)
-        assert sp.s == pytest.approx((2j + 11) / 2)
-        with pytest.raises(ValueError):
-            SpectralParam(0.0)
-        with pytest.raises(ValueError):
-            SpectralParam(float("nan"))

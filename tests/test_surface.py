@@ -1,0 +1,40 @@
+"""The public surface: every ``__all__`` entry resolves, and names removed
+from the package stay removed.
+
+Tooling that walks ``__all__`` with ``getattr`` (tracers, wrappers) breaks
+on a stale entry, so each module's list is checked against the module.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import octoplane
+from octoplane.geometry import JordanMatrix
+from octoplane.quadrature import ball_integrate
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
+REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
+           "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    mod = importlib.import_module(f"octoplane.{name}")
+    missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert not hasattr(octoplane, name)
+    for mod_name in MODULES:
+        assert not hasattr(importlib.import_module(f"octoplane.{mod_name}"), name)
+
+
+def test_removed_options_and_methods_are_gone():
+    assert "radial" not in inspect.signature(ball_integrate).parameters
+    for attr in ("zeros", "scale", "jordan", "__add__", "__sub__"):
+        assert not hasattr(JordanMatrix, attr)

@@ -7,7 +7,9 @@ Flags: --suite, --lambda, --lmax, --rgrid, --tgrid, --nmc, --ngauss, --seed,
 holds key = value lines with the same keys apart from config and quiet;
 flags override it, and SuiteConfig supplies every setting given by neither.
 --quiet suppresses the summary lines on stderr.  Exit codes: 0 all checks
-pass, 1 at least one check failed, 2 usage error, 3 I/O error.
+pass, 1 at least one check failed or a suite stopped on a numerical error
+(an 'error' record; the report is still written), 2 usage error, 3 I/O
+error.
 """
 
 from __future__ import annotations

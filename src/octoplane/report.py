@@ -3,10 +3,12 @@
 A report is a list of check records.  Each record carries the verified
 statement as a formula-style anchor string, a status, the measured
 quantities, the tolerance applied (when the check is toleranced), sample
-counts and the seed.  Exact-inequality checks fail iff their violation
-count is nonzero; toleranced checks fail iff the measured defect exceeds
-the tolerance; 'measured' records never fail (they report constants the
-estimates leave unnamed).
+counts, the seed and its own wall time (the time since the previous record
+of its suite).  Exact-inequality checks fail iff their violation count is
+nonzero; toleranced checks fail iff the measured defect exceeds the
+tolerance; 'measured' records never fail (they report constants the
+estimates leave unnamed); an 'error' record stands for a suite that stopped
+on a NumericsError, carries the message as its anchor, and fails the report.
 
 JSON output is a single object {"meta": ..., "checks": [...]} with frozen
 field names; CSV has one row per check under a fixed header.  Reruns with
@@ -39,7 +41,7 @@ CSV_HEADER = (
 class CheckResult:
     check_id: str
     anchor: str
-    status: str  # 'pass' | 'fail' | 'measured'
+    status: str  # 'pass' | 'fail' | 'measured' | 'error'
     measured: dict = field(default_factory=dict)
     tolerance: float | None = None
     n_samples: int = 0
@@ -66,7 +68,7 @@ class VerificationReport:
 
     @property
     def overall_status(self) -> str:
-        return "fail" if any(c.status == "fail" for c in self.checks) else "pass"
+        return "fail" if any(c.status in ("fail", "error") for c in self.checks) else "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +109,7 @@ def render_csv(report: VerificationReport) -> str:
 def summary_lines(report: VerificationReport) -> list[str]:
     lines = []
     for c in report.checks:
-        mark = {"pass": "PASS", "fail": "FAIL", "measured": "MEAS"}[c.status]
+        mark = {"pass": "PASS", "fail": "FAIL", "measured": "MEAS", "error": "ERR "}[c.status]
         key_vals = ", ".join(f"{k}={v:.6g}" for k, v in sorted(c.measured.items())[:4])
         lines.append(f"[{mark}] {c.check_id}: {c.anchor}" + (f"  ({key_vals})" if key_vals else ""))
     lines.append(f"overall: {report.overall_status}")

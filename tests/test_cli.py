@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+from octoplane import suites
 from octoplane.cli import build_config, main
+from octoplane.errors import NumericsError
 from octoplane.report import (
     CheckResult,
     VerificationReport,
@@ -60,6 +62,14 @@ class TestConfigParsing:
         assert cfg.seed == 9          # flag wins
         assert cfg.n_mc == 2000
         assert cfg.tolerances == {"alg-norm-mult": 1e-9}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_tolerance_rejected(self, value, capsys):
+        # nan fails every check and puts a bare NaN into the JSON; inf passes every check
+        args = ["--suite", "special", "--quiet", f"--tol.sp-pochhammer-720={value}"]
+        with pytest.raises(ValueError, match="finite"):
+            build_config(args)
+        assert run_cli(args) == 2
 
     def test_zero_lambda_rejected_for_spectral_suites(self):
         with pytest.raises(ValueError):
@@ -117,6 +127,11 @@ class TestReportContents:
             assert set(c) == {"check_id", "anchor", "status", "measured",
                               "tolerance", "n_samples", "seed", "wall_time"}
             assert c["anchor"]  # every record names the statement it verifies
+        assert rep["meta"]["format_version"] == 2
+        # each record is timed on its own, not given a share of the suite's time
+        walls = [c["wall_time"] for c in rep["checks"]]
+        assert len(set(walls)) > 1
+        assert sum(walls) <= rep["meta"]["total_wall_time"] + 1e-4
         ids = [c["check_id"] for c in rep["checks"]]
         assert "sp-harmonic-unity" in ids
         assert "sp-2f1-seam" in ids
@@ -155,6 +170,38 @@ class TestReportContents:
             checks=[CheckResult("x", "some identity", "fail", {"defect": 1.0}, 0.5)],
         )
         assert rep.overall_status == "fail"
+
+
+class TestSuiteErrors:
+    def test_numerics_error_keeps_the_report(self, tmp_path, monkeypatch, capsys):
+        def ok(config, rec):
+            rec.exact(f"{config.suite}-fake", "a check that passes", 0, 1)
+
+        def broken(config, rec):
+            rec.tol("alg-before", "a check recorded before the error", 0.0, 1e-12, 1)
+            raise NumericsError("no convergence in 500 steps")
+
+        for name in suites._SUITES:
+            monkeypatch.setitem(suites._SUITES, name, ok)
+        monkeypatch.setitem(suites._SUITES, "algebra", broken)
+        out = tmp_path / "r.json"
+        assert run_cli(["--suite", "all", "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["overall_status"] == "fail"
+        statuses = [(c["check_id"], c["status"]) for c in rep["checks"]]
+        assert statuses[:2] == [("alg-before", "pass"), ("algebra-error", "error")]
+        assert rep["checks"][1]["anchor"] == "no convergence in 500 steps"
+        # the other suites still ran
+        assert statuses[2:] == [("all-fake", "pass")] * (len(suites._SUITES) - 1)
+        assert "[ERR ] algebra-error: no convergence in 500 steps" in capsys.readouterr().err
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def broken(config, rec):
+            raise ValueError("a programming error, not a numerical one")
+
+        monkeypatch.setitem(suites._SUITES, "algebra", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            run_cli(["--suite", "algebra", "--quiet"])
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from octoplane.geometry import (
 )
 from octoplane.octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 from octoplane.quadrature import sample_sphere
-from octoplane.suites import SuiteConfig, run_suite
+from octoplane.suites import SuiteConfig, _check_seed, run_suite
 
 
 def ball_points(n, seed, rmax=1.0):
@@ -182,8 +182,12 @@ class TestJordan:
     def test_suite_idempotent_check_scales_with_the_point(self):
         # entries of X o X grow like s^2, s = 1/(1-|x|^2); at seed 0 the
         # sample reaches s ~ 1e4 and the absolute defect 2e-8 is rounding
-        report = run_suite(SuiteConfig(suite="geometry", seed=0))
+        config = SuiteConfig(suite="geometry", seed=0)
+        report = run_suite(config)
         assert [c.check_id for c in report.checks if c.status == "fail"] == []
+        # the saturation record reports the seed it sampled with
+        byid = {c.check_id: c for c in report.checks}
+        assert byid["geo-volume-saturation"].seed == _check_seed(config, "geo-volume-sat")
 
     def test_boundary_embed(self):
         Y = boundary_embed(basis(0), np.zeros(8))

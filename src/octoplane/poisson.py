@@ -176,15 +176,10 @@ class EigenProfile:
             )
         pts = np.asarray(pts, dtype=float)
         radii = np.sqrt(np.sum(pts * pts, axis=-1))
-        flat = np.atleast_1d(radii).ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        cache: dict[float, complex] = {}
-        for i, r in enumerate(flat):
-            key = float(r)
-            if key not in cache:
-                cache[key] = self.profile(key)
-            out[i] = cache[key]
-        return out.reshape(np.shape(radii)) if np.shape(radii) else out[0]
+        distinct, inverse = np.unique(radii, return_inverse=True)
+        values = np.array([self.profile(float(r)) for r in distinct], dtype=complex)
+        out = values[inverse].reshape(radii.shape)
+        return out if out.ndim else out[()]
 
 
 # --------------------------------------------------------------------------

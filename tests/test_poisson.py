@@ -152,6 +152,26 @@ class TestTransform:
             poisson_transform(1.0, BoundaryConstant(1.0), 0.9999 * E1, SPEC)
 
 
+class TestEigenProfile:
+    def test_pointwise_evaluation_matches_spherical_fn(self):
+        prof = EigenProfile(1.0)
+        radii = np.array([[0.2, 0.5, 0.2], [0.7, 0.5, 0.2]])
+        pts = np.zeros((2, 3, 16))
+        for k, (i, j) in enumerate(np.ndindex(2, 3)):
+            pts[i, j, k] = radii[i, j]  # a different axis per point, same |x|
+        calls = []
+        profile = prof.profile
+        prof.profile = lambda r: calls.append(r) or profile(r)
+        out = prof(pts)
+        assert out.shape == (2, 3)
+        assert sorted(calls) == [0.2, 0.5, 0.7]  # each distinct radius once
+        for i, j in np.ndindex(2, 3):
+            assert out[i, j] == spherical_fn(1.0, 0, 0, radii[i, j])
+        single = prof(pts[1, 0])
+        assert np.shape(single) == ()
+        assert single == spherical_fn(1.0, 0, 0, 0.7)
+
+
 class TestHardyNorm:
     def test_weight_cancel(self):
         grid = [0.0] + [1 - 2.0 ** (-k) for k in range(1, 9)]

@@ -47,11 +47,15 @@ class TestLogGamma:
 
     def test_against_scipy(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            z = complex(rng.uniform(0.5, 20), rng.uniform(-15, 15))
+        zs = [complex(rng.uniform(0.5, 20), rng.uniform(-15, 15)) for _ in range(200)]
+        # Re z < 0.5 takes the reflection branch; stay away from the poles
+        zs += [z for z in (complex(rng.uniform(-5, 0.5), rng.uniform(-15, 15))
+                           for _ in range(200))
+               if abs(z - round(z.real)) > 0.05]
+        for z in zs:
             mine = cmath.exp(log_gamma(z))
             ref = cmath.exp(complex(ss.loggamma(z)))
-            assert abs(mine - ref) / abs(ref) < 1e-12
+            assert abs(mine - ref) / abs(ref) < 1e-12, z
 
     def test_pole_rejected(self):
         for z in (0.0, -1.0, -7.0):
@@ -214,7 +218,7 @@ class TestSphericalFn:
     def test_against_mpmath_oracle(self):
         for lam in (0.5, 2.0):
             for (l, m) in ((0, 0), (2, 0), (2, 2), (6, 2)):
-                for r in (0.3, 0.8, 0.99):
+                for r in (1e-5, 0.3, 0.8, 0.99):
                     mine = spherical_fn(lam, l, m, r)
                     ref = _phi_oracle(lam, l, m, r)
                     assert abs(mine - ref) / max(abs(ref), 1e-300) < 1e-9
@@ -247,6 +251,24 @@ class TestSphericalFn:
         for lam in (0.5, 1.0, 2.0):
             m10, m20 = grid_max(lam, 10), grid_max(lam, 20)
             assert (m20 - m10) / m10 < 0.10
+
+    def test_accurate_or_raises_against_mpmath(self):
+        # the power series cancels for large lambda; the guard must raise
+        # rather than return a value off by more than 1e-10
+        raised = []
+        for lam in (1e-4, 0.5, 2.0, 20.0, 60.0, 150.0):
+            for (l, m) in ((0, 0), (10, 0), (20, 20)):
+                for r in (0.3, 0.6, 0.8):
+                    try:
+                        mine = spherical_fn(lam, l, m, r)
+                    except NumericsError:
+                        raised.append((lam, l, m, r))
+                        continue
+                    ref = _phi_oracle(lam, l, m, r)
+                    assert abs(mine - ref) / abs(ref) < 1e-10, (lam, l, m, r)
+        assert (60.0, 0, 0, 0.6) in raised
+        with pytest.raises(NumericsError, match="digits lost"):
+            spherical_fn(60.0, 0, 0, 0.6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

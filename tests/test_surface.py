@@ -14,6 +14,7 @@ import pytest
 import octoplane
 from octoplane.geometry import JordanMatrix
 from octoplane.quadrature import ball_integrate
+from octoplane.special import gauss_2f1
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
 REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
@@ -38,3 +39,13 @@ def test_removed_options_and_methods_are_gone():
     assert "radial" not in inspect.signature(ball_integrate).parameters
     for attr in ("zeros", "scale", "jordan", "__add__", "__sub__"):
         assert not hasattr(JordanMatrix, attr)
+
+
+def test_gauss_2f1_path_keywords():
+    # perfbench's tracer reads the z_switch default to classify 2F1 paths
+    # and forwards both keywords
+    params = inspect.signature(gauss_2f1).parameters
+    assert params["z_switch"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["z_switch"].default == 0.75
+    assert params["one_minus_z"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["one_minus_z"].default is None

@@ -92,9 +92,10 @@ def bracket(x, y) -> np.ndarray:
     degenerate = n2 == 0.0
     safe = np.where(degenerate[..., None], 1.0, n2[..., None])
     y2inv = oct_conj(y2) / safe
-    main = oct_mul(oct_mul(oct_conj(x1), y2), oct_mul(y2inv, y1)) + oct_mul(x2, oct_conj(y2))
-    fallback = oct_mul(oct_conj(x1), y1)
-    return np.where(degenerate[..., None], fallback, main)
+    out = oct_mul(oct_mul(oct_conj(x1), y2), oct_mul(y2inv, y1)) + oct_mul(x2, oct_conj(y2))
+    if np.any(degenerate):
+        out[degenerate] = oct_mul(oct_conj(x1[degenerate]), y1[degenerate])
+    return out
 
 
 def _psi_r(r, dot, phi):
@@ -214,16 +215,20 @@ class JordanMatrix:
         return cls(p)
 
     def mat_mul(self, other: "JordanMatrix") -> "JordanMatrix":
-        """Associative 3x3 matrix product with (p + iq)(p' + iq') entries."""
+        """Associative 3x3 matrix product with (p + iq)(p' + iq') entries.
+
+        All 27 entry products of one kind are one broadcast oct_mul, indexed
+        [r, k, c]; the sum over k runs 0, 1, 2 from +0.0.
+        """
+        ap, aq = self.plain[:, :, None], self.imag[:, :, None]
+        bp, bq = other.plain[None], other.imag[None]
+        terms_p = oct_mul(ap, bp) - oct_mul(aq, bq)
+        terms_q = oct_mul(ap, bq) + oct_mul(aq, bp)
         rp = np.zeros((3, 3, 8))
         rq = np.zeros((3, 3, 8))
-        for r in range(3):
-            for c in range(3):
-                for k in range(3):
-                    ap, aq = self.plain[r, k], self.imag[r, k]
-                    bp, bq = other.plain[k, c], other.imag[k, c]
-                    rp[r, c] += oct_mul(ap, bp) - oct_mul(aq, bq)
-                    rq[r, c] += oct_mul(ap, bq) + oct_mul(aq, bp)
+        for k in range(3):
+            rp += terms_p[:, k]
+            rq += terms_q[:, k]
         return JordanMatrix(rp, rq)
 
     def trace(self) -> float:

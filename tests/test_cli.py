@@ -114,6 +114,17 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestDefaultBudgets:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_algebra_and_geometry_pass(self, seed, tmp_path, capsys):
+        for suite in ("algebra", "geometry"):
+            out = tmp_path / f"{suite}.json"
+            code = run_cli(["--suite", suite, "--seed", str(seed), "--quiet", "--out", str(out)])
+            rep = json.loads(out.read_text())
+            bad = [c["check_id"] for c in rep["checks"] if c["status"] in ("fail", "error")]
+            assert (code, bad) == (0, [])
+
+
 class TestReportContents:
     def test_json_schema_fields(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from octoplane import geometry
 from octoplane.geometry import (
     E1,
     E2,
@@ -74,6 +75,15 @@ class TestBracket:
         y = pair(y1, np.zeros((1000, 8)))
         assert np.max(oct_norm(bracket(x, y) - oct_mul(oct_conj(x[:, :8]), y1))) == 0.0
 
+    def test_mixed_batch_matches_single_points(self):
+        # the y2 == 0 rows take the fallback, the others the main formula
+        x, y = ball_points(60, 12), ball_points(60, 13)
+        y[::3, 8:] = 0.0
+        b = bracket(x, y)
+        assert bitwise_equal(b[::3], oct_mul(oct_conj(x[::3, :8]), y[::3, :8]))
+        for i in range(0, 60, 4):
+            assert bitwise_equal(bracket(x[i], y[i]), b[i])
+
     def test_scaled_first_coordinate(self):
         om = sample_sphere(10_000, 10)
         r = np.random.default_rng(11).uniform(0, 1, 10_000)
@@ -141,7 +151,47 @@ class TestMetric:
             unit_rotation(2.0 * basis(0))
 
 
+def entry_loop_mat_mul(a, b):
+    """The 27-entry loop of single-octonion products that JordanMatrix.mat_mul
+    replaced, kept as its reference."""
+    rp = np.zeros((3, 3, 8))
+    rq = np.zeros((3, 3, 8))
+    for r in range(3):
+        for c in range(3):
+            for k in range(3):
+                ap, aq = a.plain[r, k], a.imag[r, k]
+                bp, bq = b.plain[k, c], b.imag[k, c]
+                rp[r, c] += oct_mul(ap, bp) - oct_mul(aq, bq)
+                rq[r, c] += oct_mul(ap, bq) + oct_mul(aq, bp)
+    return rp, rq
+
+
+def bitwise_equal(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 class TestJordan:
+    def test_mat_mul_equals_entry_loop(self, monkeypatch):
+        interior = [jordan_embed(p) for p in ball_points(6, 30, rmax=0.9)]
+        boundary = [boundary_embed(w[:8], w[8:]) for w in sample_sphere(6, 31)]
+        assert all(np.any(X.imag != 0.0) for X in interior)
+        mats = interior + boundary + [JordanMatrix.diag_unit(), JordanMatrix.corner_unit()]
+        for A in mats:
+            for B in mats:
+                rp, rq = entry_loop_mat_mul(A, B)
+                AB = A.mat_mul(B)
+                assert bitwise_equal(AB.plain, rp) and bitwise_equal(AB.imag, rq)
+
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return oct_mul(a, b)
+
+        monkeypatch.setattr(geometry, "oct_mul", counted)
+        interior[0].mat_mul(interior[1])
+        assert len(calls) <= 4
+
     def test_e1_idempotent(self):
         e1m = JordanMatrix.diag_unit()
         assert jordan_product(e1m, e1m).max_abs_diff(e1m) == 0.0

@@ -59,15 +59,12 @@ class QuadratureSpec:
     n_mc: int = 200_000
     n_gauss: int = 200
     seed: int = 0
-    r_cap: float = 0.999
 
     def __post_init__(self):
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         if self.n_gauss < 2:
             raise ValueError("n_gauss must be >= 2")
-        if not (0.0 < self.r_cap < 1.0):
-            raise ValueError("r_cap must lie in (0, 1)")
 
 
 def sample_sphere(n: int, seed: int) -> np.ndarray:
@@ -193,9 +190,10 @@ def ball_integrate(F: Callable, t: float, spec: QuadratureSpec) -> complex:
     with <.>_theta the normalized sphere mean (Monte Carlo, one sample set
     reused across radii).
 
-    The weight (1-r^2)^{-12} overflows for t beyond ~60; profile-style
-    integrands close to the boundary should use the scaled geodesic forms
-    in the analysis module instead.
+    The weight (1-r^2)^{-12} overflows for t beyond ~60; eigenfunction
+    integrands should be passed to ``poisson.m2_norm`` or
+    ``poisson.boundary_recover_gt`` as an ``EigenProfile``, whose route
+    integrates the scaled profile in the geodesic radius instead.
     """
     if t <= 0:
         raise ValueError("t must be positive")

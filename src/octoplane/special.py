@@ -200,6 +200,11 @@ class KTypeIndex:
             raise ValueError(f"l +- m must be even, got ({self.l}, {self.m})")
 
 
+def _spectral_s(lam) -> complex:
+    """The spectral exponent s = (i lambda + rho)/2."""
+    return (1j * complex(lam) + RHO) / 2.0
+
+
 def hc_c_function(lam) -> complex:
     """c(lambda) = Gamma(8) Gamma(i lam) / (Gamma(s-3) Gamma(s)), s = (i lam + rho)/2.
 
@@ -209,7 +214,7 @@ def hc_c_function(lam) -> complex:
     lv = complex(lam)
     if lv == 0:
         raise ValueError("c(lambda) has a pole at lambda = 0")
-    s = (1j * lv + RHO) / 2.0
+    s = _spectral_s(lv)
     return cmath.exp(
         log_gamma(8.0) + log_gamma(1j * lv) - log_gamma(s - 3.0) - log_gamma(s)
     )
@@ -217,7 +222,7 @@ def hc_c_function(lam) -> complex:
 
 def _phi_parameters(lam, l: int, m: int) -> tuple[complex, complex, complex]:
     """The 2F1 parameters (a, b, c) of Phi_{lambda,lm}."""
-    s = (1j * lam + RHO) / 2.0
+    s = _spectral_s(lam)
     return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
 
 
@@ -256,7 +261,7 @@ def _phi_scaled(lam, l: int, m: int, z: float, omz: float) -> complex:
     from 1 - z loses 2F1's near the boundary."""
     KTypeIndex(l, m)
     lv = complex(lam)
-    s = (1j * lv + RHO) / 2.0
+    s = _spectral_s(lv)
     a, b, c = _phi_parameters(lv, l, m)
     prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
                  / pochhammer(8.0, l))

@@ -30,6 +30,7 @@ from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
     _phi_parameters,
+    _spectral_s,
     gauss_2f1,
     hc_c_function,
     log_gamma,
@@ -132,11 +133,12 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
               int(np.count_nonzero(oct_mul(e[0][None, :], a) != a)) +
               int(np.count_nonzero(oct_mul(a, e[0][None, :]) != a)), n)
 
-    sq_viol = sum(int(np.any(oct_mul(e[m], e[m]) != -e[0])) for m in range(1, 8))
+    table = oct_mul(e[1:, None], e[None, 1:])  # table[i-1, j-1] = e_i e_j
+    sq_viol = sum(int(np.any(table[m, m] != -e[0])) for m in range(7))
     rec.exact("alg-squares", "e_m^2 = -1 for m = 1..7", sq_viol, 7)
 
-    ac_viol = sum(1 for i in range(1, 8) for j in range(1, 8)
-                  if i != j and np.any(oct_mul(e[i], e[j]) != -oct_mul(e[j], e[i])))
+    ac_viol = sum(1 for i in range(7) for j in range(7)
+                  if i != j and np.any(table[i, j] != -table[j, i]))
     rec.exact("alg-anticommute", "e_i e_j = -e_j e_i (i != j)", ac_viol, 42)
 
     norm_a, norm_b = oct_norm(a), oct_norm(b)
@@ -174,12 +176,10 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
     )
     rec.tol("alg-inverse", "a a^{-1} = a^{-1} a = 1 (a != 0)", d, 1e-12, n)
 
-    witness = 0
-    for i, j, k in [(1, 2, 4), (1, 4, 2), (2, 3, 4)]:
-        lhs = oct_mul(oct_mul(e[i], e[j]), e[k])
-        rhs = oct_mul(e[i], oct_mul(e[j], e[k]))
-        if np.max(np.abs(lhs - rhs)) > 0.5:
-            witness += 1
+    i, j, k = np.array([(1, 2, 4), (1, 4, 2), (2, 3, 4)]).T
+    lhs = oct_mul(oct_mul(e[i], e[j]), e[k])
+    rhs = oct_mul(e[i], oct_mul(e[j], e[k]))
+    witness = int(np.count_nonzero(np.max(np.abs(lhs - rhs), axis=-1) > 0.5))
     rec.exact("alg-nonassoc-witness", "exists basis triple with (e_i e_j) e_k != e_i (e_j e_k)",
               0 if witness > 0 else 1, 3, witnesses=witness)
 
@@ -467,7 +467,7 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
             worst, 1e-10, 400)
 
     worst = 0.0
-    s = (1j * lam0 + RHO) / 2.0
+    s = _spectral_s(lam0)
     for r in (0.2, 0.5, 0.8):
         direct = po.poisson_transform(lam0, po.BoundaryConstant(1.0), r * geo.E1, spec)
 
@@ -503,7 +503,7 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     def weight(pts):
         return (1.0 - np.sum(np.asarray(pts) ** 2, axis=-1)) ** (RHO / 2.0)
 
-    hn = po.hardy_norm(lam0, weight, 2.0, r_grid, spec)
+    hn = po.hardy_norm(weight, 2.0, r_grid, spec)
     rec.tol("po-hardy-weight-cancel", "hardy norm of (1-r^2)^{rho/2} equals 1",
             abs(hn.value - 1.0), 1e-6, len(r_grid))
 
@@ -512,7 +512,7 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     @functools.cache
     def hardy(lam):
         """Hardy norm of P_lam 1 on the dense r grid."""
-        return po.hardy_norm(lam, po.EigenProfile(lam), 2.0, dense, spec).value
+        return po.hardy_norm(po.EigenProfile(lam), 2.0, dense, spec).value
 
     worst = 0.0
     for lam in config.lambdas:
@@ -525,7 +525,7 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     fit_c, fit_f = 0.0, 0.0
     for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
         bound = 1 + lam + 1 / lam
-        hf_ = po.hardy_norm(lam, po.EigenProfile(lam), 2.0, fine, spec).value
+        hf_ = po.hardy_norm(po.EigenProfile(lam), 2.0, fine, spec).value
         fit_c = max(fit_c, hardy(lam) / bound)
         fit_f = max(fit_f, hf_ / bound)
     drift = abs(fit_f - fit_c) / fit_c
@@ -638,11 +638,8 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
 
     drifts = {}
     for lam in config.lambdas:
-        prof = po.EigenProfile(lam)
-        per_t = {t: po.m2_norm(prof, [t], spec).value ** 2 for t in (6, 8, 10, 12)}
-        keys = sorted(per_t)
-        worst = max(abs(per_t[b] / per_t[a] - 1.0) for a, b in zip(keys[:-1], keys[1:]))
-        drifts[f"drift_{lam}"] = worst
+        sq = [v ** 2 for v in po.m2_norm(po.EigenProfile(lam), (6, 8, 10, 12), spec).per_t]
+        drifts[f"drift_{lam}"] = max(abs(b / a - 1.0) for a, b in zip(sq[:-1], sq[1:]))
     rec.measured("inv-mean-square-drift",
                  "per-step drift of (1/t) int_{B(0,t)} |Phi_{lambda,00}|^2 dmu "
                  "over t in {6,8,10,12} (oscillating 1/t tail)",

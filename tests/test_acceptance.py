@@ -188,7 +188,7 @@ def test_criterion_08_hardy_lower_bound():
     grid = [0.0] + [1 - 2.0 ** (-k / 2) for k in range(1, 20)]
     margin = 1.0
     for lam in (0.5, 1.0, 2.0):
-        res = hardy_norm(lam, EigenProfile(lam), 2.0, grid, SPEC)
+        res = hardy_norm(EigenProfile(lam), 2.0, grid, SPEC)
         margin = min(margin, res.value / abs(hc_c_function(lam)))
     ok = margin >= 1.0 - 1e-3
     assert emit("8 hardy-lower-bound", ok, f"min sup/|c| ratio {margin:.4f}")
@@ -200,8 +200,8 @@ def test_criterion_09a_hardy_upper_fitted_constant():
     fit_c = fit_f = 0.0
     for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
         bound = 1 + lam + 1 / lam
-        fit_c = max(fit_c, hardy_norm(lam, EigenProfile(lam), 2.0, coarse, SPEC).value / bound)
-        fit_f = max(fit_f, hardy_norm(lam, EigenProfile(lam), 2.0, fine, SPEC).value / bound)
+        fit_c = max(fit_c, hardy_norm(EigenProfile(lam), 2.0, coarse, SPEC).value / bound)
+        fit_f = max(fit_f, hardy_norm(EigenProfile(lam), 2.0, fine, SPEC).value / bound)
     drift = abs(fit_f - fit_c) / fit_c
     ok = math.isfinite(fit_f) and drift < 0.10
     assert emit("9a hardy-fitted-constant", ok,

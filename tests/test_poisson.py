@@ -11,6 +11,8 @@ from octoplane.poisson import (
     BoundaryConstant,
     BoundaryZonal,
     EigenProfile,
+    _geodesic_mean_sq,
+    _szego_power,
     boundary_recover_gt,
     cz_suite,
     delta_j_kernel,
@@ -26,7 +28,7 @@ from octoplane.poisson import (
     szego_matrix,
     weight_omega,
 )
-from octoplane.quadrature import QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
+from octoplane.quadrature import S15, QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
 from octoplane.special import RHO, hc_c_function, spherical_fn
 
 SPEC = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=1)
@@ -60,6 +62,16 @@ class TestKernels:
         om = sample_sphere(4, 3)
         with pytest.raises(ValueError):
             poisson_kernel(1.0 * E1, om)
+
+    def test_szego_power_is_minus_s(self):
+        # against the exponent (-i lam - rho)/2 written out; for lam on the
+        # negative imaginary axis the two differ only in the sign of a zero
+        # imaginary part, which == does not see
+        psi = np.array([0.25, 1.0, 3.5])
+        for lam in (0.5, -2.0, 1.0 + 0.5j, -1j * RHO, 1j * RHO):
+            old = np.exp(((-1j * complex(lam) - RHO) / 2.0) * np.log(psi))
+            assert np.all(_szego_power(lam, psi) == old)
+        assert np.allclose(_szego_power(-1j * RHO, psi), psi ** (-RHO))
 
     def test_szego_r_zero(self):
         th = sample_sphere(100, 4)
@@ -180,30 +192,41 @@ class TestHardyNorm:
             r2 = np.sum(np.asarray(x) ** 2, axis=-1)
             return (1.0 - r2) ** (RHO / 2.0)
 
-        res = hardy_norm(1.0, F, 2.0, grid, SPEC)
+        res = hardy_norm(F, 2.0, grid, SPEC)
         assert abs(res.value - 1.0) < 1e-6
         assert res.per_r[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_lower_bound_by_c(self):
         grid = [0.0] + [1 - 2.0 ** (-k / 2) for k in range(1, 20)]
         for lam in (0.5, 1.0, 2.0):
-            res = hardy_norm(lam, EigenProfile(lam), 2.0, grid, SPEC)
+            res = hardy_norm(EigenProfile(lam), 2.0, grid, SPEC)
             assert res.value >= abs(hc_c_function(lam)) * (1 - 1e-3)
 
     def test_profile_bounded_and_argmax(self):
         grid = [0.0, 0.5, 0.9, 0.99, 0.999]
-        res = hardy_norm(1.0, EigenProfile(1.0), 2.0, grid, SPEC)
+        res = hardy_norm(EigenProfile(1.0), 2.0, grid, SPEC)
         assert res.value == max(res.per_r)
         assert res.argmax_r in grid
         assert all(np.isfinite(v) for v in res.per_r)
 
+    def test_nonzero_type_needs_p_two(self):
+        # the closed form |scaled Phi| is the L^p sphere mean of P_lam f for
+        # every p only for (l, m) = (0, 0); otherwise it is the L^2 mean
+        grid = [0.0, 0.5, 0.9]
+        with pytest.raises(ValueError, match="L\\^2"):
+            hardy_norm(EigenProfile(1.0, 2, 0), 3.0, grid, SPEC)
+        assert hardy_norm(EigenProfile(1.0, 2, 2), 2.0, grid, SPEC).value > 0
+        radial = EigenProfile(1.0)
+        assert (hardy_norm(radial, 3.0, grid, SPEC).per_r
+                == hardy_norm(radial, 2.0, grid, SPEC).per_r)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            hardy_norm(1.0, EigenProfile(1.0), 2.0, [0.5, 0.99995], SPEC)
+            hardy_norm(EigenProfile(1.0), 2.0, [0.5, 0.99995], SPEC)
         with pytest.raises(ValueError):
-            hardy_norm(1.0, EigenProfile(1.0), 2.0, [], SPEC)
+            hardy_norm(EigenProfile(1.0), 2.0, [], SPEC)
         with pytest.raises(ValueError):
-            hardy_norm(1.0, EigenProfile(1.0), 0.5, [0.5], SPEC)
+            hardy_norm(EigenProfile(1.0), 0.5, [0.5], SPEC)
 
 
 class TestM2Norm:
@@ -217,7 +240,7 @@ class TestM2Norm:
         for lam in (0.5, 1.0, 2.0):
             prof = EigenProfile(lam)
             m2 = m2_norm(prof, [4.0, 8.0, 16.0], SPEC)
-            hn = hardy_norm(lam, prof, 2.0, grid, SPEC)
+            hn = hardy_norm(prof, 2.0, grid, SPEC)
             ratios.append(m2.value / hn.value)
         assert max(ratios) < 3.0  # one modest constant for all lambda
 
@@ -236,6 +259,55 @@ class TestM2Norm:
         fast = m2_norm(prof, [3.0], SPEC).value
         slow = m2_norm(lambda x: prof(x), [3.0], SPEC).value
         assert abs(fast - slow) / fast < 1e-6
+
+
+def _per_t_double_loop(F, t):
+    """Reference: the rule before the shared lattice, 8-point Gauss-Legendre
+    on max(4, ceil(8 t)) equal panels of [0, t], integrated from 0 per t."""
+    n_pan = max(4, int(math.ceil(t * 8)))
+    edges = np.linspace(0.0, t, n_pan + 1)
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for xk, wk in zip(xg, wg):
+            sgeo = mid + half * xk
+            omr2 = 1.0 / math.cosh(sgeo) ** 2
+            val = abs(F.boundary_scaled(omr2)) ** 2 * math.tanh(sgeo) ** 15
+            total += wk * half * val
+    return S15 * total / t
+
+
+class TestGeodesicRule:
+    PROFILES = [(0.5, 0, 0), (1.0, 2, 0), (1.0, 2, 2)]
+
+    @pytest.mark.parametrize("lam,l,m", PROFILES)
+    def test_lattice_grid_matches_per_t_loop_bitwise(self, lam, l, m):
+        ts = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 32.0, 64.0]
+        prof = EigenProfile(lam, l, m)
+        assert _geodesic_mean_sq(prof, ts) == [_per_t_double_loop(prof, t) for t in ts]
+
+    @pytest.mark.parametrize("lam,l,m", PROFILES)
+    def test_off_lattice_close_to_per_t_loop(self, lam, l, m):
+        ts = [0.3, 1.05, 5.01]
+        prof = EigenProfile(lam, l, m)
+        ref = [_per_t_double_loop(prof, t) for t in ts]
+        for got in (_geodesic_mean_sq(prof, ts), [_geodesic_mean_sq(prof, [t])[0] for t in ts]):
+            assert max(abs(g - r) / r for g, r in zip(got, ref)) < 1e-13
+
+    def test_evaluates_each_node_once(self):
+        prof = EigenProfile(1.0)
+        calls = []
+        scaled = prof.boundary_scaled
+        prof.boundary_scaled = lambda omr2: calls.append(omr2) or scaled(omr2)
+        _geodesic_mean_sq(prof, [12.0, 6.0, 8.0, 10.0])
+        assert len(calls) == len(set(calls)) == 12 * 8 * 8
+
+    def test_m2_grid_equals_per_t_calls(self):
+        for ts in ((6.0, 8.0, 10.0, 12.0), (4.0, 8.0, 16.0)):
+            prof = EigenProfile(0.5)
+            grid = m2_norm(prof, ts, SPEC)
+            assert grid.per_t == tuple(m2_norm(prof, [t], SPEC).value for t in ts)
 
 
 class TestInversion:
@@ -281,6 +353,12 @@ class TestInversion:
         closed = boundary_recover_gt(lam, prof, 1.0, spec)
         mc = boundary_recover_gt(lam, lambda x: prof(x), 1.0, spec, omega=E1)
         assert abs(mc - closed) / abs(closed) < 0.05
+
+    def test_profile_lambda_must_match(self):
+        with pytest.raises(ValueError, match="lambda"):
+            boundary_recover_gt(1.0, EigenProfile(2.0), 4.0, SPEC)
+        with pytest.raises(ValueError, match="pole"):
+            boundary_recover_gt(0.0, EigenProfile(0.0), 4.0, SPEC)
 
     def test_requires_omega_for_generic(self):
         with pytest.raises(ValueError, match="omega"):

@@ -174,5 +174,3 @@ class TestSpecValidation:
             QuadratureSpec(n_mc=0)
         with pytest.raises(ValueError):
             QuadratureSpec(n_gauss=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(r_cap=1.0)

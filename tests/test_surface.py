@@ -5,6 +5,7 @@ Tooling that walks ``__all__`` with ``getattr`` (tracers, wrappers) breaks
 on a stale entry, so each module's list is checked against the module.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,7 +14,8 @@ import pytest
 
 import octoplane
 from octoplane.geometry import JordanMatrix
-from octoplane.quadrature import ball_integrate
+from octoplane.poisson import CZReport, _geodesic_mean_sq, cz_suite, hardy_norm, operator_norm_est
+from octoplane.quadrature import QuadratureSpec, ball_integrate
 from octoplane.special import gauss_2f1
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
@@ -39,6 +41,21 @@ def test_removed_options_and_methods_are_gone():
     assert "radial" not in inspect.signature(ball_integrate).parameters
     for attr in ("zeros", "scale", "jordan", "__add__", "__sub__"):
         assert not hasattr(JordanMatrix, attr)
+
+
+def test_removed_parameters_and_fields_are_gone():
+    removed = {
+        hardy_norm: ("lam",),
+        operator_norm_est: ("max_iter", "rtol", "r_cap"),
+        cz_suite: ("delta_grid", "slack", "n_samples"),
+        _geodesic_mean_sq: ("panels_per_unit", "order"),
+    }
+    for fn, names in removed.items():
+        assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
+    assert list(inspect.signature(hardy_norm).parameters) == ["F", "p", "r_grid", "spec"]
+    fields = {f.name for f in dataclasses.fields(CZReport)}
+    assert not {"delta_grid", "truncated_per_cell"} & fields
+    assert "r_cap" not in {f.name for f in dataclasses.fields(QuadratureSpec)}
 
 
 def test_gauss_2f1_path_keywords():

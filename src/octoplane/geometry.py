@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
+from .quadrature import C_ZONAL, gauss_panels
 
 __all__ = [
     "pair",
@@ -236,12 +237,8 @@ class JordanMatrix:
 
     def hermitian_defect(self) -> float:
         """Max deviation of entry (c,r) from oct-conj of entry (r,c)."""
-        d = 0.0
-        for r in range(3):
-            for c in range(3):
-                d = max(d, float(np.max(np.abs(self.plain[c, r] - oct_conj(self.plain[r, c])))))
-                d = max(d, float(np.max(np.abs(self.imag[c, r] - oct_conj(self.imag[r, c])))))
-        return d
+        return self.max_abs_diff(JordanMatrix(oct_conj(self.plain).swapaxes(0, 1),
+                                              oct_conj(self.imag).swapaxes(0, 1)))
 
     def max_abs_diff(self, other: "JordanMatrix") -> float:
         return float(
@@ -358,8 +355,6 @@ def ball_volume_quadrature(delta: float, n_gauss: int = 200) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    from .quadrature import C_ZONAL, gauss_panels
-
     d2 = min(delta * delta, 2.0)
     alpha_star = math.acos(d2 / 2.0)
     order = max(8, n_gauss // 12)

@@ -306,11 +306,17 @@ class M2Result:
     per_t: tuple
 
 
+def _t_list(t_grid: Sequence[float]) -> list[float]:
+    """The geodesic radii of a t grid as floats; each must be finite and positive."""
+    ts = [float(t) for t in t_grid]
+    if not ts or not all(0.0 < t < math.inf for t in ts):
+        raise ValueError("t_grid must be nonempty, finite and positive")
+    return ts
+
+
 def m2_norm(F, t_grid: Sequence[float], spec: QuadratureSpec) -> M2Result:
     """max over the t-grid of ((1/t) int_{B(0,t)} |F|^2 dmu)^{1/2}."""
-    ts = [float(t) for t in t_grid]
-    if not ts or any(t <= 0 for t in ts):
-        raise ValueError("t_grid must be nonempty and positive")
+    ts = _t_list(t_grid)
     if isinstance(F, EigenProfile):
         per = [math.sqrt(v) for v in _geodesic_mean_sq(F, ts)]
     else:
@@ -321,25 +327,27 @@ def m2_norm(F, t_grid: Sequence[float], spec: QuadratureSpec) -> M2Result:
     return M2Result(float(per[i]), tuple(ts), tuple(per))
 
 
-def boundary_recover_gt(lam, F, t: float, spec: QuadratureSpec, *,
-                        omega=None) -> complex:
+def boundary_recover_gt(lam, F, t_grid: Sequence[float], spec: QuadratureSpec, *,
+                        omega=None) -> list[complex]:
     """Inversion functional g_t = |c(lam)|^{-2} (1/t) int_{B(0,t)}
-    P_{-lam}(x, omega) F(x) dmu(x).
+    P_{-lam}(x, omega) F(x) dmu(x), one value per t of t_grid.
 
     EigenProfile inputs use the radial closed form (the boundary integral
     collapses to |Phi_{lam,lm}(r)|^2), which is independent of omega and
-    needs the profile's own lam; other inputs need an explicit omega and
-    integrate by radial quadrature plus sphere Monte Carlo.  As t grows, g_t
-    tends to the boundary value of F times a fixed measure normalization,
-    which this package measures rather than assumes (every limit constant is
-    reported).
+    needs the profile's own lam; the whole grid is one cumulative geodesic
+    integral up to max(t_grid).  Other inputs need an explicit omega and
+    integrate by radial quadrature plus sphere Monte Carlo, once per t.  As
+    t grows, g_t tends to the boundary value of F times a fixed measure
+    normalization, which this package measures rather than assumes (every
+    limit constant is reported).
     """
+    ts = _t_list(t_grid)
     lv = complex(lam)
     c2 = abs(hc_c_function(lv)) ** 2
     if isinstance(F, EigenProfile):
         if F.lam != lv:
             raise ValueError(f"the profile has lambda = {F.lam}, not {lv}")
-        return complex(_geodesic_mean_sq(F, [t])[0] / c2)
+        return [complex(v / c2) for v in _geodesic_mean_sq(F, ts)]
     if omega is None:
         raise ValueError("general inputs need an explicit boundary point omega")
     omega = np.asarray(omega, dtype=float)
@@ -347,7 +355,7 @@ def boundary_recover_gt(lam, F, t: float, spec: QuadratureSpec, *,
     def integrand(x):
         return poisson_kernel_lambda(-lv, x, omega) * np.asarray(F(x))
 
-    return complex(ball_integrate(integrand, t, spec) / (t * c2))
+    return [complex(ball_integrate(integrand, t, spec) / (t * c2)) for t in ts]
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,15 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if not self.lambdas or not self.r_grid or not self.t_grid:
             raise ValueError("lambda, r and t grids must be nonempty")
+        # the t and budget checks of the layers these settings reach
+        po._t_list(self.t_grid)
+        if not all(0.0 <= r <= po._R_CAP for r in self.r_grid):
+            raise ValueError(f"r grid must lie in [0, r_cap = {po._R_CAP}]")
+        if not all(math.isfinite(l) for l in self.lambdas):
+            raise ValueError("lambda values must be finite")
+        if self.l_max < 0:
+            raise ValueError("l_max must be >= 0")
+        QuadratureSpec(n_mc=self.n_mc, n_gauss=self.n_gauss)
         if self.suite in ("special", "poisson", "cz", "invert", "all"):
             if any(l == 0 for l in self.lambdas):
                 raise ValueError("spectral suites need nonzero lambda values")
@@ -534,9 +543,10 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
             "C stable under grid refinement",
             drift, 0.10, len(fine), fitted_constant=fit_f)
 
+    m2_grid = [t for t in config.t_grid if t <= 16] or [min(config.t_grid)]
     worst_ratio = 0.0
     for lam in config.lambdas:
-        m2 = po.m2_norm(po.EigenProfile(lam), [t for t in config.t_grid if t <= 16], spec)
+        m2 = po.m2_norm(po.EigenProfile(lam), m2_grid, spec)
         worst_ratio = max(worst_ratio, m2.value / hardy(lam))
     rec.measured("po-m2-vs-hardy", "M_2(F) <= c * hardy norm of F (fitted c)",
                  len(config.lambdas), fitted_constant=worst_ratio)
@@ -593,19 +603,22 @@ def _suite_cz(config: SuiteConfig, rec: _Recorder) -> None:
 def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
     spec = _spec(config, "invert")
     tols = sorted(config.t_grid)
+    # one grid per (lam, l, m) profile, integrated on first use: the configured
+    # t, the drift steps 6..12 and the normalization radius 32
+    grid = sorted({*config.t_grid, 6.0, 8.0, 10.0, 12.0, 32.0})
 
-    # every call passes all four arguments, so equal values share one cache key
     @functools.cache
-    def g_t(lam, l, m, t):
-        return float(np.real(po.boundary_recover_gt(lam, po.EigenProfile(lam, l, m), t, spec)))
+    def g_t(lam, l, m) -> dict:
+        gs = po.boundary_recover_gt(lam, po.EigenProfile(lam, l, m), grid, spec)
+        return {t: g.real for t, g in zip(grid, gs)}
 
-    kappa_star = g_t(1.0, 0, 0, 32.0)
+    kappa_star = g_t(1.0, 0, 0)[32.0]
     rec.measured("inv-normalization",
                  "measure normalization of the inversion limit (lambda = 1, f = 1, t = 32)",
                  0, kappa=kappa_star)
 
     for lam in config.lambdas:
-        gvals = {t: g_t(lam, 0, 0, t) for t in tols}
+        gvals = {t: g_t(lam, 0, 0)[t] for t in tols}
         diffs = [abs(gvals[b] - gvals[a]) for a, b in zip(tols[:-1], tols[1:])]
         vals = {f"g_t{t}": v for t, v in gvals.items()}
         vals.update({f"diff{i}": d for i, d in enumerate(diffs)})
@@ -614,12 +627,12 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
                      f"along the t grid (lambda={lam})",
                      0, **vals)
 
-    ratios = {lam: g_t(lam, 0, 0, max(tols)) / kappa_star for lam in config.lambdas}
+    ratios = {lam: g_t(lam, 0, 0)[max(tols)] / kappa_star for lam in config.lambdas}
     spread = max(ratios.values()) / min(ratios.values()) - 1.0
     rec.tol("inv-lambda-independence", "normalized inversion limit independent of lambda",
             spread, 0.03, len(ratios), **{f"ratio_{k}": v for k, v in ratios.items()})
 
-    ratios = {(l, m): g_t(1.0, l, m, max(tols)) / kappa_star for l, m in ((0, 0), (2, 0), (2, 2))}
+    ratios = {(l, m): g_t(1.0, l, m)[max(tols)] / kappa_star for l, m in ((0, 0), (2, 0), (2, 2))}
     spread = max(ratios.values()) / min(ratios.values()) - 1.0
     rec.tol("inv-lm-independence",
             "normalized inversion limit independent of the boundary type (l, m)",
@@ -629,8 +642,8 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
     lam0 = config.lambdas[0]
     prof = po.EigenProfile(lam0)
     radial_callable = lambda pts: prof(pts)  # force the Monte Carlo route
-    g_a = po.boundary_recover_gt(lam0, radial_callable, 1.0, spec_small, omega=geo.E1)
-    g_b = po.boundary_recover_gt(lam0, radial_callable, 1.0, spec_small, omega=-geo.E1)
+    g_a, = po.boundary_recover_gt(lam0, radial_callable, [1.0], spec_small, omega=geo.E1)
+    g_b, = po.boundary_recover_gt(lam0, radial_callable, [1.0], spec_small, omega=-geo.E1)
     rec.measured("inv-omega-mc-noise",
                  "antipodal-omega gap of the Monte Carlo g_t route "
                  "(sampling noise, not a property violation)",
@@ -638,7 +651,7 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
 
     drifts = {}
     for lam in config.lambdas:
-        sq = [v ** 2 for v in po.m2_norm(po.EigenProfile(lam), (6, 8, 10, 12), spec).per_t]
+        sq = [g_t(lam, 0, 0)[t] for t in (6.0, 8.0, 10.0, 12.0)]
         drifts[f"drift_{lam}"] = max(abs(b / a - 1.0) for a, b in zip(sq[:-1], sq[1:]))
     rec.measured("inv-mean-square-drift",
                  "per-step drift of (1/t) int_{B(0,t)} |Phi_{lambda,00}|^2 dmu "

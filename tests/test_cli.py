@@ -71,6 +71,23 @@ class TestConfigParsing:
             build_config(args)
         assert run_cli(args) == 2
 
+    @pytest.mark.parametrize("args,match", [
+        (["--suite", "invert", "--tgrid=0,4"], "t_grid"),
+        (["--suite", "invert", "--tgrid=-4,8"], "t_grid"),
+        (["--suite", "invert", "--tgrid=inf"], "t_grid"),
+        (["--suite", "cz", "--rgrid", "1.5"], "r grid"),
+        (["--suite", "poisson", "--rgrid", "1.5"], "r grid"),
+        (["--suite", "cz", "--rgrid=-0.5"], "r grid"),
+        (["--suite", "algebra", "--nmc", "0"], "n_mc"),
+        (["--suite", "invert", "--ngauss", "1"], "n_gauss"),
+        (["--suite", "special", "--lmax", "-1"], "l_max"),
+        (["--suite", "special", "--lambda", "nan"], "lambda"),
+    ])
+    def test_out_of_range_setting_rejected(self, args, match, capsys):
+        with pytest.raises(ValueError, match=match):
+            build_config(args)
+        assert run_cli(args + ["--quiet"]) == 2
+
     def test_zero_lambda_rejected_for_spectral_suites(self):
         with pytest.raises(ValueError):
             build_config(["--suite", "special", "--lambda", "0,1"])
@@ -155,6 +172,15 @@ class TestReportContents:
         byid = {c["check_id"]: c for c in rep["checks"]}
         assert byid["po-quadrature-vs-series"]["status"] == "pass"
         assert byid["po-quadrature-vs-series"]["tolerance"] == 1e-6
+
+    def test_poisson_suite_m2_without_small_t(self, tmp_path, capsys):
+        # po-m2-vs-hardy keeps t <= 16; a grid with none takes its smallest t
+        out = tmp_path / "r.json"
+        code = run_cli(["--suite", "poisson", "--tgrid", "64,32", "--rgrid", "0.5",
+                        "--nmc", "20000", "--ngauss", "120", "--quiet", "--out", str(out)])
+        byid = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert code in (0, 1)
+        assert byid["po-m2-vs-hardy"]["measured"]["fitted_constant"] > 0
 
     def test_csv_row_count(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -1,7 +1,12 @@
 """Boundary geometry: forms, bracket, metric, Jordan embeddings, volumes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from octoplane import geometry
 from octoplane.geometry import (
@@ -66,6 +71,42 @@ class TestForms:
         x = sample_sphere(50_000, 6)
         y = ball_points(50_000, 7, rmax=0.9999)
         assert np.min(psi_form(x, y)) > 0.0
+
+
+def closed_ball_points():
+    """Points of the closed unit ball of R^16.
+
+    Coordinates are +-0.0 or of magnitude 1e-6..1 before a point outside the
+    ball is scaled onto the sphere, so no squared slot norm underflows."""
+    coord = st.floats(-1.0, 1.0).map(lambda v: math.copysign(0.0, v) if abs(v) < 1e-6 else v)
+    return hnp.arrays(np.float64, (16,), elements=coord).map(
+        lambda x: x / max(1.0, float(np.linalg.norm(x))))
+
+
+class TestFormProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(closed_ball_points(), closed_ball_points())
+    def test_phi_is_bracket_square(self, x, y):
+        assume(np.any(y[8:] != 0.0))
+        phi = phi_form(x, y)
+        assert abs(phi - oct_norm_sq(bracket(x, y))) <= 1e-12 * max(phi, 1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="1 - 2<x,y> + Phi(x,y) cancels fully at coincident sphere points: at "
+        "x = y = (0.5 e0 + 0.5 e4, e0 + e1)/|.| psi_form gives 2.2e-16 and the bracket "
+        "form 0, a defect of 2.2e-4 against the 1e-12 relative tolerance",
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(closed_ball_points(), closed_ball_points())
+    def test_psi_is_bracket_form(self, x, y):
+        psi = psi_form(x, y)
+        assert abs(psi - psi_from_bracket(x, y)) <= 1e-12 * max(psi, 1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(closed_ball_points(), closed_ball_points())
+    def test_distance_symmetric(self, x, y):
+        assert ni_dist(x, y) == ni_dist(y, x)
 
 
 class TestBracket:
@@ -166,6 +207,17 @@ def entry_loop_mat_mul(a, b):
     return rp, rq
 
 
+def entry_loop_hermitian_defect(a):
+    """The per-entry loop that JordanMatrix.hermitian_defect replaced, kept as
+    its reference."""
+    d = 0.0
+    for r in range(3):
+        for c in range(3):
+            d = max(d, float(np.max(np.abs(a.plain[c, r] - oct_conj(a.plain[r, c])))))
+            d = max(d, float(np.max(np.abs(a.imag[c, r] - oct_conj(a.imag[r, c])))))
+    return d
+
+
 def bitwise_equal(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
@@ -191,6 +243,15 @@ class TestJordan:
         monkeypatch.setattr(geometry, "oct_mul", counted)
         interior[0].mat_mul(interior[1])
         assert len(calls) <= 4
+
+    def test_hermitian_defect_equals_entry_loop(self):
+        mats = [jordan_embed(p) for p in ball_points(10, 32, rmax=0.99)]
+        mats += [jordan_product(A, B) for A, B in zip(mats[:5], mats[5:])]
+        rng = np.random.default_rng(33)
+        mats += [JordanMatrix(rng.standard_normal((3, 3, 8)), rng.standard_normal((3, 3, 8)))
+                 for _ in range(5)]
+        for X in mats:
+            assert X.hermitian_defect() == entry_loop_hermitian_defect(X)
 
     def test_e1_idempotent(self):
         e1m = JordanMatrix.diag_unit()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from octoplane import poisson
 from octoplane.errors import NumericsError
 from octoplane.geometry import E1, dist_to_e1, ni_dist, psi_form
 from octoplane.poisson import (
@@ -30,6 +31,7 @@ from octoplane.poisson import (
 )
 from octoplane.quadrature import S15, QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
 from octoplane.special import RHO, hc_c_function, spherical_fn
+from octoplane.suites import SuiteConfig, run_suite
 
 SPEC = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=1)
 
@@ -304,44 +306,64 @@ class TestGeodesicRule:
         assert len(calls) == len(set(calls)) == 12 * 8 * 8
 
     def test_m2_grid_equals_per_t_calls(self):
-        for ts in ((6.0, 8.0, 10.0, 12.0), (4.0, 8.0, 16.0)):
+        invert_grid = (4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 32.0)
+        for ts in ((6.0, 8.0, 10.0, 12.0), (4.0, 8.0, 16.0), invert_grid):
             prof = EigenProfile(0.5)
             grid = m2_norm(prof, ts, SPEC)
             assert grid.per_t == tuple(m2_norm(prof, [t], SPEC).value for t in ts)
+            gt = boundary_recover_gt(0.5, prof, ts, SPEC)
+            assert gt == [boundary_recover_gt(0.5, prof, [t], SPEC)[0] for t in ts]
+
+    def test_grid_validation(self):
+        prof = EigenProfile(1.0)
+        for bad in ([], [0.0, 4.0], [-4.0, 8.0], [math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="t_grid"):
+                m2_norm(prof, bad, SPEC)
+            with pytest.raises(ValueError, match="t_grid"):
+                boundary_recover_gt(1.0, prof, bad, SPEC)
 
 
 class TestInversion:
     def test_radial_closed_form_and_normalization(self):
-        kappa = float(np.real(boundary_recover_gt(1.0, EigenProfile(1.0), 32.0, SPEC)))
+        kappa, = np.real(boundary_recover_gt(1.0, EigenProfile(1.0), [32.0], SPEC))
         assert kappa > 0
         # measured normalization reused: by construction the ratio is 1 here
-        val = float(np.real(boundary_recover_gt(1.0, EigenProfile(1.0), 32.0, SPEC)))
+        val, = np.real(boundary_recover_gt(1.0, EigenProfile(1.0), [32.0], SPEC))
         assert val / kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_and_lm_independence(self):
-        kappa = float(np.real(boundary_recover_gt(1.0, EigenProfile(1.0), 32.0, SPEC)))
+        kappa, = np.real(boundary_recover_gt(1.0, EigenProfile(1.0), [32.0], SPEC))
         for lam in (0.5, 2.0):
-            g = float(np.real(boundary_recover_gt(lam, EigenProfile(lam), 32.0, SPEC)))
+            g, = np.real(boundary_recover_gt(lam, EigenProfile(lam), [32.0], SPEC))
             assert abs(g / kappa - 1.0) < 0.03
         for (l, m) in ((2, 0), (2, 2)):
-            g = float(np.real(boundary_recover_gt(1.0, EigenProfile(1.0, l, m), 32.0, SPEC)))
+            g, = np.real(boundary_recover_gt(1.0, EigenProfile(1.0, l, m), [32.0], SPEC))
             assert abs(g / kappa - 1.0) < 0.03
 
     def test_convergence_envelope(self):
         # |g_{2t} - g_t| decays like 1/t in envelope: compare geometric spans
         lam = 1.0
-        prof = EigenProfile(lam)
-        g = {t: float(np.real(boundary_recover_gt(lam, prof, t, SPEC)))
-             for t in (8, 16, 64, 128)}
-        early = abs(g[16] - g[8])
-        late = abs(g[128] - g[64])
-        assert late < early
+        g8, g16, g64, g128 = np.real(boundary_recover_gt(lam, EigenProfile(lam),
+                                                         [8, 16, 64, 128], SPEC))
+        assert abs(g128 - g64) < abs(g16 - g8)
 
     def test_radial_route_ignores_omega(self):
         prof = EigenProfile(1.0)
-        a = boundary_recover_gt(1.0, prof, 6.0, SPEC, omega=E1)
-        b = boundary_recover_gt(1.0, prof, 6.0, SPEC, omega=-E1)
+        a = boundary_recover_gt(1.0, prof, [6.0], SPEC, omega=E1)
+        b = boundary_recover_gt(1.0, prof, [6.0], SPEC, omega=-E1)
         assert a == b
+
+    def test_invert_suite_integrates_each_profile_once(self, monkeypatch):
+        calls = []
+
+        def mean_sq(F, ts):
+            calls.append((F.lam.real, F.l, F.m))
+            return [1.0] * len(ts)
+
+        monkeypatch.setattr(poisson, "_geodesic_mean_sq", mean_sq)
+        rep = run_suite(SuiteConfig(suite="invert", n_mc=2000, n_gauss=40))
+        assert sorted(calls) == [(0.5, 0, 0), (1.0, 0, 0), (1.0, 2, 0), (1.0, 2, 2), (2.0, 0, 0)]
+        assert [c.status for c in rep.checks].count("error") == 0
 
     def test_mc_route_agrees_with_closed_form(self):
         # plain sphere sampling resolves the kernel only while tanh(t) keeps
@@ -350,19 +372,19 @@ class TestInversion:
         lam = 1.0
         prof = EigenProfile(lam)
         spec = QuadratureSpec(n_mc=100_000, n_gauss=200, seed=9)
-        closed = boundary_recover_gt(lam, prof, 1.0, spec)
-        mc = boundary_recover_gt(lam, lambda x: prof(x), 1.0, spec, omega=E1)
+        closed, = boundary_recover_gt(lam, prof, [1.0], spec)
+        mc, = boundary_recover_gt(lam, lambda x: prof(x), [1.0], spec, omega=E1)
         assert abs(mc - closed) / abs(closed) < 0.05
 
     def test_profile_lambda_must_match(self):
         with pytest.raises(ValueError, match="lambda"):
-            boundary_recover_gt(1.0, EigenProfile(2.0), 4.0, SPEC)
+            boundary_recover_gt(1.0, EigenProfile(2.0), [4.0], SPEC)
         with pytest.raises(ValueError, match="pole"):
-            boundary_recover_gt(0.0, EigenProfile(0.0), 4.0, SPEC)
+            boundary_recover_gt(0.0, EigenProfile(0.0), [4.0], SPEC)
 
     def test_requires_omega_for_generic(self):
         with pytest.raises(ValueError, match="omega"):
-            boundary_recover_gt(1.0, lambda x: np.ones(len(x)), 4.0, SPEC)
+            boundary_recover_gt(1.0, lambda x: np.ones(len(x)), [4.0], SPEC)
 
     @pytest.mark.xfail(
         strict=True,
@@ -373,9 +395,8 @@ class TestInversion:
     def test_cauchy_differences_monotone(self):
         lam = 1.0
         prof = EigenProfile(lam)
-        g = {t: float(np.real(boundary_recover_gt(lam, prof, t, SPEC)))
-             for t in (8, 16, 32)}
-        assert abs(g[32] - g[16]) < abs(g[16] - g[8])
+        g8, g16, g32 = np.real(boundary_recover_gt(lam, prof, [8, 16, 32], SPEC))
+        assert abs(g32 - g16) < abs(g16 - g8)
 
 
 class TestOperatorNorm:

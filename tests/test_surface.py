@@ -14,7 +14,14 @@ import pytest
 
 import octoplane
 from octoplane.geometry import JordanMatrix
-from octoplane.poisson import CZReport, _geodesic_mean_sq, cz_suite, hardy_norm, operator_norm_est
+from octoplane.poisson import (
+    CZReport,
+    _geodesic_mean_sq,
+    boundary_recover_gt,
+    cz_suite,
+    hardy_norm,
+    operator_norm_est,
+)
 from octoplane.quadrature import QuadratureSpec, ball_integrate
 from octoplane.special import gauss_2f1
 
@@ -53,6 +60,9 @@ def test_removed_parameters_and_fields_are_gone():
     for fn, names in removed.items():
         assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
     assert list(inspect.signature(hardy_norm).parameters) == ["F", "p", "r_grid", "spec"]
+    params = inspect.signature(boundary_recover_gt).parameters
+    assert list(params) == ["lam", "F", "t_grid", "spec", "omega"]
+    assert params["omega"].kind is inspect.Parameter.KEYWORD_ONLY
     fields = {f.name for f in dataclasses.fields(CZReport)}
     assert not {"delta_grid", "truncated_per_cell"} & fields
     assert "r_cap" not in {f.name for f in dataclasses.fields(QuadratureSpec)}

@@ -39,7 +39,14 @@ from .quadrature import (
     sphere_average,
     zonal_integrate,
 )
-from .special import RHO, _spectral_s, hc_c_function, spherical_fn, spherical_fn_scaled
+from .special import (
+    RHO,
+    _phi_at_radii,
+    _phi_coefficients,
+    _phi_scaled_at,
+    _spectral_s,
+    hc_c_function,
+)
 
 __all__ = [
     "poisson_kernel",
@@ -155,22 +162,37 @@ class EigenProfile:
     """The eigenfunction P_lam f for f in the (l, m) boundary type, through
     its radial factor Phi_{lam,lm}.
 
+    The profile owns the coefficients of Phi that depend only on
+    (lam, l, m) - the 2F1 parameters, the Pochhammer prefactor and the
+    connection formula's gamma factors - built on first evaluation, and
+    evaluates whole arrays: ``profile`` takes radii, ``boundary_scaled``
+    takes values of 1-r^2 and returns (1-r^2)^{-rho/2} Phi(r), which stays
+    finite arbitrarily close to the boundary, as the norm and inversion
+    integrals rely on.  Both return arrays of the input's shape, equal
+    value by value to spherical_fn and spherical_fn_scaled.
+
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported.  ``boundary_scaled`` returns (1-r^2)^{-rho/2} Phi(r)
-    parametrized by 1-r^2 and stays finite arbitrarily close to the
-    boundary, which the norm and inversion integrals rely on.
+    is supported.
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
         self.lam = complex(lam)
         self.l = int(l)
         self.m = int(m)
+        self._coefficients = None
 
-    def profile(self, r: float) -> complex:
-        return spherical_fn(self.lam, self.l, self.m, r)
+    def _coeffs(self):
+        if self._coefficients is None:
+            self._coefficients = _phi_coefficients(self.lam, self.l, self.m)
+        return self._coefficients
 
-    def boundary_scaled(self, one_minus_r2: float) -> complex:
-        return spherical_fn_scaled(self.lam, self.l, self.m, one_minus_r2=one_minus_r2)
+    def profile(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return _phi_at_radii(self._coeffs(), r.ravel().tolist()).reshape(r.shape)
+
+    def boundary_scaled(self, one_minus_r2) -> np.ndarray:
+        omz = np.asarray(one_minus_r2, dtype=float)
+        return _phi_scaled_at(self._coeffs(), omz.ravel().tolist()).reshape(omz.shape)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if (self.l, self.m) != (0, 0):
@@ -181,8 +203,7 @@ class EigenProfile:
         pts = np.asarray(pts, dtype=float)
         radii = np.sqrt(np.sum(pts * pts, axis=-1))
         distinct, inverse = np.unique(radii, return_inverse=True)
-        values = np.array([self.profile(float(r)) for r in distinct], dtype=complex)
-        out = values[inverse].reshape(radii.shape)
+        out = self.profile(distinct)[inverse].reshape(radii.shape)
         return out if out.ndim else out[()]
 
 
@@ -269,7 +290,7 @@ def hardy_norm(F, p: float, r_grid: Sequence[float],
         if (F.l, F.m) != (0, 0) and p != 2:
             raise ValueError(f"the radial factor of the ({F.l}, {F.m}) type is its "
                              f"L^2 sphere mean, not the L^{p} one")
-        per = [abs(F.boundary_scaled(1.0 - r * r)) for r in rs]
+        per = [abs(v) for v in F.boundary_scaled([1.0 - r * r for r in rs]).tolist()]
     else:
         pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
         per = [float(np.mean(np.abs(np.asarray(F(r * pts))) ** p)) ** (1.0 / p)
@@ -285,16 +306,17 @@ def _geodesic_mean_sq(F: EigenProfile, ts: Sequence[float]) -> list[float]:
     The rule is 8-point Gauss-Legendre on the lattice panels [k/8, (k+1)/8]
     up to max(ts), split at every t of ts and, for t < 1/2, at t/4, t/2 and
     3t/4 (the integrand rises like s^(15 + 2l) from 0, so a whole first
-    panel would cost a t < 1/2 about 1e-13 relative).  The integrand is
-    evaluated once per node, the weighted values are summed in one
-    cumulative pass, and each t reads the prefix of the nodes below it.
+    panel would cost a t < 1/2 about 1e-13 relative).  The profile is
+    evaluated once, on the array of all nodes; the weighted values are
+    summed in one cumulative pass, and each t reads the prefix of the nodes
+    below it.
     """
     top = max(ts)
     lattice = {k / 8 for k in range(1, math.ceil(8 * top))}
     quarters = {t * k / 4 for t in ts if t < 0.5 for k in (1, 2, 3)}
     nodes, weights = gauss_panels(0.0, top, lattice.union(quarters, ts), order=8)
-    vals = [abs(F.boundary_scaled(1.0 / math.cosh(s) ** 2)) ** 2 * math.tanh(s) ** 15
-            for s in nodes]
+    scaled = F.boundary_scaled([1.0 / math.cosh(s) ** 2 for s in nodes]).tolist()
+    vals = [abs(v) ** 2 * math.tanh(s) ** 15 for v, s in zip(scaled, nodes)]
     prefix = np.cumsum(weights * np.array(vals))
     return [S15 * float(prefix[np.searchsorted(nodes, t) - 1]) / t for t in ts]
 

@@ -14,7 +14,15 @@ functions
 with s = (i lambda + rho)/2, indexed by integer pairs l >= m >= 0 with
 l +- m even.
 
-Everything here is scalar, pure and reentrant; no caches.
+What Phi_{lambda,lm} needs that depends on (lambda, l, m) alone - the 2F1
+parameters, the Pochhammer prefactor and the connection formula's two
+gamma-function factors - is built once by a private builder and evaluated
+on lists of r^2 and 1-r^2 by one private evaluator, whose connection lanes
+run as one clongdouble array series.  The caller owns the coefficients:
+poisson.EigenProfile keeps them per profile, and the public functions here
+are scalar, build them per call and evaluate one lane, so every value
+comes from the same path.  The module is pure and reentrant; no caches
+and no module state.
 """
 
 from __future__ import annotations
@@ -109,9 +117,22 @@ def pochhammer(a, k: int) -> complex:
     return out
 
 
-def _f21_series(a, b, c, z, tol: float):
-    """Power series of 2F1 in the precision of its arguments (complex or
-    clongdouble), stopped at |term| < tol |sum|; see gauss_2f1 for the guard."""
+def _cancellation(a, b, c, z, ratio) -> NumericsError:
+    return NumericsError(
+        f"2F1 series cancels: a={a}, b={b}, c={c}, z={z}, max |term| / |sum| "
+        f"= {ratio:.3e} ({math.log10(ratio):.1f} digits lost)")
+
+
+def _no_convergence(a, b, c, z, term) -> NumericsError:
+    return NumericsError(
+        f"2F1 series did not converge: a={a}, b={b}, c={c}, z={z}, "
+        f"10000 terms, last |term| = {abs(term):.3e}"
+    )
+
+
+def _f21_series(a, b, c, z, tol: float) -> complex:
+    """Power series of 2F1 in Python complex arithmetic, stopped at
+    |term| < tol |sum|; see gauss_2f1 for the guard."""
     total = term = peak = 1.0
     for k in range(10_000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
@@ -120,17 +141,122 @@ def _f21_series(a, b, c, z, tol: float):
         if abs(term) < tol * abs(total):
             ratio = peak / abs(total)
             if tol * ratio > 1e-11:
-                raise NumericsError(
-                    f"2F1 series cancels: a={a}, b={b}, c={c}, z={z}, max |term| / |sum| "
-                    f"= {ratio:.3e} ({math.log10(ratio):.1f} digits lost)")
+                raise _cancellation(a, b, c, z, ratio)
             return total
-    raise NumericsError(
-        f"2F1 series did not converge: a={a}, b={b}, c={c}, z={z}, "
-        f"10000 terms, last |term| = {abs(term):.3e}"
-    )
+    raise _no_convergence(a, b, c, z, term)
 
 
-def gauss_2f1(a, b, c, z: float, *, z_switch: float = 0.75,
+def _f21_lanes(a, b, c, z: np.ndarray, tol: float) -> np.ndarray:
+    """The power series of _f21_series for clongdouble parameters, one lane
+    per element of the nonempty clongdouble array z.  Each lane runs the
+    scalar recurrence in the scalar order and stops at its own term, so it
+    is bitwise the clongdouble scalar series; the first lane to cancel or
+    pass 10^4 terms raises, naming its z.  Terms come in blocks of up to 32
+    per lane (~2k elements at most), accumulated down each lane, so a few
+    lanes cost a few array calls per block rather than ~10 per term.
+    """
+    out = np.empty_like(z)
+    lane = np.arange(z.size)
+    term, total = np.ones_like(z), np.ones_like(z)
+    peak = np.ones(z.shape, dtype=np.longdouble)
+    k = 0
+    while k < 10_000:
+        ks = np.arange(k, k + min(max(2048 // lane.size, 1), 32, 10_000 - k))
+        k += ks.size
+        steps = ((a + ks) * (b + ks) / ((c + ks) * (ks + 1)))[:, None] * z
+        terms = np.multiply.accumulate(np.vstack([term, steps]))[1:]
+        totals = np.add.accumulate(np.vstack([total, terms]))[1:]
+        peaks = np.maximum.accumulate(np.vstack([peak, np.abs(terms)]))[1:]
+        stops = np.abs(terms) < tol * np.abs(totals)
+        first = (np.argmax(stops, axis=0), np.arange(lane.size))
+        done = stops[first]
+        if done.any():
+            ratio = peaks[first][done] / np.abs(totals[first][done])
+            bad = np.flatnonzero(tol * ratio > 1e-11)
+            if bad.size:
+                raise _cancellation(a, b, c, z[done][bad[0]], ratio[bad[0]])
+            out[lane[done]] = totals[first][done]
+        keep = ~done
+        if not keep.any():
+            return out
+        lane, z = lane[keep], z[keep]
+        term, total, peak = terms[-1, keep], totals[-1, keep], peaks[-1, keep]
+    raise _no_convergence(a, b, c, z[0], term[0])
+
+
+def _near_integer(x: complex) -> bool:
+    return abs(x.imag) < 1e-12 and abs(x.real - round(x.real)) < 1e-12
+
+
+@dataclass(frozen=True)
+class _F21:
+    """The z-independent part of 2F1(a, b; c; z): the parameters and, when
+    asked for and applicable, the logs of the connection formula's two
+    gamma-function factors in clongdouble."""
+
+    a: complex
+    b: complex
+    c: complex
+    log_gammas: tuple | None
+
+
+def _f21_coefficients(a, b, c, *, connection: bool) -> _F21:
+    a, b, c = complex(a), complex(b), complex(c)
+    if _is_nonpositive_integer(c):
+        raise ValueError(f"2F1 pole: c = {c} is a non-positive integer")
+    log_gammas = None
+    if connection and b != c and a != c and not _near_integer(c - a - b):
+        ea, eb, ec = np.clongdouble(a), np.clongdouble(b), np.clongdouble(c)
+        ecab, lgc = ec - ea - eb, _log_gamma_ext(ec)
+        log_gammas = (
+            lgc + _log_gamma_ext(ecab) - _log_gamma_ext(ec - ea) - _log_gamma_ext(ec - eb),
+            lgc + _log_gamma_ext(-ecab) - _log_gamma_ext(ea) - _log_gamma_ext(eb),
+        )
+    return _F21(a, b, c, log_gammas)
+
+
+_Z_SWITCH = 0.75
+
+
+def _f21_values(co: _F21, z: list, omz: list, z_switch: float = _Z_SWITCH) -> list[complex]:
+    """2F1 at each lane (z[i], omz[i] = 1 - z[i]), for lists of floats.
+
+    Binomial parameters and the series lanes (z <= z_switch) run per lane in
+    Python complex arithmetic; the connection lanes run as one clongdouble
+    array through _f21_lanes.
+    """
+    zs, omzs = np.array(z, dtype=float), np.array(omz, dtype=float)
+    # z may round to exactly 1.0 for 1-z below 2^-53; the connection and
+    # binomial paths only consume 1-z, which must stay positive.
+    bad = np.flatnonzero(~((0.0 <= zs) & (zs <= 1.0) & (omzs > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"argument must satisfy 0 <= z < 1, got z = {z[i]}, 1-z = {omz[i]}")
+    a, b, c = co.a, co.b, co.c
+    if b == c or a == c:
+        e = a if b == c else b
+        return [cmath.exp(-e * math.log(x)) for x in omz]
+    conn = zs > z_switch
+    out = [None if conn[i] else _f21_series(a, b, c, z[i], 1e-16) for i in range(len(z))]
+    if conn.any():
+        cab = c - a - b
+        if _near_integer(cab):
+            raise ValueError(
+                f"connection formula degenerate: c-a-b = {cab} is (near-)integer"
+            )
+        g1, g2 = co.log_gammas
+        ea, eb, ec = np.clongdouble(a), np.clongdouble(b), np.clongdouble(c)
+        ecab = ec - ea - eb
+        eomz = omzs[conn].astype(np.clongdouble)
+        t1 = np.exp(g1) * _f21_lanes(ea, eb, 1.0 - ecab, eomz, 1e-21)
+        t2 = np.exp(g2 + ecab * np.log(eomz)) * _f21_lanes(
+            ec - ea, ec - eb, 1.0 + ecab, eomz, 1e-21)
+        for i, v in zip(np.flatnonzero(conn), (t1 + t2).astype(complex).tolist()):
+            out[i] = v
+    return out
+
+
+def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH,
               one_minus_z: float | None = None) -> complex:
     """2F1(a, b; c; z) for real z in [0, 1).
 
@@ -149,39 +275,15 @@ def gauss_2f1(a, b, c, z: float, *, z_switch: float = 0.75,
 
     ``one_minus_z`` may be supplied when 1-z is known to better precision
     than 1-z computes in floating point (deep boundary asymptotics).
+
+    The z-independent coefficients (with the connection formula's gamma
+    factors only when z takes that path) are built per call and evaluated
+    as one lane of the array evaluator that ``poisson.EigenProfile`` runs
+    over whole grids with coefficients it keeps.
     """
-    a, b, c = complex(a), complex(b), complex(c)
-    if _is_nonpositive_integer(c):
-        raise ValueError(f"2F1 pole: c = {c} is a non-positive integer")
+    co = _f21_coefficients(a, b, c, connection=z > z_switch)
     omz = 1.0 - z if one_minus_z is None else float(one_minus_z)
-    # z may round to exactly 1.0 for one_minus_z below 2^-53; the connection
-    # and binomial paths only consume one_minus_z, which must stay positive.
-    if not (0.0 <= z <= 1.0) or omz <= 0.0:
-        raise ValueError(f"argument must satisfy 0 <= z < 1, got z = {z}, 1-z = {omz}")
-    if b == c:
-        return cmath.exp(-a * math.log(omz))
-    if a == c:
-        return cmath.exp(-b * math.log(omz))
-    if z <= z_switch:
-        return _f21_series(a, b, c, z, 1e-16)
-    cab = c - a - b
-    if abs(cab.imag) < 1e-12 and abs(cab.real - round(cab.real)) < 1e-12:
-        raise ValueError(
-            f"connection formula degenerate: c-a-b = {cab} is (near-)integer"
-        )
-    ea, eb, ec = np.clongdouble(a), np.clongdouble(b), np.clongdouble(c)
-    ecab = ec - ea - eb
-    eomz = np.clongdouble(omz)
-    t1 = np.exp(
-        _log_gamma_ext(ec) + _log_gamma_ext(ecab)
-        - _log_gamma_ext(ec - ea) - _log_gamma_ext(ec - eb)
-    ) * _f21_series(ea, eb, 1.0 - ecab, eomz, 1e-21)
-    t2 = np.exp(
-        _log_gamma_ext(ec) + _log_gamma_ext(-ecab)
-        - _log_gamma_ext(ea) - _log_gamma_ext(eb)
-        + ecab * np.log(eomz)
-    ) * _f21_series(ec - ea, ec - eb, 1.0 + ecab, eomz, 1e-21)
-    return complex(t1 + t2)
+    return _f21_values(co, [z], [omz], z_switch)[0]
 
 
 @dataclass(frozen=True)
@@ -226,6 +328,61 @@ def _phi_parameters(lam, l: int, m: int) -> tuple[complex, complex, complex]:
     return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
 
 
+@dataclass(frozen=True)
+class _PhiCoefficients:
+    """What Phi_{lambda,lm} needs that does not depend on r: lambda, l, the
+    Pochhammer prefactor and the 2F1 coefficients."""
+
+    lam: complex
+    l: int
+    prefactor: complex
+    f21: _F21
+
+
+def _phi_coefficients(lam, l: int, m: int, *, connection: bool = True) -> _PhiCoefficients:
+    """The coefficients of Phi_{lambda,lm}, with the connection formula's
+    gamma factors when ``connection`` (some r^2 above z_switch) asks for them."""
+    KTypeIndex(l, m)
+    lv = complex(lam)
+    s = _spectral_s(lv)
+    prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
+                 / pochhammer(8.0, l))
+    return _PhiCoefficients(lv, l, prefactor,
+                            _f21_coefficients(*_phi_parameters(lv, l, m), connection=connection))
+
+
+def _phi_scaled(co: _PhiCoefficients, z: list, omz: list) -> np.ndarray:
+    """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r) at each lane, from lists of
+    z = r^2 and omz = 1-r^2, each as the caller has it: z from 1 - omz loses
+    r^l's digits at small r, omz from 1 - z loses 2F1's near the boundary.
+    The final product stays in Python complex arithmetic per lane."""
+    lv, l, prefactor = co.lam, co.l, co.prefactor
+    return np.array([
+        # (1-r^2)^{s - rho/2} = (1-r^2)^{i lam / 2}
+        prefactor * math.sqrt(x) ** l * cmath.exp((1j * lv / 2.0) * math.log(y)) * f
+        for x, y, f in zip(z, omz, _f21_values(co.f21, z, omz))
+    ], dtype=complex)
+
+
+def _phi_at_radii(co: _PhiCoefficients, r: list) -> np.ndarray:
+    """Phi_{lambda,lm} at each radius of the list r, all in [0, 1)."""
+    for x in r:
+        if not (0.0 <= x < 1.0):
+            raise ValueError(f"radius must satisfy 0 <= r < 1, got {x}")
+    z = [x * x for x in r]
+    omz = [1.0 - x for x in z]
+    return np.array([y ** (RHO / 2) * v for y, v in zip(omz, _phi_scaled(co, z, omz).tolist())],
+                    dtype=complex)
+
+
+def _phi_scaled_at(co: _PhiCoefficients, omz: list) -> np.ndarray:
+    """(1-r^2)^{-rho/2} Phi_{lambda,lm} at each 1-r^2 of the list omz, all in (0, 1]."""
+    for y in omz:
+        if not (0.0 < y <= 1.0):
+            raise ValueError(f"need 0 < 1-r^2 <= 1, got {y}")
+    return _phi_scaled(co, [1.0 - y for y in omz], omz)
+
+
 def spherical_fn(lam, l: int, m: int, r: float) -> complex:
     """Generalized spherical function Phi_{lambda,lm}(r) for 0 <= r < 1:
     (1-r^2)^{rho/2} times the scaled profile of spherical_fn_scaled.
@@ -236,10 +393,8 @@ def spherical_fn(lam, l: int, m: int, r: float) -> complex:
     lambda = 60 at r = 0.6) this raises NumericsError rather than return a
     value off by more than ~1e-10 (see gauss_2f1).
     """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"radius must satisfy 0 <= r < 1, got {r}")
-    omz = 1.0 - r * r
-    return omz ** (RHO / 2) * _phi_scaled(lam, l, m, r * r, omz)
+    co = _phi_coefficients(lam, l, m, connection=r * r > _Z_SWITCH)
+    return _phi_at_radii(co, [r]).item()
 
 
 def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
@@ -250,21 +405,5 @@ def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
     doing geodesic-radius integrals pass one_minus_r2 = sech^2(s) directly.
     """
     omz = float(one_minus_r2)
-    if not (0.0 < omz <= 1.0):
-        raise ValueError(f"need 0 < 1-r^2 <= 1, got {omz}")
-    return _phi_scaled(lam, l, m, 1.0 - omz, omz)
-
-
-def _phi_scaled(lam, l: int, m: int, z: float, omz: float) -> complex:
-    """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r) from z = r^2 and omz = 1-r^2, each
-    as the caller has it: z from 1 - omz loses r^l's digits at small r, omz
-    from 1 - z loses 2F1's near the boundary."""
-    KTypeIndex(l, m)
-    lv = complex(lam)
-    s = _spectral_s(lv)
-    a, b, c = _phi_parameters(lv, l, m)
-    prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
-                 / pochhammer(8.0, l))
-    # (1-r^2)^{s - rho/2} = (1-r^2)^{i lam / 2}
-    osc = cmath.exp((1j * lv / 2.0) * math.log(omz))
-    return prefactor * math.sqrt(z) ** l * osc * gauss_2f1(a, b, c, z, one_minus_z=omz)
+    co = _phi_coefficients(lam, l, m, connection=1.0 - omz > _Z_SWITCH)
+    return _phi_scaled_at(co, [omz]).item()

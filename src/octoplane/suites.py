@@ -36,7 +36,6 @@ from .special import (
     log_gamma,
     pochhammer,
     spherical_fn,
-    spherical_fn_scaled,
 )
 
 __all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
@@ -410,11 +409,11 @@ def _suite_special(config: SuiteConfig, rec: _Recorder) -> None:
     rec.tol("sp-spherical-at-zero", "Phi_{lambda,00}(0) = 1", d, 1e-14, 1)
 
     def scaled_max(lam: float, ls: range, best: float = 0.0) -> float:
+        omz = [1 - r * r for r in (0.5, 0.9, 0.99, 0.999)]
         for l in ls:
             for m in range(0, l + 1, 2):
-                for r in (0.5, 0.9, 0.99, 0.999):
-                    best = max(best, abs(spherical_fn_scaled(lam, l, m,
-                                                             one_minus_r2=1 - r * r)))
+                for v in po.EigenProfile(lam, l, m).boundary_scaled(omz).tolist():
+                    best = max(best, abs(v))
         return best
 
     worst_growth = 0.0

@@ -30,7 +30,7 @@ from octoplane.poisson import (
     weight_omega,
 )
 from octoplane.quadrature import S15, QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
-from octoplane.special import RHO, hc_c_function, spherical_fn
+from octoplane.special import RHO, hc_c_function, spherical_fn, spherical_fn_scaled
 from octoplane.suites import SuiteConfig, run_suite
 
 SPEC = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=1)
@@ -175,10 +175,10 @@ class TestEigenProfile:
             pts[i, j, k] = radii[i, j]  # a different axis per point, same |x|
         calls = []
         profile = prof.profile
-        prof.profile = lambda r: calls.append(r) or profile(r)
+        prof.profile = lambda r: calls.append(list(r)) or profile(r)
         out = prof(pts)
         assert out.shape == (2, 3)
-        assert sorted(calls) == [0.2, 0.5, 0.7]  # each distinct radius once
+        assert calls == [[0.2, 0.5, 0.7]]  # one call, each distinct radius once
         for i, j in np.ndindex(2, 3):
             assert out[i, j] == spherical_fn(1.0, 0, 0, radii[i, j])
         single = prof(pts[1, 0])
@@ -210,6 +210,17 @@ class TestHardyNorm:
         assert res.value == max(res.per_r)
         assert res.argmax_r in grid
         assert all(np.isfinite(v) for v in res.per_r)
+
+    def test_profile_grid_is_one_call_equal_to_scalar_values(self):
+        grid = [0.0, 0.5, 0.9, 0.99, 0.999]
+        prof = EigenProfile(1.0, 2, 2)
+        calls = []
+        scaled = prof.boundary_scaled
+        prof.boundary_scaled = lambda omr2: calls.append(list(omr2)) or scaled(omr2)
+        res = hardy_norm(prof, 2.0, grid, SPEC)
+        assert calls == [[1.0 - r * r for r in grid]]
+        assert res.per_r == tuple(abs(spherical_fn_scaled(1.0, 2, 2, one_minus_r2=1.0 - r * r))
+                                  for r in grid)
 
     def test_nonzero_type_needs_p_two(self):
         # the closed form |scaled Phi| is the L^p sphere mean of P_lam f for
@@ -275,7 +286,7 @@ def _per_t_double_loop(F, t):
         for xk, wk in zip(xg, wg):
             sgeo = mid + half * xk
             omr2 = 1.0 / math.cosh(sgeo) ** 2
-            val = abs(F.boundary_scaled(omr2)) ** 2 * math.tanh(sgeo) ** 15
+            val = abs(F.boundary_scaled([omr2]).item()) ** 2 * math.tanh(sgeo) ** 15
             total += wk * half * val
     return S15 * total / t
 
@@ -301,9 +312,10 @@ class TestGeodesicRule:
         prof = EigenProfile(1.0)
         calls = []
         scaled = prof.boundary_scaled
-        prof.boundary_scaled = lambda omr2: calls.append(omr2) or scaled(omr2)
+        prof.boundary_scaled = lambda omr2: calls.append(list(omr2)) or scaled(omr2)
         _geodesic_mean_sq(prof, [12.0, 6.0, 8.0, 10.0])
-        assert len(calls) == len(set(calls)) == 12 * 8 * 8
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 12 * 8 * 8
 
     def test_m2_grid_equals_per_t_calls(self):
         invert_grid = (4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 32.0)
@@ -346,6 +358,12 @@ class TestInversion:
         g8, g16, g64, g128 = np.real(boundary_recover_gt(lam, EigenProfile(lam),
                                                          [8, 16, 64, 128], SPEC))
         assert abs(g128 - g64) < abs(g16 - g8)
+
+    def test_pole_at_zero_before_any_profile_value(self):
+        # c-a-b = 0 at lambda = 0, so the connection coefficients are degenerate;
+        # the profile builds them only when first evaluated, after c(lambda)
+        with pytest.raises(ValueError, match="pole"):
+            boundary_recover_gt(0.0, EigenProfile(0.0), [4.0], SPEC)
 
     def test_radial_route_ignores_omega(self):
         prof = EigenProfile(1.0)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import scipy.special as ss
 
+from octoplane import special
 from octoplane.errors import NumericsError
+from octoplane.poisson import EigenProfile
 from octoplane.special import (
     RHO,
     KTypeIndex,
@@ -275,3 +277,96 @@ class TestSphericalFn:
             spherical_fn(1.0, 0, 0, 1.0)
         with pytest.raises(ValueError):
             spherical_fn(1.0, 0, 0, -0.1)
+
+
+# spherical_fn_scaled(lam, l, m, one_minus_r2=omz) as (omz, real.hex(), imag.hex()),
+# recorded from the per-node scalar implementation this package had before the
+# profiles kept their coefficients; 1 - omz = 0.74 and 0.9 take the power
+# series, 0.76 and above the connection formula
+_GOLDEN_SCALED = {
+    (0.5, 0, 0): (
+        (0.9, "0x1.32008326965afp+0", "0x0.0p+0"),
+        (0.26, "0x1.d6adda980e286p+2", "-0x1.2000000000000p-48"),
+        (0.24, "0x1.03d8e213a6a93p+3", "-0x1.0000000000000p-51"),
+        (0.001, "0x1.85faef64a7e2dp+7", "0x1.0000000000000p-46"),
+    ),
+    (1.0, 2, 0): (
+        (0.9, "0x1.8456215a29fe8p-6", "0x1.cc4027874e374p-8"),
+        (0.26, "0x1.d7b8436d446f7p+0", "0x1.1789a33744ffcp-1"),
+        (0.24, "0x1.12be01d11967bp+1", "0x1.459ed2beeeb3bp-1"),
+        (0.1, "0x1.0abf8c5d131adp+3", "0x1.3c2563fc886bdp+1"),
+    ),
+    (2.0, 2, 2): (
+        (0.5, "0x1.8073af72540f6p-1", "0x1.09854ecfe1a72p-2"),
+        (0.26, "0x1.5833e7a9409e6p+1", "0x1.db720e4408391p-1"),
+        (0.24, "0x1.84c08011e6506p+1", "0x1.0c7d953a67d06p+0"),
+        (1e-09, "-0x1.29b623d26d04ap+3", "-0x1.9b3a352a06ef6p+1"),
+    ),
+    (1.0, 20, 0): (
+        (0.9, "0x1.5012380cf8fe8p-57", "0x1.318ada775124ep-54"),
+        (0.26, "0x1.70269a0835aa4p-18", "0x1.4eb538bd78ad8p-15"),
+        (0.24, "0x1.5dbf793f693c0p-17", "0x1.3dfa363961eddp-14"),
+        (0.001, "0x1.d87e961e594c2p+2", "0x1.ad92af3177644p+5"),
+    ),
+    (20.0, 0, 0): (
+        (0.9, "0x1.169c39bc14433p-2", "0x1.0000000000000p-55"),
+        (0.24, "-0x1.1a8710ce7898cp-13", "0x0.0p+0"),
+        (0.1, "0x1.1c7d2e24868d8p-14", "0x1.b000000000000p-63"),
+        (0.001, "-0x1.27af9bf1a3c77p-14", "-0x1.6700000000000p-63"),
+    ),
+    (20.0, 20, 0): (
+        (0.5, "0x1.9f79b6b37d7e1p-16", "-0x1.1b512ab83b782p-15"),
+        (0.26, "0x1.ff96a071837a8p-14", "-0x1.5cdb83ce2cf2bp-13"),
+        (0.24, "0x1.faea6316b722cp-16", "-0x1.59abc958409a9p-15"),
+        (0.1, "-0x1.0aa35ea5c0feap-14", "0x1.6ba58f05d9176p-14"),
+    ),
+}
+
+
+class TestCoefficientPath:
+    @pytest.mark.parametrize("lam,l,m", list(_GOLDEN_SCALED))
+    def test_bitwise_golden_values(self, lam, l, m):
+        points = _GOLDEN_SCALED[lam, l, m]
+        golden = [complex(float.fromhex(re), float.fromhex(im)) for _, re, im in points]
+        omz = [p[0] for p in points]
+        assert [spherical_fn_scaled(lam, l, m, one_minus_r2=y) for y in omz] == golden
+        assert EigenProfile(lam, l, m).boundary_scaled(omz).tolist() == golden
+
+    def test_lane_failure_names_its_z(self):
+        # 2F1(-50.5, 1; 1; z) = (1-z)^50.5: at z = 0.9 the terms reach ~1e13
+        # around a sum of ~1e-51, while the lanes at small z are well conditioned
+        a, b, c = (np.clongdouble(x) for x in (-50.5, 1.0, 1.0))
+        lanes = np.array([0.01, 0.9, 0.02], dtype=np.clongdouble)
+        with pytest.raises(NumericsError, match=r"cancels: .*z=\(0\.9\+0j\)"):
+            special._f21_lanes(a, b, c, lanes, 1e-21)
+        good = special._f21_lanes(a, b, c, lanes[[0, 2]], 1e-21)
+        assert np.allclose(good.astype(complex), [0.99 ** 50.5, 0.98 ** 50.5], rtol=1e-15)
+        # the series at z close to 1 passes 10^4 terms
+        a, b, c = np.clongdouble(1 + 1j), np.clongdouble(2.0), np.clongdouble(4.5)
+        lanes = np.array([0.1, 0.999999, 0.2], dtype=np.clongdouble)
+        with pytest.raises(NumericsError, match=r"did not converge: .*z=\(0\.999999\+0j\)"):
+            special._f21_lanes(a, b, c, lanes, 1e-21)
+
+    def test_lanes_equal_the_scalar_clongdouble_series(self):
+        a, b, c = (np.clongdouble(x) for x in special._phi_parameters(0.5, 20, 0))
+        lanes = np.array([0.25, 0.1, 1e-3, 1e-9], dtype=np.clongdouble)
+        got = special._f21_lanes(a, b, 1.0 - (c - a - b), lanes, 1e-21)
+        for z, v in zip(lanes, got):
+            total = term = 1.0
+            for k in range(10_000):
+                term *= (a + k) * (b + k) / ((1.0 - (c - a - b) + k) * (k + 1)) * z
+                total = total + term
+                if abs(term) < 1e-21 * abs(total):
+                    break
+            assert v == total
+
+    def test_harmonic_profile_takes_no_log_gamma(self, monkeypatch):
+        def refuse(z):
+            raise AssertionError(f"log-gamma evaluated at {z}")
+
+        monkeypatch.setattr(special, "_log_gamma_ext", refuse)
+        radii = [0.0, 0.3, 0.5, 0.9, 0.99, 0.999]
+        got = EigenProfile(-1j * RHO).profile(radii).tolist()
+        assert got == [spherical_fn(-1j * RHO, 0, 0, r) for r in radii]
+        assert got[:2] == [1.0, 1.0]
+        assert max(abs(v - 1.0) for v in got) < 1e-10

@@ -41,8 +41,8 @@ from .quadrature import (
 )
 from .special import (
     RHO,
+    KTypeIndex,
     _phi_at_radii,
-    _phi_coefficients,
     _phi_scaled_at,
     _spectral_s,
     hc_c_function,
@@ -162,37 +162,30 @@ class EigenProfile:
     """The eigenfunction P_lam f for f in the (l, m) boundary type, through
     its radial factor Phi_{lam,lm}.
 
-    The profile owns the coefficients of Phi that depend only on
-    (lam, l, m) - the 2F1 parameters, the Pochhammer prefactor and the
-    connection formula's gamma factors - built on first evaluation, and
-    evaluates whole arrays: ``profile`` takes radii, ``boundary_scaled``
-    takes values of 1-r^2 and returns (1-r^2)^{-rho/2} Phi(r), which stays
-    finite arbitrarily close to the boundary, as the norm and inversion
-    integrals rely on.  Both return arrays of the input's shape, equal
-    value by value to spherical_fn and spherical_fn_scaled.
+    The profile holds only (lam, l, m) and evaluates whole arrays in one
+    call each: ``profile`` takes radii, ``boundary_scaled`` takes values of
+    1-r^2 and returns (1-r^2)^{-rho/2} Phi(r), which stays finite
+    arbitrarily close to the boundary, as the norm and inversion integrals
+    rely on.  Both return arrays of the input's shape, equal value by value
+    to spherical_fn and spherical_fn_scaled.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
     is supported.
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
+        KTypeIndex(l, m)
         self.lam = complex(lam)
         self.l = int(l)
         self.m = int(m)
-        self._coefficients = None
-
-    def _coeffs(self):
-        if self._coefficients is None:
-            self._coefficients = _phi_coefficients(self.lam, self.l, self.m)
-        return self._coefficients
 
     def profile(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return _phi_at_radii(self._coeffs(), r.ravel().tolist()).reshape(r.shape)
+        return _phi_at_radii(self.lam, self.l, self.m, r.ravel().tolist()).reshape(r.shape)
 
     def boundary_scaled(self, one_minus_r2) -> np.ndarray:
         omz = np.asarray(one_minus_r2, dtype=float)
-        return _phi_scaled_at(self._coeffs(), omz.ravel().tolist()).reshape(omz.shape)
+        return _phi_scaled_at(self.lam, self.l, self.m, omz.ravel().tolist()).reshape(omz.shape)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if (self.l, self.m) != (0, 0):
@@ -270,6 +263,17 @@ class HardyNormResult:
     per_r: tuple
 
 
+def _checked_r_grid(r_grid: Sequence[float]) -> list[float]:
+    """The radii of r_grid as floats; refuses an empty grid or a radius
+    outside [0, r_cap]."""
+    rs = [float(r) for r in r_grid]
+    if not rs:
+        raise ValueError("empty r_grid")
+    if any(not (0.0 <= r <= _R_CAP) for r in rs):
+        raise ValueError(f"r_grid must lie in [0, r_cap = {_R_CAP}]")
+    return rs
+
+
 def hardy_norm(F, p: float, r_grid: Sequence[float],
                spec: QuadratureSpec) -> HardyNormResult:
     """Grid version of sup_r (1-r^2)^{-rho/2} (int |F(r theta)|^p dtheta)^{1/p}.
@@ -279,13 +283,9 @@ def hardy_norm(F, p: float, r_grid: Sequence[float],
     (l, m) = (0, 0) and the L^2 mean otherwise; callables use sphere Monte
     Carlo (one sample set shared across the grid).
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    rs = [float(r) for r in r_grid]
-    if not rs:
-        raise ValueError("empty r_grid")
-    if any(not (0.0 <= r <= _R_CAP) for r in rs):
-        raise ValueError(f"r_grid must lie in [0, r_cap = {_R_CAP}]")
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    rs = _checked_r_grid(r_grid)
     if isinstance(F, EigenProfile):
         if (F.l, F.m) != (0, 0) and p != 2:
             raise ValueError(f"the radial factor of the ({F.l}, {F.m}) type is its "
@@ -506,7 +506,7 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     if la == 0:
         raise ValueError("lambda must be nonzero")
     n = spec.n_mc
-    rs = tuple(float(r) for r in r_grid)
+    rs = tuple(_checked_r_grid(r_grid))
     rep = CZReport(lam=float(lv.real), r_grid=rs, n_samples=n, seed=spec.seed)
 
     s1, s2, s3, s4 = spawn_seeds(spec.seed, 4)

@@ -14,15 +14,14 @@ functions
 with s = (i lambda + rho)/2, indexed by integer pairs l >= m >= 0 with
 l +- m even.
 
-What Phi_{lambda,lm} needs that depends on (lambda, l, m) alone - the 2F1
-parameters, the Pochhammer prefactor and the connection formula's two
-gamma-function factors - is built once by a private builder and evaluated
-on lists of r^2 and 1-r^2 by one private evaluator, whose connection lanes
-run as one clongdouble array series.  The caller owns the coefficients:
-poisson.EigenProfile keeps them per profile, and the public functions here
-are scalar, build them per call and evaluate one lane, so every value
-comes from the same path.  The module is pure and reentrant; no caches
-and no module state.
+One private evaluator takes (lambda, l, m) and lists of r^2 and 1-r^2 and
+forms per call what depends on (lambda, l, m) alone: the 2F1 parameters,
+the Pochhammer prefactor and, only when some lane takes the connection
+path, its two gamma-function factors.  Its connection lanes run as one
+clongdouble array series.  poisson.EigenProfile evaluates whole grids in
+one call; the public functions here are scalar and evaluate one lane, so
+every value comes from the same path.  The module is pure and reentrant;
+no caches and no module state.
 """
 
 from __future__ import annotations
@@ -188,43 +187,20 @@ def _near_integer(x: complex) -> bool:
     return abs(x.imag) < 1e-12 and abs(x.real - round(x.real)) < 1e-12
 
 
-@dataclass(frozen=True)
-class _F21:
-    """The z-independent part of 2F1(a, b; c; z): the parameters and, when
-    asked for and applicable, the logs of the connection formula's two
-    gamma-function factors in clongdouble."""
-
-    a: complex
-    b: complex
-    c: complex
-    log_gammas: tuple | None
-
-
-def _f21_coefficients(a, b, c, *, connection: bool) -> _F21:
-    a, b, c = complex(a), complex(b), complex(c)
-    if _is_nonpositive_integer(c):
-        raise ValueError(f"2F1 pole: c = {c} is a non-positive integer")
-    log_gammas = None
-    if connection and b != c and a != c and not _near_integer(c - a - b):
-        ea, eb, ec = np.clongdouble(a), np.clongdouble(b), np.clongdouble(c)
-        ecab, lgc = ec - ea - eb, _log_gamma_ext(ec)
-        log_gammas = (
-            lgc + _log_gamma_ext(ecab) - _log_gamma_ext(ec - ea) - _log_gamma_ext(ec - eb),
-            lgc + _log_gamma_ext(-ecab) - _log_gamma_ext(ea) - _log_gamma_ext(eb),
-        )
-    return _F21(a, b, c, log_gammas)
-
-
 _Z_SWITCH = 0.75
 
 
-def _f21_values(co: _F21, z: list, omz: list, z_switch: float = _Z_SWITCH) -> list[complex]:
-    """2F1 at each lane (z[i], omz[i] = 1 - z[i]), for lists of floats.
+def _f21_values(a, b, c, z: list, omz: list, z_switch: float = _Z_SWITCH) -> list[complex]:
+    """2F1(a, b; c; z) at each lane (z[i], omz[i] = 1 - z[i]), for lists of floats.
 
     Binomial parameters and the series lanes (z <= z_switch) run per lane in
-    Python complex arithmetic; the connection lanes run as one clongdouble
-    array through _f21_lanes.
+    Python complex arithmetic.  The connection lanes run as one clongdouble
+    array through _f21_lanes, and the connection formula's two gamma-function
+    factors are formed once per call, only when some lane takes that path.
     """
+    a, b, c = complex(a), complex(b), complex(c)
+    if _is_nonpositive_integer(c):
+        raise ValueError(f"2F1 pole: c = {c} is a non-positive integer")
     zs, omzs = np.array(z, dtype=float), np.array(omz, dtype=float)
     # z may round to exactly 1.0 for 1-z below 2^-53; the connection and
     # binomial paths only consume 1-z, which must stay positive.
@@ -232,7 +208,6 @@ def _f21_values(co: _F21, z: list, omz: list, z_switch: float = _Z_SWITCH) -> li
     if bad.size:
         i = bad[0]
         raise ValueError(f"argument must satisfy 0 <= z < 1, got z = {z[i]}, 1-z = {omz[i]}")
-    a, b, c = co.a, co.b, co.c
     if b == c or a == c:
         e = a if b == c else b
         return [cmath.exp(-e * math.log(x)) for x in omz]
@@ -244,9 +219,10 @@ def _f21_values(co: _F21, z: list, omz: list, z_switch: float = _Z_SWITCH) -> li
             raise ValueError(
                 f"connection formula degenerate: c-a-b = {cab} is (near-)integer"
             )
-        g1, g2 = co.log_gammas
         ea, eb, ec = np.clongdouble(a), np.clongdouble(b), np.clongdouble(c)
-        ecab = ec - ea - eb
+        ecab, lgc = ec - ea - eb, _log_gamma_ext(ec)
+        g1 = lgc + _log_gamma_ext(ecab) - _log_gamma_ext(ec - ea) - _log_gamma_ext(ec - eb)
+        g2 = lgc + _log_gamma_ext(-ecab) - _log_gamma_ext(ea) - _log_gamma_ext(eb)
         eomz = omzs[conn].astype(np.clongdouble)
         t1 = np.exp(g1) * _f21_lanes(ea, eb, 1.0 - ecab, eomz, 1e-21)
         t2 = np.exp(g2 + ecab * np.log(eomz)) * _f21_lanes(
@@ -256,8 +232,7 @@ def _f21_values(co: _F21, z: list, omz: list, z_switch: float = _Z_SWITCH) -> li
     return out
 
 
-def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH,
-              one_minus_z: float | None = None) -> complex:
+def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH) -> complex:
     """2F1(a, b; c; z) for real z in [0, 1).
 
     For z <= z_switch: truncated power series with term-ratio stopping
@@ -273,17 +248,10 @@ def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH,
     stopping tolerance times its largest |term|, exceeds 1e-11 |sum| raises
     NumericsError naming the digits lost; no other path is tried.
 
-    ``one_minus_z`` may be supplied when 1-z is known to better precision
-    than 1-z computes in floating point (deep boundary asymptotics).
-
-    The z-independent coefficients (with the connection formula's gamma
-    factors only when z takes that path) are built per call and evaluated
-    as one lane of the array evaluator that ``poisson.EigenProfile`` runs
-    over whole grids with coefficients it keeps.
+    This is one lane of the list evaluator that the spherical functions and
+    ``poisson.EigenProfile`` run over whole grids.
     """
-    co = _f21_coefficients(a, b, c, connection=z > z_switch)
-    omz = 1.0 - z if one_minus_z is None else float(one_minus_z)
-    return _f21_values(co, [z], [omz], z_switch)[0]
+    return _f21_values(a, b, c, [z], [1.0 - z], z_switch)[0]
 
 
 @dataclass(frozen=True)
@@ -328,59 +296,39 @@ def _phi_parameters(lam, l: int, m: int) -> tuple[complex, complex, complex]:
     return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
 
 
-@dataclass(frozen=True)
-class _PhiCoefficients:
-    """What Phi_{lambda,lm} needs that does not depend on r: lambda, l, the
-    Pochhammer prefactor and the 2F1 coefficients."""
-
-    lam: complex
-    l: int
-    prefactor: complex
-    f21: _F21
-
-
-def _phi_coefficients(lam, l: int, m: int, *, connection: bool = True) -> _PhiCoefficients:
-    """The coefficients of Phi_{lambda,lm}, with the connection formula's
-    gamma factors when ``connection`` (some r^2 above z_switch) asks for them."""
-    KTypeIndex(l, m)
-    lv = complex(lam)
-    s = _spectral_s(lv)
-    prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
-                 / pochhammer(8.0, l))
-    return _PhiCoefficients(lv, l, prefactor,
-                            _f21_coefficients(*_phi_parameters(lv, l, m), connection=connection))
-
-
-def _phi_scaled(co: _PhiCoefficients, z: list, omz: list) -> np.ndarray:
+def _phi_scaled(lam, l: int, m: int, z: list, omz: list) -> np.ndarray:
     """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r) at each lane, from lists of
     z = r^2 and omz = 1-r^2, each as the caller has it: z from 1 - omz loses
     r^l's digits at small r, omz from 1 - z loses 2F1's near the boundary.
     The final product stays in Python complex arithmetic per lane."""
-    lv, l, prefactor = co.lam, co.l, co.prefactor
+    lv = complex(lam)
+    s = _spectral_s(lv)
+    prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
+                 / pochhammer(8.0, l))
     return np.array([
         # (1-r^2)^{s - rho/2} = (1-r^2)^{i lam / 2}
         prefactor * math.sqrt(x) ** l * cmath.exp((1j * lv / 2.0) * math.log(y)) * f
-        for x, y, f in zip(z, omz, _f21_values(co.f21, z, omz))
+        for x, y, f in zip(z, omz, _f21_values(*_phi_parameters(lv, l, m), z, omz))
     ], dtype=complex)
 
 
-def _phi_at_radii(co: _PhiCoefficients, r: list) -> np.ndarray:
+def _phi_at_radii(lam, l: int, m: int, r: list) -> np.ndarray:
     """Phi_{lambda,lm} at each radius of the list r, all in [0, 1)."""
     for x in r:
         if not (0.0 <= x < 1.0):
             raise ValueError(f"radius must satisfy 0 <= r < 1, got {x}")
     z = [x * x for x in r]
     omz = [1.0 - x for x in z]
-    return np.array([y ** (RHO / 2) * v for y, v in zip(omz, _phi_scaled(co, z, omz).tolist())],
-                    dtype=complex)
+    scaled = _phi_scaled(lam, l, m, z, omz).tolist()
+    return np.array([y ** (RHO / 2) * v for y, v in zip(omz, scaled)], dtype=complex)
 
 
-def _phi_scaled_at(co: _PhiCoefficients, omz: list) -> np.ndarray:
+def _phi_scaled_at(lam, l: int, m: int, omz: list) -> np.ndarray:
     """(1-r^2)^{-rho/2} Phi_{lambda,lm} at each 1-r^2 of the list omz, all in (0, 1]."""
     for y in omz:
         if not (0.0 < y <= 1.0):
             raise ValueError(f"need 0 < 1-r^2 <= 1, got {y}")
-    return _phi_scaled(co, [1.0 - y for y in omz], omz)
+    return _phi_scaled(lam, l, m, [1.0 - y for y in omz], omz)
 
 
 def spherical_fn(lam, l: int, m: int, r: float) -> complex:
@@ -393,8 +341,8 @@ def spherical_fn(lam, l: int, m: int, r: float) -> complex:
     lambda = 60 at r = 0.6) this raises NumericsError rather than return a
     value off by more than ~1e-10 (see gauss_2f1).
     """
-    co = _phi_coefficients(lam, l, m, connection=r * r > _Z_SWITCH)
-    return _phi_at_radii(co, [r]).item()
+    KTypeIndex(l, m)
+    return _phi_at_radii(lam, l, m, [r]).item()
 
 
 def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
@@ -404,6 +352,5 @@ def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
     arbitrarily close to the boundary where Phi itself underflows; callers
     doing geodesic-radius integrals pass one_minus_r2 = sech^2(s) directly.
     """
-    omz = float(one_minus_r2)
-    co = _phi_coefficients(lam, l, m, connection=1.0 - omz > _Z_SWITCH)
-    return _phi_scaled_at(co, [omz]).item()
+    KTypeIndex(l, m)
+    return _phi_scaled_at(lam, l, m, [float(one_minus_r2)]).item()

@@ -185,6 +185,18 @@ class TestEigenProfile:
         assert np.shape(single) == ()
         assert single == spherical_fn(1.0, 0, 0, 0.7)
 
+    def test_index_validated_at_construction(self):
+        # the index is checked as spherical_fn checks it, not rounded
+        with pytest.raises(ValueError, match="l and m must be integers"):
+            EigenProfile(1.0, 2.5, 0.5)
+        with pytest.raises(ValueError, match="must be even"):
+            EigenProfile(1.0, 1, 0)
+        with pytest.raises(ValueError, match="l >= m >= 0"):
+            EigenProfile(1.0, 0, 2)
+        prof = EigenProfile(1.0, 2.0, 0.0)
+        assert (prof.l, prof.m) == (2, 0)
+        assert prof.profile([0.5]).item() == spherical_fn(1.0, 2, 0, 0.5)
+
 
 class TestHardyNorm:
     def test_weight_cancel(self):
@@ -240,6 +252,10 @@ class TestHardyNorm:
             hardy_norm(EigenProfile(1.0), 2.0, [], SPEC)
         with pytest.raises(ValueError):
             hardy_norm(EigenProfile(1.0), 0.5, [0.5], SPEC)
+        for F in (EigenProfile(1.0), lambda x: np.ones(len(x))):
+            for p in (1.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
+                    hardy_norm(F, p, [0.5], SPEC)
 
 
 class TestM2Norm:
@@ -465,6 +481,13 @@ class TestCZSuite:
     def test_lambda_zero_rejected(self):
         with pytest.raises(ValueError):
             cz_suite(0.0, SPEC)
+
+    def test_r_grid_validation(self):
+        with pytest.raises(ValueError, match="empty r_grid"):
+            cz_suite(1.0, SPEC, r_grid=())
+        for bad in ((1.5,), (0.5, -0.5), (0.9995,), (math.nan,)):
+            with pytest.raises(ValueError, match=r"r_grid must lie in \[0, r_cap = 0.999\]"):
+                cz_suite(1.0, SPEC, r_grid=bad)
 
     def test_hormander_tail_matches_per_kernel_reference(self):
         # reference: one szego_kernel call per (r, probe point, e1), on the

@@ -280,9 +280,10 @@ class TestSphericalFn:
 
 
 # spherical_fn_scaled(lam, l, m, one_minus_r2=omz) as (omz, real.hex(), imag.hex()),
-# recorded from the per-node scalar implementation this package had before the
-# profiles kept their coefficients; 1 - omz = 0.74 and 0.9 take the power
-# series, 0.76 and above the connection formula
+# recorded from the per-node scalar implementation that preceded the array
+# evaluator, which must reproduce them bit for bit; omz = 0.9, 0.5 and 0.26
+# (r^2 <= 0.74) take the power series, omz = 0.24 and below (r^2 >= 0.76)
+# the connection formula
 _GOLDEN_SCALED = {
     (0.5, 0, 0): (
         (0.9, "0x1.32008326965afp+0", "0x0.0p+0"),
@@ -359,6 +360,36 @@ class TestCoefficientPath:
                 if abs(term) < 1e-21 * abs(total):
                     break
             assert v == total
+
+    def test_log_gammas_per_call_not_per_lane(self, monkeypatch):
+        # the connection formula's gamma factors are formed once per call,
+        # however many lanes take that path
+        counted = []
+        log_gamma_ext = special._log_gamma_ext
+
+        def count(z):
+            counted.append(z)
+            return log_gamma_ext(z)
+
+        monkeypatch.setattr(special, "_log_gamma_ext", count)
+        per_call = []
+        for omz in ([0.1], np.linspace(0.001, 0.2, 100)):
+            counted.clear()
+            assert EigenProfile(1.0, 2, 0).boundary_scaled(omz).shape == (len(omz),)
+            per_call.append(len(counted))
+        assert per_call[0] == per_call[1] > 0
+
+    def test_series_only_profile_takes_no_log_gamma(self, monkeypatch):
+        def refuse(z):
+            raise AssertionError(f"log-gamma evaluated at {z}")
+
+        monkeypatch.setattr(special, "_log_gamma_ext", refuse)
+        prof = EigenProfile(1.0, 2, 0)
+        radii = [0.0, 0.3, 0.5, 0.8, 0.86]  # r^2 <= 0.75 throughout
+        got = prof.profile(radii).tolist()
+        assert got == [spherical_fn(1.0, 2, 0, r) for r in radii]
+        assert prof.boundary_scaled([1.0, 0.5, 0.26]).tolist() == [
+            spherical_fn_scaled(1.0, 2, 0, one_minus_r2=y) for y in (1.0, 0.5, 0.26)]
 
     def test_harmonic_profile_takes_no_log_gamma(self, monkeypatch):
         def refuse(z):

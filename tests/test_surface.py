@@ -70,9 +70,7 @@ def test_removed_parameters_and_fields_are_gone():
 
 def test_gauss_2f1_path_keywords():
     # perfbench's tracer reads the z_switch default to classify 2F1 paths
-    # and forwards both keywords
     params = inspect.signature(gauss_2f1).parameters
+    assert list(params) == ["a", "b", "c", "z", "z_switch"]
     assert params["z_switch"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["z_switch"].default == 0.75
-    assert params["one_minus_z"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert params["one_minus_z"].default is None

@@ -94,13 +94,18 @@ def poisson_kernel(x, omega) -> np.ndarray:
 
 def poisson_kernel_lambda(lam, x, omega) -> np.ndarray:
     """P_lam(x, omega) = exp(s log((1-|x|^2)/Psi(x,omega))), s = (i lam + rho)/2."""
-    s = _spectral_s(lam)
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
     n2 = np.sum(x * x, axis=-1)
     if np.any(n2 >= 1.0):
         raise ValueError("poisson_kernel_lambda requires |x| < 1")
-    return np.exp(s * np.log((1.0 - n2) / psi_form(x, omega)))
+    return _poisson_power(lam, 1.0 - n2, psi_form(x, omega))
+
+
+def _poisson_power(lam, omr2, psi) -> np.ndarray:
+    """(omr2/psi)^s, s = (i lam + rho)/2: the kernel P_lam(x, omega) at
+    1 - |x|^2 = omr2 and Psi(x, omega) = psi."""
+    return np.exp(_spectral_s(lam) * np.log(omr2 / psi))
 
 
 def _szego_power(lam, psi) -> np.ndarray:
@@ -225,7 +230,6 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
     radius = float(np.linalg.norm(x))
     if radius > _R_CAP:
         raise ValueError(f"|x| = {radius} exceeds r_cap = {_R_CAP} accuracy guard")
-    s = _spectral_s(lv)
 
     r = None
     if isinstance(f, BoundaryConstant):
@@ -236,7 +240,7 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
         omr2 = 1.0 - r * r
 
         def g(u, v):
-            kern = np.exp(s * np.log(omr2 / _zonal_psi(r, u, v)))
+            kern = _poisson_power(lv, omr2, _zonal_psi(r, u, v))
             return kern * f.g(u, v) if isinstance(f, BoundaryZonal) else kern
 
         val = zonal_integrate(g, spec)
@@ -274,6 +278,12 @@ def _checked_r_grid(r_grid: Sequence[float]) -> list[float]:
     return rs
 
 
+def _sphere_sample(spec: QuadratureSpec) -> np.ndarray:
+    """The sphere sample that the Monte Carlo routes of hardy_norm, m2_norm
+    and boundary_recover_gt reuse at every radius."""
+    return sample_sphere(min(spec.n_mc, 200_000), spec.seed)
+
+
 def hardy_norm(F, p: float, r_grid: Sequence[float],
                spec: QuadratureSpec) -> HardyNormResult:
     """Grid version of sup_r (1-r^2)^{-rho/2} (int |F(r theta)|^p dtheta)^{1/p}.
@@ -292,7 +302,7 @@ def hardy_norm(F, p: float, r_grid: Sequence[float],
                              f"L^2 sphere mean, not the L^{p} one")
         per = [abs(v) for v in F.boundary_scaled([1.0 - r * r for r in rs]).tolist()]
     else:
-        pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
+        pts = _sphere_sample(spec)
         per = [float(np.mean(np.abs(np.asarray(F(r * pts))) ** p)) ** (1.0 / p)
                * (1.0 - r * r) ** (-RHO / 2.0) for r in rs]
     i = int(np.argmax(per))
@@ -342,9 +352,11 @@ def m2_norm(F, t_grid: Sequence[float], spec: QuadratureSpec) -> M2Result:
     if isinstance(F, EigenProfile):
         per = [math.sqrt(v) for v in _geodesic_mean_sq(F, ts)]
     else:
-        def sq(x):
-            return np.abs(np.asarray(F(x))) ** 2
-        per = [math.sqrt(abs(ball_integrate(sq, t, spec)) / t) for t in ts]
+        pts = _sphere_sample(spec)
+
+        def mean_sq(r):
+            return np.mean(np.abs(np.asarray(F(r * pts))) ** 2)
+        per = [math.sqrt(abs(ball_integrate(mean_sq, t)) / t) for t in ts]
     i = int(np.argmax(per))
     return M2Result(float(per[i]), tuple(ts), tuple(per))
 
@@ -357,8 +369,11 @@ def boundary_recover_gt(lam, F, t_grid: Sequence[float], spec: QuadratureSpec, *
     EigenProfile inputs use the radial closed form (the boundary integral
     collapses to |Phi_{lam,lm}(r)|^2), which is independent of omega and
     needs the profile's own lam; the whole grid is one cumulative geodesic
-    integral up to max(t_grid).  Other inputs need an explicit omega and
-    integrate by radial quadrature plus sphere Monte Carlo, once per t.  As
+    integral up to max(t_grid).  Other inputs need an explicit unit omega of
+    shape (16,) and integrate by radial quadrature of sphere Monte Carlo
+    means: one sphere sample serves every t, and <theta, omega>,
+    Phi(theta, omega) and |theta|^2 are formed once on it, so each radial
+    node assembles Psi(r theta, omega) elementwise and evaluates F once.  As
     t grows, g_t tends to the boundary value of F times a fixed measure
     normalization, which this package measures rather than assumes (every
     limit constant is reported).
@@ -373,11 +388,18 @@ def boundary_recover_gt(lam, F, t_grid: Sequence[float], spec: QuadratureSpec, *
     if omega is None:
         raise ValueError("general inputs need an explicit boundary point omega")
     omega = np.asarray(omega, dtype=float)
+    if omega.shape != (16,) or not abs(float(np.linalg.norm(omega)) - 1.0) <= 1e-12:
+        raise ValueError(f"omega must be a unit vector of shape (16,), got {omega!r}")
+    pts = _sphere_sample(spec)
+    dot = np.sum(pts * omega, axis=-1)
+    phi = phi_form(pts, omega)
+    n2 = np.sum(pts * pts, axis=-1)
 
-    def integrand(x):
-        return poisson_kernel_lambda(-lv, x, omega) * np.asarray(F(x))
+    def mean_at(r):
+        kern = _poisson_power(-lv, 1.0 - (r * r) * n2, _psi_r(r, dot, phi))
+        return np.mean(kern * np.asarray(F(r * pts)))
 
-    return [complex(ball_integrate(integrand, t, spec) / (t * c2)) for t in ts]
+    return [complex(ball_integrate(mean_at, t) / (t * c2)) for t in ts]
 
 
 # --------------------------------------------------------------------------

@@ -181,31 +181,31 @@ def _radial_rule(t: float, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
     return gauss_panels(0.0, r_max, breaks, order)
 
 
-def ball_integrate(F: Callable, t: float, spec: QuadratureSpec) -> complex:
-    """Integral of F over the geodesic ball of radius t against the
-    invariant measure:
+def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:
+    """Integral over the geodesic ball of radius t against the invariant
+    measure, from the sphere means of the integrand:
 
-        S15 * int_0^tanh(t) <F(r theta)>_theta (1-r^2)^{-rho-1} r^15 dr
+        S15 * int_0^tanh(t) mean_at(r) (1-r^2)^{-rho-1} r^15 dr
 
-    with <.>_theta the normalized sphere mean (Monte Carlo, one sample set
-    reused across radii).
+    where mean_at(r) is the normalized sphere mean <F(r theta)>_theta of
+    the integrand F at radius r, called once per node of the radial rule (a
+    caller samples the sphere once and reuses the sample at every node).
 
-    The weight (1-r^2)^{-12} overflows for t beyond ~60; eigenfunction
-    integrands should be passed to ``poisson.m2_norm`` or
-    ``poisson.boundary_recover_gt`` as an ``EigenProfile``, whose route
-    integrates the scaled profile in the geodesic radius instead.
+    The weight (1-r^2)^{-12} is infinite for t beyond ~19, where radial
+    nodes round to r = 1; eigenfunction integrands should be passed to
+    ``poisson.m2_norm`` or ``poisson.boundary_recover_gt`` as an
+    ``EigenProfile``, whose route integrates the scaled profile in the
+    geodesic radius instead.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be finite and positive, got {t}")
     r, w = _radial_rule(t)
     weight = (1.0 - r * r) ** (-12.0) * r ** 15
     if not np.all(np.isfinite(weight)):
         raise NumericsError(f"radial weight overflow at t = {t}; reduce t")
-    pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
     vals = np.empty(len(r), dtype=complex)
     for i, ri in enumerate(r):
-        sample_vals = np.asarray(F(ri * pts))
-        vals[i] = np.mean(sample_vals)
+        vals[i] = mean_at(ri)
     if not np.all(np.isfinite(vals)):
         raise NumericsError("non-finite integrand sample in ball_integrate")
     return complex(S15 * np.sum(w * weight * vals))

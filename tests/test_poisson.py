@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from octoplane import poisson
+from octoplane import geometry, poisson, quadrature
 from octoplane.errors import NumericsError
 from octoplane.geometry import E1, dist_to_e1, ni_dist, psi_form
 from octoplane.poisson import (
@@ -29,11 +29,41 @@ from octoplane.poisson import (
     szego_matrix,
     weight_omega,
 )
-from octoplane.quadrature import S15, QuadratureSpec, sample_sphere, spawn_seeds, zonal_integrate
+from octoplane.quadrature import (
+    S15,
+    QuadratureSpec,
+    gauss_panels,
+    sample_sphere,
+    spawn_seeds,
+    zonal_integrate,
+)
 from octoplane.special import RHO, hc_c_function, spherical_fn, spherical_fn_scaled
 from octoplane.suites import SuiteConfig, run_suite
 
 SPEC = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=1)
+
+
+def _per_node_ball_integral(integrand, t, spec):
+    """Reference ball integral: integrand(x) on the full points x = r theta
+    of one sphere sample at every node of the radial rule (16-point panels
+    of [0, tanh t] split at 1 - 2^-k)."""
+    pts = sample_sphere(min(spec.n_mc, 200_000), spec.seed)
+    r_max = math.tanh(t)
+    breaks = [1.0 - 2.0 ** (-k) for k in range(1, 60) if 1.0 - 2.0 ** (-k) < r_max]
+    r, w = gauss_panels(0.0, r_max, breaks, order=16)
+    weight = (1.0 - r * r) ** (-12.0) * r ** 15
+    vals = np.array([np.mean(integrand(ri * pts)) for ri in r], dtype=complex)
+    return complex(S15 * np.sum(w * weight * vals))
+
+
+def _generic_callable(x):
+    return np.cos(x[:, 0] + 2.0 * x[:, 9]) + 1j * x[:, 5] ** 2
+
+
+def _generic_omega():
+    """A unit boundary point with both slots nonzero, so Phi's cross term is too."""
+    omega = np.linspace(1.0, 2.0, 16)
+    return omega / np.linalg.norm(omega)
 
 
 class TestKernels:
@@ -289,6 +319,15 @@ class TestM2Norm:
         slow = m2_norm(lambda x: prof(x), [3.0], SPEC).value
         assert abs(fast - slow) / fast < 1e-6
 
+    def test_callable_route_matches_per_node_integrand(self):
+        # the sphere means are the same arithmetic, so the values are equal
+        spec = QuadratureSpec(n_mc=4000, n_gauss=200, seed=3)
+        ts = (0.5, 1.0, 2.0)
+        res = m2_norm(_generic_callable, ts, spec)
+        ref = [math.sqrt(abs(_per_node_ball_integral(
+            lambda x: np.abs(_generic_callable(x)) ** 2, t, spec)) / t) for t in ts]
+        assert res.per_t == tuple(ref)
+
 
 def _per_t_double_loop(F, t):
     """Reference: the rule before the shared lattice, 8-point Gauss-Legendre
@@ -419,6 +458,48 @@ class TestInversion:
     def test_requires_omega_for_generic(self):
         with pytest.raises(ValueError, match="omega"):
             boundary_recover_gt(1.0, lambda x: np.ones(len(x)), [4.0], SPEC)
+
+    def test_mc_route_requires_unit_omega(self):
+        ones = lambda x: np.ones(len(x))
+        for bad in (0.5 * E1, 2.0 * E1, np.zeros(16), E1[:8], E1[None, :], np.full(16, np.nan)):
+            with pytest.raises(ValueError, match="omega"):
+                boundary_recover_gt(1.0, ones, [1.0], SPEC, omega=bad)
+
+    def test_mc_route_matches_per_node_kernel(self):
+        # reference: P_{-lam}(x, omega) F(x) assembled from the full points
+        # x = r theta at each radial node; the route forms <theta, omega>,
+        # Phi(theta, omega) and |theta|^2 once, which moves only rounding
+        spec = QuadratureSpec(n_mc=4000, n_gauss=200, seed=3)
+        lam, ts = 1.0, (0.5, 1.0, 2.0)
+        c2 = abs(hc_c_function(lam)) ** 2
+        for omega in (E1, -E1, _generic_omega()):
+            got = boundary_recover_gt(lam, _generic_callable, ts, spec, omega=omega)
+            for t, g in zip(ts, got):
+                ref = _per_node_ball_integral(
+                    lambda x: poisson_kernel_lambda(-lam, x, omega) * _generic_callable(x),
+                    t, spec) / (t * c2)
+                assert abs(g - ref) <= 1e-13 * abs(ref)
+
+    def test_mc_route_forms_sphere_invariants_once(self, monkeypatch):
+        phi_rows, samples = [], []
+        phi_form, sample_sphere_fn = geometry.phi_form, quadrature.sample_sphere
+
+        def counted_phi(x, y):
+            phi_rows.append(np.shape(x)[:-1])
+            return phi_form(x, y)
+
+        def counted_sample(n, seed):
+            samples.append(n)
+            return sample_sphere_fn(n, seed)
+
+        for mod in (geometry, poisson):
+            monkeypatch.setattr(mod, "phi_form", counted_phi)
+        for mod in (quadrature, poisson):
+            monkeypatch.setattr(mod, "sample_sphere", counted_sample)
+        spec = QuadratureSpec(n_mc=2000, n_gauss=200, seed=0)
+        boundary_recover_gt(1.0, _generic_callable, [0.5, 1.0], spec, omega=_generic_omega())
+        assert phi_rows == [(2000,)]
+        assert samples == [2000]
 
     @pytest.mark.xfail(
         strict=True,

@@ -111,18 +111,19 @@ class TestBallIntegrate:
     def test_constant_against_radial_oracle(self):
         # int_{B(0,t)} dmu = S15 int_0^tanh(t) (1-r^2)^{-12} r^15 dr
         for t in (0.5, 2.0, 6.0):
-            val = ball_integrate(lambda x: np.ones(x.shape[0]), t, SPEC)
+            val = ball_integrate(lambda r: 1.0, t)
             r, w = gauss_panels(0.0, math.tanh(t),
                                 [1 - 2.0 ** (-k) for k in range(1, 40)], order=24)
             oracle = S15 * np.sum(w * (1 - r * r) ** (-12.0) * r ** 15)
             assert abs(val - oracle) / oracle < 1e-8
 
     def test_zero_function(self):
-        assert ball_integrate(lambda x: np.zeros(x.shape[0]), 3.0, SPEC) == 0.0
+        assert ball_integrate(lambda r: 0.0, 3.0) == 0.0
 
     def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            ball_integrate(lambda x: np.ones(x.shape[0]), 0.0, SPEC)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ball_integrate(lambda r: 1.0, t)
 
     @pytest.mark.xfail(
         strict=True,

@@ -18,7 +18,6 @@ from .octonion import (
     oct_mul,
     oct_norm,
     oct_norm_sq,
-    oct_re,
 )
 from .geometry import (
     E1,
@@ -64,15 +63,12 @@ from .poisson import (
     EigenProfile,
     HardyNormResult,
     M2Result,
-    MoleculeCheck,
     OperatorNormResult,
     boundary_recover_gt,
     cz_suite,
-    delta_j_kernel,
     eta_j,
     hardy_norm,
     m2_norm,
-    molecule_check,
     operator_norm_est,
     poisson_kernel,
     poisson_kernel_lambda,

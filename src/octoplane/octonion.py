@@ -43,7 +43,6 @@ __all__ = [
     "FANO_TRIPLES",
     "oct_mul",
     "oct_conj",
-    "oct_re",
     "oct_norm",
     "oct_norm_sq",
     "oct_inv",
@@ -181,11 +180,6 @@ def oct_conj(a) -> np.ndarray:
     out = a.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def oct_re(a) -> np.ndarray:
-    """Real part (the e0 coordinate)."""
-    return _as_coeffs(a)[..., 0]
 
 
 def oct_norm_sq(a) -> np.ndarray:

@@ -14,8 +14,7 @@ logarithm is used throughout and there is no branch ambiguity.
 The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
 a sampled-operator norm estimator, the Calderon-Zygmund estimate harness,
-and the molecule machinery (weight Omega, kernel increments Delta_j, radii
-eta_j).
+and the molecule weight Omega with its dyadic radii eta_j.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ __all__ = [
     "cz_suite",
     "eta_j",
     "weight_omega",
-    "delta_j_kernel",
-    "MoleculeCheck",
-    "molecule_check",
 ]
 
 # Largest radius at which the transform, the Hardy grid and the sampled
@@ -477,19 +473,17 @@ def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
 
 @dataclass
 class CZReport:
-    """Sampled maxima, fitted constants and exact-inequality violation
-    counts for the kernel family at one spectral parameter."""
+    """Sampled maxima and exact-inequality violation counts for the kernel
+    family on one sample set.  The size ratios and the violation counts
+    contain no lambda; the other estimates are keyed {lam: {r: value}}."""
 
-    lam: float
+    lams: tuple
     r_grid: tuple
     n_samples: int
     seed: int
     size_per_r: dict = field(default_factory=dict)          # (i)
-    size_constant: float = 0.0
     smooth_per_r: dict = field(default_factory=dict)        # (ii)
-    smooth_constant: float = 0.0
     truncated_per_r: dict = field(default_factory=dict)     # (iii)
-    truncated_constant: float = 0.0
     violations_shift: int = 0        # |1 - r b|^{-1} <= 2 |1 - b|^{-1}
     violations_difference: int = 0   # |[th - th', om]| <= d'(d' + 2d)
     hormander_per_r: dict = field(default_factory=dict)     # measured only
@@ -504,7 +498,7 @@ def _perturbed_partners(theta: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return tp / np.linalg.norm(tp, axis=1, keepdims=True)
 
 
-def cz_suite(lam, spec: QuadratureSpec, *,
+def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
              r_grid: Sequence[float] = (0.5, 0.9, 0.99)) -> CZReport:
     """Evaluate the kernel-family estimates on spec.n_mc sample pairs:
 
@@ -522,14 +516,22 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     and a measured Hormander-type tail integral.  Half of the (ii) triples
     place theta' at log-spaced distances from theta so the sup is probed
     across separation scales, not just at typical ones.
+
+    One sample set serves every lambda of lams.  Everything but the Szego
+    powers is lambda-free and formed once: the samples, <theta, omega>,
+    Phi, the distances, the bracket, the admissible pairs of (ii), the
+    Hormander probe forms, the size ratios (i) (|Psi_r| d^{2 rho} =
+    (Psi_1/Psi_r)^{rho/2}) and both violation counts.  Only (ii), (iii)
+    and the tail are evaluated per lambda, keyed {lam: {r: value}}.
     """
-    lv = complex(lam)
-    la = abs(lv)
-    if la == 0:
+    lams = tuple(float(lam) for lam in lams)
+    if not lams:
+        raise ValueError("empty lambda grid")
+    if 0.0 in lams:
         raise ValueError("lambda must be nonzero")
     n = spec.n_mc
     rs = tuple(_checked_r_grid(r_grid))
-    rep = CZReport(lam=float(lv.real), r_grid=rs, n_samples=n, seed=spec.seed)
+    rep = CZReport(lams=lams, r_grid=rs, n_samples=n, seed=spec.seed)
 
     s1, s2, s3, s4 = spawn_seeds(spec.seed, 4)
     theta = sample_sphere(n, s1)
@@ -542,14 +544,12 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     psi1 = _psi_r(1.0, dot_to, phi_to)
     for r in rs:
         psir = _psi_r(r, dot_to, phi_to)
-        ratio = (psi1 / psir) ** (RHO / 2.0)
-        rep.size_per_r[r] = float(np.max(ratio))
+        rep.size_per_r[r] = float(np.max((psi1 / psir) ** (RHO / 2.0)))
         rep.violations_shift += int(
             np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12)
         )
-    rep.size_constant = max(rep.size_per_r.values())
 
-    # (ii) smoothness ratio and the bracket-difference inequality
+    # (ii) the pair forms and the bracket-difference inequality
     rng = np.random.default_rng(s3)
     theta_p = theta.copy()
     half = n // 2
@@ -557,38 +557,15 @@ def cz_suite(lam, spec: QuadratureSpec, *,
     theta_p[half:] = _perturbed_partners(theta[half:], rng)
     d_to = np.maximum(psi1, 0.0) ** 0.25
     d_tt = np.maximum(psi_form(theta, theta_p), 0.0) ** 0.25
-    diff = theta - theta_p
-    briff = bracket(diff, omega)
-    lhs47 = oct_norm(briff)
+    lhs47 = oct_norm(bracket(theta - theta_p, omega))
     rhs47 = d_tt * (d_tt + 2.0 * d_to)
     rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
-
-    admissible = d_to >= 2.0 * d_tt
-    nz = admissible & (d_tt > 0)
+    nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
     dot_po = np.sum(theta_p * omega, axis=-1)
     phi_po = phi_form(theta_p, omega)
     pow_to = d_to ** (2 * RHO + 1)
-    for r in rs:
-        k1 = _szego_power(lv, _psi_r(r, dot_to, phi_to))
-        k2 = _szego_power(lv, _psi_r(r, dot_po, phi_po))
-        num = np.abs(k1 - k2) * pow_to
-        den = d_tt * (1.0 + la)
-        ratio = np.where(nz, num / np.where(nz, den, 1.0), 0.0)
-        rep.smooth_per_r[r] = float(np.max(ratio))
-    rep.smooth_constant = max(rep.smooth_per_r.values())
 
-    # (iii) truncated means through the zonal rule
-    for r in rs:
-        best = 0.0
-        for dta in (0.2, 0.5, 1.0):
-            def g(u, v):
-                return _szego_power(lv, _zonal_psi(r, u, v)) * (_zonal_psi(1.0, u, v) <= dta ** 4)
-
-            best = max(best, abs(zonal_integrate(g, spec)) / (1.0 + 1.0 / la))
-        rep.truncated_per_r[r] = best
-    rep.truncated_constant = max(rep.truncated_per_r.values())
-
-    # Hormander tail (measured): theta at dyadic distances from e1; the
+    # Hormander tail probes: theta at dyadic distances from e1; the
     # r-independent <om, th> and Phi(om, th) are formed once per probe point
     m = min(n, 100_000)
     om_h = sample_sphere(m, s4 + 1)
@@ -602,13 +579,37 @@ def cz_suite(lam, spec: QuadratureSpec, *,
             probes.append((mask, np.sum(om_h * th, axis=-1), phi_form(om_h, th)))
     dot_e1 = np.sum(om_h * E1[None, :], axis=-1)
     phi_e1 = phi_form(om_h, E1[None, :])
-    for r in rs:
-        k_e1 = _szego_power(lv, _psi_r(r, dot_e1, phi_e1))
-        worst = 0.0
-        for mask, dot, phi in probes:
-            vals = np.abs(_szego_power(lv, _psi_r(r, dot, phi)) - k_e1)
-            worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
-        rep.hormander_per_r[r] = worst
+
+    for lam in lams:
+        la = abs(lam)
+        smooth, truncated, tail = {}, {}, {}
+        for r in rs:
+            # (ii) on the admissible pairs
+            k1 = _szego_power(lam, _psi_r(r, dot_to, phi_to))
+            k2 = _szego_power(lam, _psi_r(r, dot_po, phi_po))
+            num = np.abs(k1 - k2) * pow_to
+            den = d_tt * (1.0 + la)
+            smooth[r] = float(np.max(np.where(nz, num / np.where(nz, den, 1.0), 0.0)))
+
+            # (iii) truncated means through the zonal rule
+            best = 0.0
+            for dta in (0.2, 0.5, 1.0):
+                def g(u, v):
+                    return _szego_power(lam, _zonal_psi(r, u, v)) * (_zonal_psi(1.0, u, v) <= dta ** 4)
+
+                best = max(best, abs(zonal_integrate(g, spec)) / (1.0 + 1.0 / la))
+            truncated[r] = best
+
+            # the Hormander tail
+            k_e1 = _szego_power(lam, _psi_r(r, dot_e1, phi_e1))
+            worst = 0.0
+            for mask, dot, phi in probes:
+                vals = np.abs(_szego_power(lam, _psi_r(r, dot, phi)) - k_e1)
+                worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
+            tail[r] = worst
+        rep.smooth_per_r[lam] = smooth
+        rep.truncated_per_r[lam] = truncated
+        rep.hormander_per_r[lam] = tail
     return rep
 
 
@@ -632,82 +633,3 @@ def weight_omega(eta: float, delta: float, theta, omega) -> np.ndarray:
         raise ValueError("delta must lie in (0, 1]")
     d = ni_dist(theta, omega)
     return eta ** delta * (eta + d) ** (-delta - 2.0 * RHO)
-
-
-def delta_j_kernel(j: int, theta, omega) -> np.ndarray:
-    """Harmonic kernel increment Delta_j = P(eta_{j+1} theta, .) - P(eta_j theta, .)."""
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    return (
-        poisson_kernel(eta_j(j + 1) * theta, omega)
-        - poisson_kernel(eta_j(j) * theta, omega)
-    )
-
-
-@dataclass(frozen=True)
-class MoleculeCheck:
-    """Smallest constants making the molecule size/smoothness bounds hold on
-    the sample set, and the quadrature value of the cancellation integral."""
-
-    j: int
-    delta: float
-    width: float
-    c_size: float
-    c_smooth: float
-    cancellation: float
-    n_samples: int
-
-
-def _molecule_sample(n: int, seed: int) -> np.ndarray:
-    """Sphere sample enriched near (1,0), where the molecule bounds bind.
-
-    Euclidean offsets t give non-isotropic separations d ~ sqrt(t), so the
-    dyadic offset range 2^-22..1 covers d down to ~2^-11, below the width
-    of every molecule probed by the suites (j <= 8).
-    """
-    s_far, s_near = spawn_seeds(seed, 2)
-    far = sample_sphere(n, s_far)
-    rng = np.random.default_rng(s_near)
-    scales = 2.0 ** (-rng.uniform(0.0, 22.0, size=n))
-    g = rng.standard_normal((n, 16))
-    near = E1 + scales[:, None] * g
-    near /= np.linalg.norm(near, axis=1, keepdims=True)
-    return np.vstack([far, near])
-
-
-def molecule_check(j: int, delta: float, spec: QuadratureSpec, *,
-                   n_samples: int = 50_000) -> MoleculeCheck:
-    """Evaluate the molecule conditions for m = Delta_j(., e1) with width
-    2^{-j}: reports the smallest multiplicative constants for the size and
-    smoothness bounds on the sample set and the zonal value of int m."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    width = 2.0 ** (-j)
-    s_a, s_b = spawn_seeds(spec.seed, 2)
-    theta = _molecule_sample(n_samples, s_a)
-    theta_p = _molecule_sample(n_samples, s_b)
-
-    m_th = delta_j_kernel(j, theta, E1[None, :])
-    m_tp = delta_j_kernel(j, theta_p, E1[None, :])
-    w_th = weight_omega(width, delta, theta, E1[None, :])
-    w_tp = weight_omega(width, delta, theta_p, E1[None, :])
-    c_size = float(np.max(np.abs(m_th) / w_th))
-
-    d = ni_dist(theta, theta_p)
-    nz = d > 0
-    denom = (d / width) ** delta * (w_th + w_tp)
-    c_smooth = float(np.max(np.where(nz, np.abs(m_th - m_tp) / np.where(nz, denom, 1.0), 0.0)))
-
-    rj, rj1 = eta_j(j), eta_j(j + 1)
-
-    def g(u, v):
-        q1 = ((1.0 - rj1 * rj1) / _zonal_psi(rj1, u, v)) ** RHO
-        q0 = ((1.0 - rj * rj) / _zonal_psi(rj, u, v)) ** RHO
-        return q1 - q0
-
-    cancel = float(np.real(zonal_integrate(g, spec)))
-    return MoleculeCheck(
-        j=j, delta=float(delta), width=width,
-        c_size=c_size, c_smooth=c_smooth,
-        cancellation=cancel, n_samples=2 * n_samples,
-    )

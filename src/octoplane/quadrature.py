@@ -192,17 +192,18 @@ def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:
     caller samples the sphere once and reuses the sample at every node).
 
     The weight (1-r^2)^{-12} is infinite for t beyond ~19, where radial
-    nodes round to r = 1; eigenfunction integrands should be passed to
-    ``poisson.m2_norm`` or ``poisson.boundary_recover_gt`` as an
-    ``EigenProfile``, whose route integrates the scaled profile in the
-    geodesic radius instead.
+    nodes round to r = 1, so such t raise NumericsError; eigenfunction
+    integrands should be passed to ``poisson.m2_norm`` or
+    ``poisson.boundary_recover_gt`` as an ``EigenProfile``, whose route
+    integrates the scaled profile in the geodesic radius instead.
     """
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be finite and positive, got {t}")
     r, w = _radial_rule(t)
-    weight = (1.0 - r * r) ** (-12.0) * r ** 15
-    if not np.all(np.isfinite(weight)):
+    omr2 = 1.0 - r * r
+    if not np.all(omr2 > 0.0):
         raise NumericsError(f"radial weight overflow at t = {t}; reduce t")
+    weight = omr2 ** (-12.0) * r ** 15
     vals = np.empty(len(r), dtype=complex)
     for i, ri in enumerate(r):
         vals[i] = mean_at(ri)

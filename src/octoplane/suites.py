@@ -570,33 +570,34 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
 # --------------------------------------------------------------------------
 
 def _suite_cz(config: SuiteConfig, rec: _Recorder) -> None:
+    spec = _spec(config, "cz")
+    rep = po.cz_suite(config.lambdas, spec, r_grid=config.r_grid)
+    n, seed = rep.n_samples, spec.seed
+
+    def per_r_record(check_id, anchor, per_r):
+        constant = max(per_r.values())
+        rec.add(check_id, anchor, "pass" if math.isfinite(constant) else "fail",
+                {"fitted_constant": constant,
+                 "r_spread": constant / max(min(per_r.values()), 1e-300),
+                 **{f"c_r{r}": v for r, v in per_r.items()}},
+                None, n, seed)
+
+    rec.exact("cz-shift-exact", "|1 - b| <= 2 |1 - r b| for b = [theta, omega]",
+              rep.violations_shift, n, seed)
+    rec.exact("cz-difference-exact", "|[th - th', om]| <= d(th,th') (d(th,th') + 2 d(th,om))",
+              rep.violations_difference, n, seed)
+    per_r_record("cz-size", "sup_r |Psi_r| d(theta,omega)^{2 rho} finite", rep.size_per_r)
     for lam in config.lambdas:
-        spec = _spec(config, f"cz-{lam}")
-        rep = po.cz_suite(lam, spec, r_grid=config.r_grid)
-        n, lam_tag = rep.n_samples, f"lambda={lam}"
-        rec.exact(f"cz-shift-exact-{lam}", "|1 - b| <= 2 |1 - r b| for b = [theta, omega]",
-                  rep.violations_shift, n, spec.seed)
-        rec.exact(f"cz-difference-exact-{lam}",
-                  "|[th - th', om]| <= d(th,th') (d(th,th') + 2 d(th,om))",
-                  rep.violations_difference, n, spec.seed)
-        for kind, per_r, constant, anchor in (
-            ("size", rep.size_per_r, rep.size_constant,
-             f"sup_r |Psi_r| d(theta,omega)^{{2 rho}} finite ({lam_tag})"),
-            ("smooth", rep.smooth_per_r, rep.smooth_constant,
-             "kernel increments bounded by c (1+|lambda|) d(th,th') / d(th,om)^{2 rho + 1} "
-             f"on d(th,om) >= 2 d(th,th') ({lam_tag})"),
-            ("truncated", rep.truncated_per_r, rep.truncated_constant,
-             f"sup_r |int_{{d <= delta}} Psi_r domega| <= c (1 + 1/|lambda|) ({lam_tag})"),
-        ):
-            spread = max(per_r.values()) / max(min(per_r.values()), 1e-300)
-            rec.add(f"cz-{kind}-{lam}", anchor, "pass" if math.isfinite(constant) else "fail",
-                    {"fitted_constant": constant, "r_spread": spread,
-                     **{f"c_r{r}": v for r, v in per_r.items()}},
-                    None, n, spec.seed)
+        per_r_record(f"cz-smooth-{lam}",
+                     "kernel increments bounded by c (1+|lambda|) d(th,th') / d(th,om)^{2 rho + 1} "
+                     f"on d(th,om) >= 2 d(th,th') (lambda={lam})", rep.smooth_per_r[lam])
+        per_r_record(f"cz-truncated-{lam}",
+                     f"sup_r |int_{{d <= delta}} Psi_r domega| <= c (1 + 1/|lambda|) (lambda={lam})",
+                     rep.truncated_per_r[lam])
         rec.measured(f"cz-hormander-{lam}",
                      "int_{d(om,e1) > 2 d(th,e1)} |Psi_r(om,th) - Psi_r(om,e1)| domega "
-                     f"<= c (1 + |lambda|) ({lam_tag})",
-                     n, spec.seed, **{f"c_r{r}": v for r, v in rep.hormander_per_r.items()})
+                     f"<= c (1 + |lambda|) (lambda={lam})",
+                     n, seed, **{f"c_r{r}": v for r, v in rep.hormander_per_r[lam].items()})
 
 
 def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
@@ -693,7 +694,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "n_mc": config.n_mc,
         "n_gauss": config.n_gauss,
         "seed": config.seed,
-        "format_version": 2,
+        "format_version": 3,
         "total_wall_time": round(time.perf_counter() - total0, 6),
     }
     return VerificationReport(meta=meta, checks=checks)

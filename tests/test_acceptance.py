@@ -228,24 +228,21 @@ def test_criterion_09b_operator_norm_estimates():
     assert ok
 
 
-def _acceptance_cz_reports():
-    if not hasattr(_acceptance_cz_reports, "cache"):
+def _acceptance_cz_report():
+    if not hasattr(_acceptance_cz_report, "cache"):
         spec = QuadratureSpec(n_mc=1_000_000, n_gauss=200, seed=77)
-        _acceptance_cz_reports.cache = {
-            lam: cz_suite(lam, spec) for lam in (0.5, 1.0, 2.0)
-        }
-    return _acceptance_cz_reports.cache
+        _acceptance_cz_report.cache = cz_suite((0.5, 1.0, 2.0), spec)
+    return _acceptance_cz_report.cache
 
 
 def test_criterion_10a_cz_exact_and_finite():
     t0 = time.perf_counter()
-    reps = _acceptance_cz_reports()
-    viol = sum(r.violations_shift + r.violations_difference for r in reps.values())
+    rep = _acceptance_cz_report()
+    viol = rep.violations_shift + rep.violations_difference
     finite = all(
-        math.isfinite(r.size_constant)
-        and math.isfinite(r.smooth_constant)
-        and math.isfinite(r.truncated_constant)
-        for r in reps.values()
+        math.isfinite(v)
+        for per_r in (rep.size_per_r, *rep.smooth_per_r.values(), *rep.truncated_per_r.values())
+        for v in per_r.values()
     )
     elapsed = time.perf_counter() - t0
     ok = viol == 0 and finite
@@ -261,16 +258,14 @@ def test_criterion_10a_cz_exact_and_finite():
     "plateauing, so only the smoothness estimate meets the 2x spread",
 )
 def test_criterion_10b_cz_r_spread():
-    reps = _acceptance_cz_reports()
-    spreads = {}
-    ok = True
-    for lam, r in reps.items():
-        for name, per_r in (("size", r.size_per_r), ("smooth", r.smooth_per_r),
-                            ("truncated", r.truncated_per_r)):
-            spread = max(per_r.values()) / min(per_r.values())
-            spreads[f"{name}@{lam}"] = round(spread, 2)
-            ok = ok and spread < 2.0
-    emit("10b cz-r-spread", ok, f"spreads {spreads}")
+    rep = _acceptance_cz_report()
+    per_r = {"size": rep.size_per_r}
+    for lam in rep.lams:
+        per_r[f"smooth@{lam}"] = rep.smooth_per_r[lam]
+        per_r[f"truncated@{lam}"] = rep.truncated_per_r[lam]
+    spreads = {name: max(v.values()) / min(v.values()) for name, v in per_r.items()}
+    ok = all(spread < 2.0 for spread in spreads.values())
+    emit("10b cz-r-spread", ok, f"spreads { {k: round(v, 2) for k, v in spreads.items()} }")
     assert ok
 
 

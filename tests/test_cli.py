@@ -155,7 +155,7 @@ class TestReportContents:
             assert set(c) == {"check_id", "anchor", "status", "measured",
                               "tolerance", "n_samples", "seed", "wall_time"}
             assert c["anchor"]  # every record names the statement it verifies
-        assert rep["meta"]["format_version"] == 2
+        assert rep["meta"]["format_version"] == 3
         # each record is timed on its own, not given a share of the suite's time
         walls = [c["wall_time"] for c in rep["checks"]]
         assert len(set(walls)) > 1
@@ -181,6 +181,16 @@ class TestReportContents:
         byid = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
         assert code in (0, 1)
         assert byid["po-m2-vs-hardy"]["measured"]["fitted_constant"] > 0
+
+    def test_cz_suite_records(self, tmp_path, capsys):
+        # the lambda-free checks are recorded once, the rest once per lambda
+        lam_free = ["cz-shift-exact", "cz-difference-exact", "cz-size"]
+        per_lam = ["cz-smooth-{}", "cz-truncated-{}", "cz-hormander-{}"]
+        for lams, extra in (([0.5, 1.0, 2.0], []), ([1.0], ["--lambda", "1.0"])):
+            out = tmp_path / "r.json"
+            run_cli(["--suite", "cz", "--nmc", "20000", "--quiet", "--out", str(out)] + extra)
+            ids = [c["check_id"] for c in json.loads(out.read_text())["checks"]]
+            assert ids == lam_free + [f.format(lam) for lam in lams for f in per_lam]
 
     def test_csv_row_count(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -26,7 +26,6 @@ from octoplane.octonion import (
     oct_mul,
     oct_norm,
     oct_norm_sq,
-    oct_re,
 )
 
 E = np.eye(8)
@@ -234,9 +233,6 @@ class TestScalarOps:
     def test_norm_examples(self):
         assert oct_norm(E[0] + E[1]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert oct_norm(np.full(8, 1.0) / np.sqrt(8.0)) == pytest.approx(1.0, rel=1e-15)
-
-    def test_real_part(self):
-        assert oct_re(3.0 * E[0] + 2.0 * E[5]) == 3.0
 
     def test_inverse_examples(self):
         assert np.allclose(oct_inv(2.0 * E[0]), 0.5 * E[0])

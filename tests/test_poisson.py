@@ -16,11 +16,9 @@ from octoplane.poisson import (
     _szego_power,
     boundary_recover_gt,
     cz_suite,
-    delta_j_kernel,
     eta_j,
     hardy_norm,
     m2_norm,
-    molecule_check,
     operator_norm_est,
     poisson_kernel,
     poisson_kernel_lambda,
@@ -539,43 +537,93 @@ class TestOperatorNorm:
         assert res.value > 50.0
 
 
+# float.hex values of cz_suite called with one lambda at a time (n_mc =
+# 20,000, n_gauss = 200, default r grid), which one call over the whole
+# lambda grid must reproduce bitwise.  Both violation counts are 0 at both
+# seeds; the size ratios contain no lambda.
+_CZ_GOLDEN = {
+    5: {
+        "size": ("0x1.41d0e648c7c82p+4", "0x1.bdaaa795a22b0p+0", "0x1.0e543992ca1c2p+0"),
+        (0.5, "smooth"): ("0x1.9449b40afbf2cp+5", "0x1.0da99181c7d49p+5", "0x1.b9f2158441aa0p+4"),
+        (0.5, "truncated"): ("0x1.87a298de3b5c0p-2", "0x1.c1fb5a10b919fp+1", "0x1.72ec811cd2055p+4"),
+        (0.5, "hormander"): ("0x1.2b1bac425f794p-1", "0x1.15636f0bca10cp+3", "0x1.2c193e29001a5p+5"),
+        (1.0, "smooth"): ("0x1.300c40d709512p+5", "0x1.952b3e00c4722p+4", "0x1.4bfabaade4ae7p+4"),
+        (1.0, "truncated"): ("0x1.24a21c7653163p-1", "0x1.3f6ccbb156691p+2", "0x1.b39be2922d0edp+4"),
+        (1.0, "hormander"): ("0x1.c1f21c18cf06fp-2", "0x1.a12e52bd9c798p+2", "0x1.c329f9a4ee9f7p+4"),
+        (2.0, "smooth"): ("0x1.99c9ba98b15c5p+4", "0x1.0fded1e1ccc1bp+4", "0x1.bd5782a8c8c5dp+3"),
+        (2.0, "truncated"): ("0x1.8065d27dc9844p-1", "0x1.53c98829a1810p+2", "0x1.2368fafa5c3e0p+4"),
+        (2.0, "hormander"): ("0x1.2f5acda01bc13p-2", "0x1.19043672a8727p+2", "0x1.2f71a7926a7b3p+4"),
+    },
+    11: {
+        "size": ("0x1.4313836eb161cp+4", "0x1.bbcfdf8807623p+0", "0x1.0e356d0d6c59dp+0"),
+        (0.5, "smooth"): ("0x1.0a7e795a209f8p+7", "0x1.8149ddcad5bbcp+6", "0x1.5b7d02c6c2c2ep+6"),
+        (0.5, "truncated"): ("0x1.87a298de3b5c0p-2", "0x1.c1fb5a10b919fp+1", "0x1.72ec811cd2055p+4"),
+        (0.5, "hormander"): ("0x1.32b744bafb662p-1", "0x1.58f5c16e0667bp+2", "0x1.4268e1f7d3a6dp+3"),
+        (1.0, "smooth"): ("0x1.9086fd912577dp+6", "0x1.214271e8b5892p+6", "0x1.04d7e60019cc2p+6"),
+        (1.0, "truncated"): ("0x1.24a21c7653163p-1", "0x1.3f6ccbb156691p+2", "0x1.b39be2922d0edp+4"),
+        (1.0, "hormander"): ("0x1.cd62eb04aae6dp-2", "0x1.032a40c49db2bp+2", "0x1.e43d233916acap+2"),
+        (2.0, "smooth"): ("0x1.0d131afe264aep+6", "0x1.832e2761639a5p+5", "0x1.5cf28fa88cde5p+5"),
+        (2.0, "truncated"): ("0x1.8065d27dc9844p-1", "0x1.53c98829a1810p+2", "0x1.2368fafa5c3e0p+4"),
+        (2.0, "hormander"): ("0x1.370edf4b27001p-2", "0x1.5be0bf6660807p+1", "0x1.4471f758c7febp+2"),
+    },
+}
+
+
 class TestCZSuite:
+    @pytest.mark.parametrize("seed", list(_CZ_GOLDEN))
+    def test_bitwise_golden_values(self, seed):
+        rep = cz_suite((0.5, 1.0, 2.0), QuadratureSpec(n_mc=20_000, n_gauss=200, seed=seed))
+        golden = {k: [float.fromhex(h) for h in v] for k, v in _CZ_GOLDEN[seed].items()}
+        assert rep.lams == (0.5, 1.0, 2.0)
+        assert (rep.violations_shift, rep.violations_difference) == (0, 0)
+        assert list(rep.size_per_r.values()) == golden["size"]
+        for lam in rep.lams:
+            for kind, per_lam in (("smooth", rep.smooth_per_r), ("truncated", rep.truncated_per_r),
+                                  ("hormander", rep.hormander_per_r)):
+                assert list(per_lam[lam]) == list(rep.r_grid)
+                assert list(per_lam[lam].values()) == golden[lam, kind], (lam, kind)
+
     def test_exact_checks_and_constants(self):
         spec = QuadratureSpec(n_mc=150_000, n_gauss=200, seed=5)
-        rep = cz_suite(1.0, spec)
+        rep = cz_suite((1.0,), spec)
         assert rep.violations_shift == 0
         assert rep.violations_difference == 0
-        assert math.isfinite(rep.size_constant)
-        assert math.isfinite(rep.smooth_constant)
-        assert math.isfinite(rep.truncated_constant)
+        for per_r in (rep.size_per_r, rep.smooth_per_r[1.0], rep.truncated_per_r[1.0]):
+            assert all(math.isfinite(v) for v in per_r.values())
         # size ratio can never exceed 2^rho by the shift inequality
-        assert rep.size_constant <= 2.0 ** RHO
+        assert max(rep.size_per_r.values()) <= 2.0 ** RHO
         # smoothness constant stays within a factor 2 across the r grid
-        vals = list(rep.smooth_per_r.values())
+        vals = list(rep.smooth_per_r[1.0].values())
         assert max(vals) / min(vals) < 2.0
 
     def test_truncated_bound_absorbs_lambda(self):
         spec = QuadratureSpec(n_mc=10_000, n_gauss=200, seed=6)
-        consts = [cz_suite(lam, spec).truncated_constant for lam in (0.5, 1.0, 2.0)]
+        rep = cz_suite((0.5, 1.0, 2.0), spec)
+        consts = [max(per_r.values()) for per_r in rep.truncated_per_r.values()]
         assert max(consts) / min(consts) < 2.0
 
+    def test_empty_lambda_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty lambda grid"):
+            cz_suite((), SPEC)
+
     def test_lambda_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cz_suite(0.0, SPEC)
+        for bad in ((0.0,), (1.0, 0.0), (-0.0, 2.0)):
+            with pytest.raises(ValueError, match="lambda must be nonzero"):
+                cz_suite(bad, SPEC)
 
     def test_r_grid_validation(self):
         with pytest.raises(ValueError, match="empty r_grid"):
-            cz_suite(1.0, SPEC, r_grid=())
+            cz_suite((1.0,), SPEC, r_grid=())
         for bad in ((1.5,), (0.5, -0.5), (0.9995,), (math.nan,)):
             with pytest.raises(ValueError, match=r"r_grid must lie in \[0, r_cap = 0.999\]"):
-                cz_suite(1.0, SPEC, r_grid=bad)
+                cz_suite((1.0,), SPEC, r_grid=bad)
 
     def test_hormander_tail_matches_per_kernel_reference(self):
         # reference: one szego_kernel call per (r, probe point, e1), on the
         # sample cz_suite draws for the tail
         spec = QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7)
         lam = 1.0
-        rep = cz_suite(lam, spec)
+        rep = cz_suite((lam,), spec)
         om = sample_sphere(2_000, spawn_seeds(spec.seed, 4)[3] + 1)
         d_om = dist_to_e1(om)
         ref = {}
@@ -591,7 +639,7 @@ class TestCZSuite:
                               - szego_kernel(lam, r, om, E1[None, :]))
                 worst = max(worst, float(np.mean(vals * mask)) / (1.0 + abs(lam)))
             ref[r] = worst
-        assert rep.hormander_per_r == ref
+        assert rep.hormander_per_r == {lam: ref}
 
 
 class TestMolecules:
@@ -627,16 +675,3 @@ class TestMolecules:
                 return q1 - q0
 
             assert abs(zonal_integrate(g, spec)) < 1e-8
-
-    def test_molecule_constants_stabilize_in_j(self):
-        spec = QuadratureSpec(n_mc=1000, n_gauss=160, seed=9)
-        checks = [molecule_check(j, 1.0, spec, n_samples=20_000) for j in range(7)]
-        for c in checks:
-            assert math.isfinite(c.c_size) and math.isfinite(c.c_smooth)
-            assert abs(c.cancellation) < 1e-8
-        # the fitted constants settle to a j-independent plateau
-        tail = [c.c_size for c in checks[4:]]
-        assert max(tail) / min(tail) < 2.0
-        # growth per dyadic step is sub-linear once past the first radii
-        for a, b in zip(checks[2:-1], checks[3:]):
-            assert b.c_size / a.c_size < 2.0

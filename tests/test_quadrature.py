@@ -1,6 +1,7 @@
 """Sphere sampling, the zonal half-disk rule, and ball integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,13 @@ class TestBallIntegrate:
         for t in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 ball_integrate(lambda r: 1.0, t)
+
+    def test_weight_overflow_raises_without_warning(self):
+        # radial nodes round to r = 1 from t ~ 19.25 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="radial weight overflow"):
+                ball_integrate(lambda r: 1.0, 20.0)
 
     @pytest.mark.xfail(
         strict=True,

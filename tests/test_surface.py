@@ -27,7 +27,8 @@ from octoplane.special import gauss_2f1
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
 REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
-           "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value")
+           "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value",
+           "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,8 +64,10 @@ def test_removed_parameters_and_fields_are_gone():
     params = inspect.signature(boundary_recover_gt).parameters
     assert list(params) == ["lam", "F", "t_grid", "spec", "omega"]
     assert params["omega"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert list(inspect.signature(cz_suite).parameters) == ["lams", "spec", "r_grid"]
     fields = {f.name for f in dataclasses.fields(CZReport)}
-    assert not {"delta_grid", "truncated_per_cell"} & fields
+    assert not {"delta_grid", "truncated_per_cell", "lam", "size_constant",
+                "smooth_constant", "truncated_constant"} & fields
     assert "r_cap" not in {f.name for f in dataclasses.fields(QuadratureSpec)}
 
 

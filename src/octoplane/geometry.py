@@ -13,13 +13,19 @@ octonion slot, 8..15 the second.  The module implements
   a commuting imaginary unit, tracked as a separate component),
 * Monte Carlo and quadrature probes of the metric ball volume.
 
-All form/metric functions are vectorized over leading axes.
+All form/metric functions are vectorized over leading axes.  Phi, Psi and
+the metric are evaluated in one place, from per-point invariants:
+``_forms(x)`` holds the points with |x1|^2, |x2|^2 and the slot product
+x1 x2, and ``_phi``, ``_psi``, ``_dist`` (pairwise) and ``_phi_gram`` (all
+pairs of two sets) read them.  ``phi_form``, ``psi_form`` and ``ni_dist``
+form both arguments per call; a caller that pairs one point set with
+several others forms it once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,22 +64,63 @@ E1 = pair(basis(0), np.zeros(8))   # (1, 0)
 E2 = pair(np.zeros(8), basis(0))   # (0, 1)
 
 
+class _Forms(NamedTuple):
+    """A point set x with the per-point invariants Phi reads: |x1|^2, |x2|^2
+    and the slot product x1 x2."""
+
+    x: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    prod: np.ndarray
+
+    def take(self, idx) -> "_Forms":
+        """The invariants of the points x[idx]."""
+        return _Forms(*(a[idx] for a in self))
+
+
+def _forms(x) -> _Forms:
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., :8], x[..., 8:]
+    return _Forms(x, oct_norm_sq(x1), oct_norm_sq(x2), oct_mul(x1, x2))
+
+
+def _phi(fx: _Forms, fy: _Forms) -> np.ndarray:
+    """Phi from formed invariants, pairwise over broadcast leading axes."""
+    return fx.n1 * fy.n1 + fx.n2 * fy.n2 + 2.0 * np.sum(fx.prod * fy.prod, axis=-1)
+
+
+def _phi_gram(fx: _Forms, fy: _Forms) -> np.ndarray:
+    """Phi(x_i, y_j) for every pair of two (n, 16) and (m, 16) point sets,
+    shape (n, m): outer products of the norms and one Gram product."""
+    return np.outer(fx.n1, fy.n1) + np.outer(fx.n2, fy.n2) + 2.0 * (fx.prod @ fy.prod.T)
+
+
+def _psi_r(r, dot, phi):
+    """Psi(r theta, omega) = 1 - 2 r <theta, omega> + r^2 Phi(theta, omega),
+    from the r-independent dot product and Phi; r = 1 gives Psi(theta, omega)."""
+    return 1.0 - 2.0 * r * dot + (r * r) * phi
+
+
+def _psi(fx: _Forms, fy: _Forms) -> np.ndarray:
+    """Psi(x, y) from formed invariants."""
+    return _psi_r(1.0, np.sum(fx.x * fy.x, axis=-1), _phi(fx, fy))
+
+
+def _dist(fx: _Forms, fy: _Forms) -> np.ndarray:
+    """d(x, y) = Psi(x, y)^{1/4} from formed invariants (see ni_dist)."""
+    d = np.maximum(_psi(fx, fy), 0.0) ** 0.25
+    return np.where(np.all(fx.x == fy.x, axis=-1), 0.0, d)
+
+
 def phi_form(x, y) -> np.ndarray:
     """Phi(x,y) = sum_j |x_j|^2 |y_j|^2 + 2 Re((x1 x2) conj(y1 y2)).
 
     Re(a conj(b)) is the Euclidean inner product of a and b, so the cross
-    term is computed as a dot product (exactly symmetric in x, y).
+    term is a dot product of the slot products (exactly symmetric in x, y).
+    Callers that pair one point set with several others form its invariants
+    once with ``_forms`` and call ``_phi``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x1, x2 = x[..., :8], x[..., 8:]
-    y1, y2 = y[..., :8], y[..., 8:]
-    cross = np.sum(oct_mul(x1, x2) * oct_mul(y1, y2), axis=-1)
-    return (
-        oct_norm_sq(x1) * oct_norm_sq(y1)
-        + oct_norm_sq(x2) * oct_norm_sq(y2)
-        + 2.0 * cross
-    )
+    return _phi(_forms(x), _forms(y))
 
 
 def bracket(x, y) -> np.ndarray:
@@ -99,12 +146,6 @@ def bracket(x, y) -> np.ndarray:
     return out
 
 
-def _psi_r(r, dot, phi):
-    """Psi(r theta, omega) = 1 - 2 r <theta, omega> + r^2 Phi(theta, omega),
-    from the r-independent dot product and Phi; r = 1 gives Psi(theta, omega)."""
-    return 1.0 - 2.0 * r * dot + (r * r) * phi
-
-
 def _zonal_psi(r, u, v):
     """Psi(r e1, omega) = |1 - r omega_1|^2 for omega_1 = u + v i, i.e.
     (u, v) = (Re omega_1, |Im omega_1|) as in the zonal rule."""
@@ -114,14 +155,16 @@ def _zonal_psi(r, u, v):
 def psi_form(x, y) -> np.ndarray:
     """Psi(x,y) = 1 - 2<x,y>_R + Phi(x,y); strictly positive when one
     argument is in the open ball and the other in the closed ball."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _psi_r(1.0, np.sum(x * y, axis=-1), phi_form(x, y))
+    return _psi(_forms(x), _forms(y))
 
 
 def psi_from_bracket(x, y) -> np.ndarray:
     """Psi via the product expression |1 - [x,y]|^2 (same value as psi_form)."""
-    b = bracket(x, y)
+    return _abs_one_minus_sq(bracket(x, y))
+
+
+def _abs_one_minus_sq(b) -> np.ndarray:
+    """|1 - b|^2 for octonions b, e.g. a bracket already formed."""
     one_minus = -b
     one_minus[..., 0] += 1.0
     return oct_norm_sq(one_minus)
@@ -132,16 +175,12 @@ def ni_dist(a, b) -> np.ndarray:
 
     Defined on the closed ball; a metric when restricted to the sphere,
     and the triangle inequality holds on the closed ball.  Computed
-    through psi_form, which is exactly symmetric.  Psi suffers full
-    cancellation at coincident sphere arguments (eps^{1/4} is 1e-4), so
-    identical inputs short-circuit to exact zero and the result is clipped
-    at zero against sub-ulp negatives.
+    through Psi from the invariants of ``_forms`` (``_dist``), which is
+    exactly symmetric.  Psi suffers full cancellation at coincident sphere
+    arguments (eps^{1/4} is 1e-4), so identical inputs short-circuit to
+    exact zero and the result is clipped at zero against sub-ulp negatives.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = np.maximum(psi_form(a, b), 0.0) ** 0.25
-    same = np.all(np.broadcast_arrays(a, b)[0] == np.broadcast_arrays(a, b)[1], axis=-1)
-    return np.where(same, 0.0, d)
+    return _dist(_forms(a), _forms(b))
 
 
 def dist_to_e1(theta) -> np.ndarray:
@@ -314,32 +353,41 @@ class VolumeEstimate(NamedTuple):
     hits: int
 
 
-def ball_volume_est(delta: float, n_samples: int, seed: int) -> VolumeEstimate:
-    """Plain rejection Monte Carlo estimate of the normalized boundary
-    measure of {theta : d(theta, (1,0)) < delta}.
+def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[VolumeEstimate]:
+    """Plain rejection Monte Carlo estimates of the normalized boundary
+    measure of {theta : d(theta, (1,0)) < delta}, one per delta of the grid.
 
     Uniform sphere points come from normalized 16-dim Gaussians, streamed
-    in batches.  Deterministic for fixed seed.  The measure saturates at 1
-    for delta >= sqrt(2) (the diameter) and decays like delta^22 as
+    in batches; every delta counts its hits on the same points, so each
+    estimate equals that of a one-delta grid with the same seed.
+    Deterministic for fixed seed.  The measure saturates at 1 for
+    delta >= sqrt(2) (the diameter) and decays like delta^22 as
     delta -> 0, which puts small radii far below Monte Carlo reach.
     """
-    if delta <= 0:
+    deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("empty delta grid")
+    if not all(d > 0 for d in deltas):
         raise ValueError("delta must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits = [0] * len(deltas)
     remaining = n_samples
     batch = 1_000_000
     while remaining > 0:
         k = min(batch, remaining)
         x = rng.standard_normal((k, 16))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        hits += int(np.count_nonzero(dist_to_e1(x) < delta))
+        d = dist_to_e1(x)
+        hits = [h + int(np.count_nonzero(d < delta)) for h, delta in zip(hits, deltas)]
         remaining -= k
-    p = hits / n_samples
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n_samples))
-    return VolumeEstimate(p, se, n_samples, hits)
+    out = []
+    for h in hits:
+        p = h / n_samples
+        se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n_samples))
+        out.append(VolumeEstimate(p, se, n_samples, h))
+    return out
 
 
 def ball_volume_quadrature(delta: float, n_gauss: int = 200) -> float:

@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import E1, _psi_r, _zonal_psi, bracket, dist_to_e1, ni_dist, phi_form, psi_form
-from .octonion import oct_mul, oct_norm
+from .geometry import (E1, _forms, _phi, _phi_gram, _psi_r, _zonal_psi, bracket, dist_to_e1,
+                       ni_dist, phi_form, psi_form)
+from .octonion import oct_norm
 from .quadrature import (
     S15,
     QuadratureSpec,
@@ -121,18 +122,12 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Pairwise kernel values Psi_r(lam, theta_i, omega_j), shape (n, m).
 
     Psi(r theta, omega) expands into Gram products of the 16-vectors and of
-    the per-point slot products x1 x2, so the whole matrix assembles from
+    the per-point slot products x1 x2 (``geometry._phi_gram`` on the
+    invariants of ``geometry._forms``), so the whole matrix assembles from
     two matrix multiplications.
     """
-    t = np.asarray(thetas, dtype=float)
-    o = np.asarray(omegas, dtype=float)
-    dot = t @ o.T
-    n1t, n2t = np.sum(t[:, :8] ** 2, 1), np.sum(t[:, 8:] ** 2, 1)
-    n1o, n2o = np.sum(o[:, :8] ** 2, 1), np.sum(o[:, 8:] ** 2, 1)
-    pt = oct_mul(t[:, :8], t[:, 8:])
-    po = oct_mul(o[:, :8], o[:, 8:])
-    phi = np.outer(n1t, n1o) + np.outer(n2t, n2o) + 2.0 * (pt @ po.T)
-    return _szego_power(complex(lam), _psi_r(r, dot, phi))
+    ft, fo = _forms(thetas), _forms(omegas)
+    return _szego_power(complex(lam), _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
 
 
 # --------------------------------------------------------------------------
@@ -566,9 +561,11 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     pow_to = d_to ** (2 * RHO + 1)
 
     # Hormander tail probes: theta at dyadic distances from e1; the
-    # r-independent <om, th> and Phi(om, th) are formed once per probe point
+    # r-independent <om, th> and Phi(om, th) are formed once per probe point,
+    # Phi from the invariants of om_h, formed once for all probes
     m = min(n, 100_000)
     om_h = sample_sphere(m, s4 + 1)
+    f_h = _forms(om_h)
     d_om = dist_to_e1(om_h)
     probes = []
     for k in range(0, 4):
@@ -576,9 +573,9 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         th = th[None, :] / np.linalg.norm(th)
         mask = d_om > 2.0 * float(dist_to_e1(th)[0])
         if mask.any():
-            probes.append((mask, np.sum(om_h * th, axis=-1), phi_form(om_h, th)))
+            probes.append((mask, np.sum(om_h * th, axis=-1), _phi(f_h, _forms(th))))
     dot_e1 = np.sum(om_h * E1[None, :], axis=-1)
-    phi_e1 = phi_form(om_h, E1[None, :])
+    phi_e1 = _phi(f_h, _forms(E1[None, :]))
 
     for lam in lams:
         la = abs(lam)

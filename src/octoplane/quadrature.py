@@ -27,6 +27,7 @@ total node count per axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -91,14 +92,23 @@ def _graded_edges_toward_one(n_levels: int) -> np.ndarray:
     return np.concatenate([[0.0], 1.0 - 2.0 ** (-ks), [1.0]])
 
 
-def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    on first use; read-only, since every caller shares them."""
     xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
+def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of the given order on every panel
+    [edges[k], edges[k+1]], nodes in increasing order."""
+    xg, wg = _legendre_rule(order)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * xg).ravel(), (half * wg).ravel()
 
 
 def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -68,6 +68,9 @@ class SuiteConfig:
             raise ValueError(f"r grid must lie in [0, r_cap = {po._R_CAP}]")
         if not all(math.isfinite(l) for l in self.lambdas):
             raise ValueError("lambda values must be finite")
+        # a repeated lambda would write its check ids twice
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ValueError(f"lambda values must be distinct, got {self.lambdas}")
         if self.l_max < 0:
             raise ValueError("l_max must be >= 0")
         QuadratureSpec(n_mc=self.n_mc, n_gauss=self.n_gauss)
@@ -203,64 +206,81 @@ def _random_ball_points(n: int, rng: np.random.Generator) -> np.ndarray:
     return x * radii[:, None]
 
 
-def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
-    n = min(config.n_mc, 100_000)
+def _geometry_form_checks(rec: _Recorder, rng: np.random.Generator) -> None:
+    """The form, bracket and metric checks.  Each point set is formed once
+    (geo._forms) and released after its last check; one bracket [x, y]
+    serves the product form of Phi, the two forms of Psi and the bound."""
+    n = min(rec.config.n_mc, 100_000)
     seed = rec.seed
-    rng = np.random.default_rng(seed)
-
     x = _random_ball_points(n, rng)
     y = _random_ball_points(n, rng)
-    th = sample_sphere(n, seed + 1)
-    om = sample_sphere(n, seed + 2)
+    fx, fy = geo._forms(x), geo._forms(y)
 
-    mask = oct_norm_sq(y[:, 8:]) > 1e-8
-    phi = geo.phi_form(x[mask], y[mask])
-    d = np.max(np.abs(phi - oct_norm_sq(geo.bracket(x[mask], y[mask]))) / np.maximum(phi, 1e-12))
+    b = geo.bracket(x, y)
+    mask = fy.n2 > 1e-8
+    phi = geo._phi(fx, fy)[mask]
+    d = np.max(np.abs(phi - oct_norm_sq(b[mask])) / np.maximum(phi, 1e-12))
     rec.tol("geo-phi-product-form", "Phi(x,y) = |(conj(x1) y2)(y2^{-1} y1) + x2 conj(y2)|^2",
             d, 1e-12, int(mask.sum()))
 
-    psi = geo.psi_form(x, y)
-    d = np.max(np.abs(psi - geo.psi_from_bracket(x, y)) / np.maximum(psi, 1e-12))
+    psi = geo._psi(fx, fy)
+    d = np.max(np.abs(psi - geo._abs_one_minus_sq(b)) / np.maximum(psi, 1e-12))
     rec.tol("geo-psi-two-forms", "1 - 2<x,y> + Phi(x,y) = |1 - [x,y]|^2", d, 1e-12, n)
 
     viol = int(np.count_nonzero(
-        oct_norm(geo.bracket(x, y)) > np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1) + 1e-12
+        oct_norm(b) > np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1) + 1e-12
     ))
     rec.exact("geo-bracket-bound", "|[x,y]| <= |x| |y|", viol, n)
+    del b, phi, psi
 
+    om = sample_sphere(n, seed + 2)
     rvals = rng.uniform(0, 1, size=n)
     br = geo.bracket(rvals[:, None] * geo.E1[None, :], om)
     d = np.max(oct_norm(br - rvals[:, None] * om[:, :8]))
     rec.tol("geo-bracket-scaling", "[r e1, omega] = r omega_1", d, 1e-12, n)
+    del br, rvals
 
+    th = sample_sphere(n, seed + 1)
     d = np.max(oct_norm(geo.bracket(th, th) - basis(0)[None, :]))
     rec.tol("geo-bracket-diagonal", "[a, a] = 1 for |a| = 1", d, 1e-12, n)
 
-    d = np.max(geo.ni_dist(th[:10_000], th[:10_000]))
+    fth = geo._forms(th)
+    first = fth.take(slice(10_000))
+    d = np.max(geo._dist(first, first))
     rec.tol("geo-metric-identity", "d(a, a) = 0 on the sphere", d, 1e-8, 10_000)
 
-    dxy = geo.ni_dist(x, y)
-    d = np.max(np.abs(dxy - geo.ni_dist(y, x)))
+    dxy = geo._dist(fx, fy)
+    d = np.max(np.abs(dxy - geo._dist(fy, fx)))
     rec.tol("geo-metric-symmetry", "d(a, b) = d(b, a)", d, 1e-14, n)
 
-    z = _random_ball_points(n, rng)
-    viol = int(np.count_nonzero(geo.ni_dist(x, z) > dxy + geo.ni_dist(y, z) + 1e-12))
+    fz = geo._forms(_random_ball_points(n, rng))
+    viol = int(np.count_nonzero(geo._dist(fx, fz) > dxy + geo._dist(fy, fz) + 1e-12))
     rec.exact("geo-triangle", "d(a,c) <= d(a,b) + d(b,c) on the closed ball", viol, n)
+    del fx, fy, fz
 
     thp = sample_sphere(n, seed + 3)
+    fthp = geo._forms(thp)
+    dtt = geo._dist(fth, fthp)
+    dto = geo._dist(fth, geo._forms(om))
+    del fth, fthp
     lhs = oct_norm(geo.bracket(th - thp, om))
-    dtt = geo.ni_dist(th, thp)
-    dto = geo.ni_dist(th, om)
     viol = int(np.count_nonzero(lhs > dtt * (dtt + 2.0 * dto) + 1e-12))
     rec.exact("geo-difference-ineq", "|[th - th', om]| <= d(th,th') (d(th,th') + 2 d(th,om))",
               viol, n)
+    del th, thp, om
 
     u = rng.standard_normal(8)
     u /= np.linalg.norm(u)
     act = geo.unit_rotation(u)
-    d = np.max(np.abs(geo.ni_dist(act(x), act(y)) - dxy))
+    d = np.max(np.abs(geo._dist(geo._forms(act(x)), geo._forms(act(y))) - dxy))
     rec.tol("geo-invariance", "d((u x1, x2 u), (u y1, y2 u)) = d(x, y) for |u| = 1",
             d, 1e-12, n)
+
+
+def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
+    rng = np.random.default_rng(rec.seed)
+    # the forms arrays are released when this returns, before the volume draw
+    _geometry_form_checks(rec, rng)
 
     pts = _random_ball_points(64, rng)
     idem = trace_dev = herm = comm = jid = 0.0
@@ -291,7 +311,7 @@ def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
     rec.tol("geo-boundary-embed", "Y(1, 0) = corner unit, tr Y = 0", d, 1e-15, 1)
 
     sat_seed = _check_seed(config, "geo-volume-sat")
-    est = geo.ball_volume_est(1.5, 10_000, sat_seed)
+    est, = geo.ball_volume_est([1.5], 10_000, sat_seed)
     rec.tol("geo-volume-saturation", "measure{d(theta, e1) < delta} = 1 for delta >= sqrt(2)",
             abs(est.value - 1.0), 1e-15, est.n_samples, sat_seed)
 
@@ -309,12 +329,13 @@ def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
                  len(window), slope=slope_win, v04=wvols[0], v09=wvols[-1])
 
     mc_seed = _check_seed(config, "geo-volume-mc")
+    mc_deltas = (0.7, 0.9, 1.1)
     worst = 0.0
-    for dta in (0.7, 0.9, 1.1):
-        est = geo.ball_volume_est(dta, max(config.n_mc, 100_000), mc_seed)
+    n_vol = max(config.n_mc, 100_000)
+    for dta, est in zip(mc_deltas, geo.ball_volume_est(mc_deltas, n_vol, mc_seed)):
         worst = max(worst, abs(est.value - volume(dta)) / max(est.stderr, 1e-12))
     rec.tol("geo-volume-mc-consistency", "rejection MC matches the zonal quadrature measure (4 SE)",
-            worst, 4.0, max(config.n_mc, 100_000), mc_seed)
+            worst, 4.0, n_vol, mc_seed)
 
 
 # --------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_criterion_03_metric_axioms():
 def test_criterion_04_ball_growth_slope():
     t0 = time.perf_counter()
     deltas = np.array([0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    ests = [ball_volume_est(d, 10_000_000, 1000 + i) for i, d in enumerate(deltas)]
+    ests = [ball_volume_est([d], 10_000_000, 1000 + i)[0] for i, d in enumerate(deltas)]
     vals = np.array([e.value for e in ests])
     with np.errstate(divide="ignore"):
         logs = np.log(vals)

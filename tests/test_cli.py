@@ -88,6 +88,15 @@ class TestConfigParsing:
             build_config(args)
         assert run_cli(args + ["--quiet"]) == 2
 
+    @pytest.mark.parametrize("suite", ["cz", "invert", "all"])
+    def test_repeated_lambda_rejected(self, suite, capsys):
+        # a repeated lambda would write each of its check ids twice
+        args = ["--suite", suite, "--lambda", "1.0,2,1", "--nmc", "1000"]
+        with pytest.raises(ValueError, match="distinct"):
+            build_config(args)
+        assert run_cli(args + ["--quiet"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_zero_lambda_rejected_for_spectral_suites(self):
         with pytest.raises(ValueError):
             build_config(["--suite", "special", "--lambda", "0,1"])

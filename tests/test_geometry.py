@@ -73,6 +73,70 @@ class TestForms:
         assert np.min(psi_form(x, y)) > 0.0
 
 
+def reference_phi(x, y):
+    """Phi as phi_form computed it before the per-point invariants: both slot
+    products formed per call."""
+    x1, x2, y1, y2 = x[..., :8], x[..., 8:], y[..., :8], y[..., 8:]
+    cross = np.sum(oct_mul(x1, x2) * oct_mul(y1, y2), axis=-1)
+    return oct_norm_sq(x1) * oct_norm_sq(y1) + oct_norm_sq(x2) * oct_norm_sq(y2) + 2.0 * cross
+
+
+class TestFormInvariants:
+    """The private helpers on invariants formed once equal the public forms
+    on raw points bit for bit."""
+
+    @staticmethod
+    def point_sets():
+        x = ball_points(5_000, 40)
+        y = np.concatenate([sample_sphere(2_500, 41), ball_points(2_500, 42)])
+        y[:50, 8:] = 0.0      # second slot zero: a degenerate bracket row
+        y[50:60] = x[50:60]   # coincident points
+        return x, y
+
+    def test_pairwise(self):
+        x, y = self.point_sets()
+        fx, fy = geometry._forms(x), geometry._forms(y)
+        assert np.array_equal(phi_form(x, y), reference_phi(x, y))
+        assert np.array_equal(geometry._phi(fx, fy), phi_form(x, y))
+        assert np.array_equal(geometry._psi(fx, fy), psi_form(x, y))
+        assert np.array_equal(geometry._dist(fx, fy), ni_dist(x, y))
+        assert np.all(geometry._dist(fx, fy)[50:60] == 0.0)
+
+    def test_swapped_arguments(self):
+        x, y = self.point_sets()
+        fx, fy = geometry._forms(x), geometry._forms(y)
+        assert np.array_equal(geometry._phi(fy, fx), phi_form(x, y))
+        assert np.array_equal(geometry._psi(fy, fx), psi_form(y, x))
+        assert np.array_equal(geometry._dist(fy, fx), ni_dist(x, y))
+
+    def test_single_point_against_many(self):
+        x, _ = self.point_sets()
+        fx = geometry._forms(x)
+        for p in (E1, E2, x[7], E1[None, :]):
+            fp = geometry._forms(p)
+            assert np.array_equal(geometry._phi(fx, fp), reference_phi(x, p))
+            assert np.array_equal(geometry._phi(fp, fx), phi_form(p, x))
+            assert np.array_equal(geometry._psi(fx, fp), psi_form(x, p))
+            assert np.array_equal(geometry._dist(fp, fx), ni_dist(p, x))
+
+    def test_masked_subsets(self):
+        x, y = self.point_sets()
+        fx, fy = geometry._forms(x), geometry._forms(y)
+        mask = fy.n2 > 1e-8
+        fxm, fym = fx.take(mask), fy.take(mask)
+        assert np.array_equal(fxm.x, x[mask])
+        assert np.array_equal(geometry._phi(fxm, fym), phi_form(x[mask], y[mask]))
+        assert np.array_equal(geometry._phi(fx, fy)[mask], phi_form(x[mask], y[mask]))
+        head = fx.take(slice(1_000))
+        assert np.array_equal(geometry._dist(head, fy.take(slice(1_000))),
+                              ni_dist(x[:1_000], y[:1_000]))
+
+    def test_bracket_form_of_psi(self):
+        x, y = self.point_sets()
+        b = bracket(x, y)
+        assert np.array_equal(geometry._abs_one_minus_sq(b), psi_from_bracket(x, y))
+
+
 def closed_ball_points():
     """Points of the closed unit ball of R^16.
 
@@ -315,29 +379,42 @@ class TestJordan:
 
 class TestVolume:
     def test_whole_sphere(self):
-        est = ball_volume_est(1.5, 10_000, 0)
+        est, = ball_volume_est([1.5], 10_000, 0)
         assert est.value == 1.0
 
     def test_small_delta_vanishes(self):
-        est = ball_volume_est(0.2, 100_000, 1)
+        est, = ball_volume_est([0.2], 100_000, 1)
         assert est.value < 1e-4
 
     def test_determinism(self):
-        a = ball_volume_est(0.9, 50_000, 7)
-        b = ball_volume_est(0.9, 50_000, 7)
+        a = ball_volume_est([0.9], 50_000, 7)
+        b = ball_volume_est([0.9], 50_000, 7)
         assert a == b
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            ball_volume_est(0.5, 0, 0)
+            ball_volume_est([0.5], 0, 0)
         with pytest.raises(ValueError):
-            ball_volume_est(-1.0, 10, 0)
+            ball_volume_est([-1.0], 10, 0)
+        with pytest.raises(ValueError):
+            ball_volume_est([0.5, 0.0], 10, 0)
+        with pytest.raises(ValueError, match="empty"):
+            ball_volume_est([], 10, 0)
 
     def test_mc_matches_quadrature(self):
-        for delta in (0.7, 0.9, 1.1):
+        deltas = (0.7, 0.9, 1.1)
+        for delta, est in zip(deltas, ball_volume_est(deltas, 400_000, 11)):
             ref = ball_volume_quadrature(delta)
-            est = ball_volume_est(delta, 400_000, 11)
             assert abs(est.value - ref) < 4.0 * max(est.stderr, 1e-12)
+
+    @pytest.mark.parametrize("n", [200_000, 1_500_000])
+    def test_grid_equals_one_call_per_delta(self, n):
+        # one stream serves the grid; 1.5M samples take two batches
+        deltas = (0.7, 0.9, 1.1, 1.5)
+        grid = ball_volume_est(deltas, n, 123)
+        assert grid == [ball_volume_est([d], n, 123)[0] for d in deltas]
+        if n == 200_000:
+            assert [e.hits for e in grid[:3]] == [108, 8390, 99576]
 
     def test_asymptotic_exponent(self):
         # the delta^22 law emerges only for small delta, far below MC reach
@@ -353,3 +430,41 @@ class TestVolume:
         vols = [ball_volume_quadrature(d) for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(vols), 1)[0]
         assert 19.0 < slope < 19.6
+
+
+# float.hex of every measured value of SuiteConfig(suite="geometry", n_mc=20_000, seed=0),
+# recorded before Phi, Psi and the metric were evaluated from per-point invariants
+_GEOMETRY_GOLDEN = {
+    "geo-phi-product-form": ("pass", {"defect": "0x1.23faaf0e593e0p-46"}),
+    "geo-psi-two-forms": ("pass", {"defect": "0x1.59379889f80c2p-50"}),
+    "geo-bracket-bound": ("pass", {"violations": "0x0.0p+0"}),
+    "geo-bracket-scaling": ("pass", {"defect": "0x1.65f8d95065bd2p-52"}),
+    "geo-bracket-diagonal": ("pass", {"defect": "0x1.83f06e8874903p-51"}),
+    "geo-metric-identity": ("pass", {"defect": "0x0.0p+0"}),
+    "geo-metric-symmetry": ("pass", {"defect": "0x0.0p+0"}),
+    "geo-triangle": ("pass", {"violations": "0x0.0p+0"}),
+    "geo-difference-ineq": ("pass", {"violations": "0x0.0p+0"}),
+    "geo-invariance": ("pass", {"defect": "0x1.8000000000000p-52"}),
+    "geo-jordan-idempotent": ("pass", {"defect": "0x1.0d64299c26e95p-52"}),
+    "geo-jordan-trace": ("pass", {"defect": "0x1.0000000000000p-48"}),
+    "geo-jordan-hermitian": ("pass", {"defect": "0x1.0000000000000p-46"}),
+    "geo-jordan-commute": ("pass", {"defect": "0x0.0p+0"}),
+    "geo-jordan-identity": ("pass", {"defect": "0x1.e8147d7a2e4c8p-50"}),
+    "geo-boundary-embed": ("pass", {"defect": "0x0.0p+0"}),
+    "geo-volume-saturation": ("pass", {"defect": "0x0.0p+0"}),
+    "geo-volume-asymptotic-slope": ("pass", {"defect": "0x1.7d5f1b5963200p-5",
+                                             "slope": "0x1.5f415072534e7p+4"}),
+    "geo-volume-window-slope": ("measured", {"slope": "0x1.34711b352aa45p+4",
+                                             "v04": "0x1.fefe257319ed3p-28",
+                                             "v09": "0x1.5cb0b062ade04p-5"}),
+    "geo-volume-mc-consistency": ("pass", {"defect": "0x1.f80ffb42e3800p-1"}),
+}
+
+
+def test_geometry_suite_bitwise_golden_values():
+    report = run_suite(SuiteConfig(suite="geometry", n_mc=20_000, seed=0))
+    assert [c.check_id for c in report.checks] == list(_GEOMETRY_GOLDEN)
+    for c in report.checks:
+        status, values = _GEOMETRY_GOLDEN[c.check_id]
+        assert c.status == status, c.check_id
+        assert {k: float(v).hex() for k, v in c.measured.items()} == values, c.check_id

@@ -20,6 +20,7 @@ from octoplane.quadrature import (
     zonal_grid,
     zonal_integrate,
 )
+from octoplane.quadrature import _legendre_rule
 
 SPEC = QuadratureSpec(n_mc=1_000_000, n_gauss=200, seed=5)
 
@@ -106,6 +107,40 @@ class TestZonal:
     def test_determinism_bit_identical(self):
         g = lambda u, v: np.exp(1j * u) * v
         assert zonal_integrate(g, SPEC) == zonal_integrate(g, SPEC)
+
+
+def per_panel_rule(pts, order):
+    """The composite rule built one panel at a time from a fresh leggauss,
+    as gauss_panels built it before its panels were mapped in one step."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(mid + half * xg)
+        weights.append(half * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestGaussPanels:
+    @pytest.mark.parametrize("order", [4, 8, 16, 24])
+    def test_equals_per_panel_construction(self, order):
+        a, b = 0.0, math.tanh(3.0)
+        breaks = [1 - 2.0 ** (-k) for k in range(1, 12)] + [0.3, 5.0, -1.0]
+        pts = np.asarray([a] + [x for x in sorted(breaks) if a < x < b] + [b])
+        r, w = gauss_panels(a, b, breaks, order)
+        ref_r, ref_w = per_panel_rule(pts, order)
+        assert np.array_equal(r, ref_r) and np.array_equal(w, ref_w)
+
+    def test_shared_rule_is_read_only(self):
+        xg, wg = _legendre_rule(8)
+        assert _legendre_rule(8)[0] is xg
+        for arr in (xg, wg):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # callers get fresh, writable arrays
+        r, w = gauss_panels(0.0, 1.0, [0.5], 8)
+        r *= 2.0
+        assert np.array_equal(_legendre_rule(8)[0], np.polynomial.legendre.leggauss(8)[0])
 
 
 class TestBallIntegrate:

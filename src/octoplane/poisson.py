@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import (E1, _forms, _phi, _phi_gram, _psi_r, _zonal_psi, bracket, dist_to_e1,
-                       ni_dist, phi_form, psi_form)
+from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, bracket,
+                       dist_to_e1, ni_dist, phi_form, psi_form)
 from .octonion import oct_norm
 from .quadrature import (
     S15,
@@ -42,10 +42,10 @@ from .quadrature import (
 from .special import (
     RHO,
     KTypeIndex,
-    _phi_at_radii,
-    _phi_scaled_at,
     _spectral_s,
     hc_c_function,
+    spherical_fn,
+    spherical_fn_scaled,
 )
 
 __all__ = [
@@ -158,15 +158,12 @@ class EigenProfile:
     """The eigenfunction P_lam f for f in the (l, m) boundary type, through
     its radial factor Phi_{lam,lm}.
 
-    The profile holds only (lam, l, m) and evaluates whole arrays in one
-    call each: ``profile`` takes radii, ``boundary_scaled`` takes values of
-    1-r^2 and returns (1-r^2)^{-rho/2} Phi(r), which stays finite
-    arbitrarily close to the boundary, as the norm and inversion integrals
-    rely on.  Both return arrays of the input's shape, equal value by value
-    to spherical_fn and spherical_fn_scaled.
+    The profile holds only (lam, l, m).  The norm and inversion integrals
+    evaluate it on whole grids with one call to spherical_fn_scaled, whose
+    (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported.
+    is supported: one spherical_fn call on the distinct radii.
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
@@ -174,14 +171,6 @@ class EigenProfile:
         self.lam = complex(lam)
         self.l = int(l)
         self.m = int(m)
-
-    def profile(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return _phi_at_radii(self.lam, self.l, self.m, r.ravel().tolist()).reshape(r.shape)
-
-    def boundary_scaled(self, one_minus_r2) -> np.ndarray:
-        omz = np.asarray(one_minus_r2, dtype=float)
-        return _phi_scaled_at(self.lam, self.l, self.m, omz.ravel().tolist()).reshape(omz.shape)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if (self.l, self.m) != (0, 0):
@@ -192,7 +181,7 @@ class EigenProfile:
         pts = np.asarray(pts, dtype=float)
         radii = np.sqrt(np.sum(pts * pts, axis=-1))
         distinct, inverse = np.unique(radii, return_inverse=True)
-        out = self.profile(distinct)[inverse].reshape(radii.shape)
+        out = spherical_fn(self.lam, self.l, self.m, distinct)[inverse].reshape(radii.shape)
         return out if out.ndim else out[()]
 
 
@@ -291,7 +280,8 @@ def hardy_norm(F, p: float, r_grid: Sequence[float],
         if (F.l, F.m) != (0, 0) and p != 2:
             raise ValueError(f"the radial factor of the ({F.l}, {F.m}) type is its "
                              f"L^2 sphere mean, not the L^{p} one")
-        per = [abs(v) for v in F.boundary_scaled([1.0 - r * r for r in rs]).tolist()]
+        scaled = spherical_fn_scaled(F.lam, F.l, F.m, one_minus_r2=[1.0 - r * r for r in rs])
+        per = [abs(v) for v in scaled.tolist()]
     else:
         pts = _sphere_sample(spec)
         per = [float(np.mean(np.abs(np.asarray(F(r * pts))) ** p)) ** (1.0 / p)
@@ -316,7 +306,8 @@ def _geodesic_mean_sq(F: EigenProfile, ts: Sequence[float]) -> list[float]:
     lattice = {k / 8 for k in range(1, math.ceil(8 * top))}
     quarters = {t * k / 4 for t in ts if t < 0.5 for k in (1, 2, 3)}
     nodes, weights = gauss_panels(0.0, top, lattice.union(quarters, ts), order=8)
-    scaled = F.boundary_scaled([1.0 / math.cosh(s) ** 2 for s in nodes]).tolist()
+    scaled = spherical_fn_scaled(F.lam, F.l, F.m,
+                                 one_minus_r2=[1.0 / math.cosh(s) ** 2 for s in nodes]).tolist()
     vals = [abs(v) ** 2 * math.tanh(s) ** 15 for v, s in zip(scaled, nodes)]
     prefix = np.cumsum(weights * np.array(vals))
     return [S15 * float(prefix[np.searchsorted(nodes, t) - 1]) / t for t in ts]
@@ -330,10 +321,11 @@ class M2Result:
 
 
 def _t_list(t_grid: Sequence[float]) -> list[float]:
-    """The geodesic radii of a t grid as floats; each must be finite and positive."""
+    """The geodesic radii of a t grid as floats, each in (0, 350]: cosh(t)^2
+    overflows a double above t ~ 355.6, and up to 350 sech^2(t) stays normal."""
     ts = [float(t) for t in t_grid]
-    if not ts or not all(0.0 < t < math.inf for t in ts):
-        raise ValueError("t_grid must be nonempty, finite and positive")
+    if not ts or not all(0.0 < t <= 350.0 for t in ts):
+        raise ValueError("t_grid must be nonempty with every t in (0, 350]")
     return ts
 
 
@@ -531,11 +523,19 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     s1, s2, s3, s4 = spawn_seeds(spec.seed, 4)
     theta = sample_sphere(n, s1)
     omega = sample_sphere(n, s2)
+    rng = np.random.default_rng(s3)
+    theta_p = theta.copy()
+    half = n // 2
+    theta_p[:half] = sample_sphere(half, s4)
+    theta_p[half:] = _perturbed_partners(theta[half:], rng)
+    # the bracket of (ii), the suite's memory peak, while only the samples live
+    lhs47 = oct_norm(bracket(theta - theta_p, omega))
 
-    # (i) and the shift inequality, pairwise by rows; <theta,omega> and
-    # Phi(theta,omega) are r-independent, so hoist them out of the r loop
+    # (i) and the shift inequality, pairwise by rows; each set is formed once,
+    # and <theta,omega> and Phi(theta,omega) are hoisted out of the r loop
+    f_t, f_o = _forms(theta), _forms(omega)
     dot_to = np.sum(theta * omega, axis=-1)
-    phi_to = phi_form(theta, omega)
+    phi_to = _phi(f_t, f_o)
     psi1 = _psi_r(1.0, dot_to, phi_to)
     for r in rs:
         psir = _psi_r(r, dot_to, phi_to)
@@ -544,20 +544,16 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
             np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12)
         )
 
-    # (ii) the pair forms and the bracket-difference inequality
-    rng = np.random.default_rng(s3)
-    theta_p = theta.copy()
-    half = n // 2
-    theta_p[:half] = sample_sphere(half, s4)
-    theta_p[half:] = _perturbed_partners(theta[half:], rng)
+    # (ii) the pair forms (dropped once read) and the bracket-difference inequality
+    f_p = _forms(theta_p)
+    d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
+    phi_po = _phi(f_p, f_o)
+    del f_t, f_o, f_p
     d_to = np.maximum(psi1, 0.0) ** 0.25
-    d_tt = np.maximum(psi_form(theta, theta_p), 0.0) ** 0.25
-    lhs47 = oct_norm(bracket(theta - theta_p, omega))
     rhs47 = d_tt * (d_tt + 2.0 * d_to)
     rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
     nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
     dot_po = np.sum(theta_p * omega, axis=-1)
-    phi_po = phi_form(theta_p, omega)
     pow_to = d_to ** (2 * RHO + 1)
 
     # Hormander tail probes: theta at dyadic distances from e1; the

@@ -14,14 +14,14 @@ functions
 with s = (i lambda + rho)/2, indexed by integer pairs l >= m >= 0 with
 l +- m even.
 
-One private evaluator takes (lambda, l, m) and lists of r^2 and 1-r^2 and
-forms per call what depends on (lambda, l, m) alone: the 2F1 parameters,
-the Pochhammer prefactor and, only when some lane takes the connection
-path, its two gamma-function factors.  Its connection lanes run as one
-clongdouble array series.  poisson.EigenProfile evaluates whole grids in
-one call; the public functions here are scalar and evaluate one lane, so
-every value comes from the same path.  The module is pure and reentrant;
-no caches and no module state.
+spherical_fn and spherical_fn_scaled take a float or an array and run one
+private evaluator over its elements as lanes.  Per call it forms what
+depends on (lambda, l, m) alone: the 2F1 parameters, the Pochhammer
+prefactor and, only when some lane takes the connection path, its two
+gamma-function factors; the connection lanes run as one clongdouble array
+series.  gauss_2f1 stays scalar, one lane of the same 2F1 evaluator, so
+each call takes one path, which the benchmark's tracer reads off
+z <= z_switch.  The module is pure and reentrant; no caches, no state.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH) -> complex:
     stopping tolerance times its largest |term|, exceeds 1e-11 |sum| raises
     NumericsError naming the digits lost; no other path is tried.
 
-    This is one lane of the list evaluator that the spherical functions and
-    ``poisson.EigenProfile`` run over whole grids.
+    One lane of the evaluator that spherical_fn and spherical_fn_scaled run
+    over whole arrays; scalar, so that each call takes one path.
     """
     return _f21_values(a, b, c, [z], [1.0 - z], z_switch)[0]
 
@@ -296,43 +296,41 @@ def _phi_parameters(lam, l: int, m: int) -> tuple[complex, complex, complex]:
     return s + (l + m) / 2.0, s + (l - m) / 2.0 - 3.0, complex(l + 8)
 
 
-def _phi_scaled(lam, l: int, m: int, z: list, omz: list) -> np.ndarray:
+def _phi_scaled(lam, l: int, m: int, z: list, omz: list) -> list[complex]:
     """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r) at each lane, from lists of
     z = r^2 and omz = 1-r^2, each as the caller has it: z from 1 - omz loses
     r^l's digits at small r, omz from 1 - z loses 2F1's near the boundary.
     The final product stays in Python complex arithmetic per lane."""
+    KTypeIndex(l, m)
     lv = complex(lam)
     s = _spectral_s(lv)
     prefactor = (pochhammer(s, (m + l) // 2) * pochhammer(s - 3.0, (l - m) // 2)
                  / pochhammer(8.0, l))
-    return np.array([
+    return [
         # (1-r^2)^{s - rho/2} = (1-r^2)^{i lam / 2}
         prefactor * math.sqrt(x) ** l * cmath.exp((1j * lv / 2.0) * math.log(y)) * f
         for x, y, f in zip(z, omz, _f21_values(*_phi_parameters(lv, l, m), z, omz))
-    ], dtype=complex)
+    ]
 
 
-def _phi_at_radii(lam, l: int, m: int, r: list) -> np.ndarray:
-    """Phi_{lambda,lm} at each radius of the list r, all in [0, 1)."""
-    for x in r:
-        if not (0.0 <= x < 1.0):
-            raise ValueError(f"radius must satisfy 0 <= r < 1, got {x}")
-    z = [x * x for x in r]
-    omz = [1.0 - x for x in z]
-    scaled = _phi_scaled(lam, l, m, z, omz).tolist()
-    return np.array([y ** (RHO / 2) * v for y, v in zip(omz, scaled)], dtype=complex)
+def _lanes(x: np.ndarray, ok: np.ndarray, message: str) -> list[float]:
+    """The elements of x as a flat list; the first one where the range mask
+    ok fails (NaN fails every range) raises ValueError."""
+    values = x.ravel().tolist()
+    if not ok.all():
+        raise ValueError(f"{message}, got {values[np.argmin(ok)]}")
+    return values
 
 
-def _phi_scaled_at(lam, l: int, m: int, omz: list) -> np.ndarray:
-    """(1-r^2)^{-rho/2} Phi_{lambda,lm} at each 1-r^2 of the list omz, all in (0, 1]."""
-    for y in omz:
-        if not (0.0 < y <= 1.0):
-            raise ValueError(f"need 0 < 1-r^2 <= 1, got {y}")
-    return _phi_scaled(lam, l, m, [1.0 - y for y in omz], omz)
+def _shaped(x: np.ndarray, values: list[complex]) -> complex | np.ndarray:
+    """values in the shape of x: a Python complex for a scalar x."""
+    out = np.array(values, dtype=complex).reshape(x.shape)
+    return out if out.ndim else out.item()
 
 
-def spherical_fn(lam, l: int, m: int, r: float) -> complex:
-    """Generalized spherical function Phi_{lambda,lm}(r) for 0 <= r < 1:
+def spherical_fn(lam, l: int, m: int, r) -> complex | np.ndarray:
+    """Generalized spherical function Phi_{lambda,lm}(r) for 0 <= r < 1, of a
+    float r (a Python complex) or an array of radii (an array of its shape):
     (1-r^2)^{rho/2} times the scaled profile of spherical_fn_scaled.
 
     lam may be a real or a complex number (the harmonic value -i rho makes
@@ -341,16 +339,20 @@ def spherical_fn(lam, l: int, m: int, r: float) -> complex:
     lambda = 60 at r = 0.6) this raises NumericsError rather than return a
     value off by more than ~1e-10 (see gauss_2f1).
     """
-    KTypeIndex(l, m)
-    return _phi_at_radii(lam, l, m, [r]).item()
+    r = np.asarray(r, dtype=float)
+    z = [x * x for x in _lanes(r, (0.0 <= r) & (r < 1.0), "radius must satisfy 0 <= r < 1")]
+    omz = [1.0 - x for x in z]
+    return _shaped(r, [y ** (RHO / 2) * v for y, v in zip(omz, _phi_scaled(lam, l, m, z, omz))])
 
 
-def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2: float) -> complex:
-    """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r), parametrized by 1-r^2.
+def spherical_fn_scaled(lam, l: int, m: int, *, one_minus_r2) -> complex | np.ndarray:
+    """(1-r^2)^{-rho/2} Phi_{lambda,lm}(r), parametrized by 1-r^2 in (0, 1]
+    (a float or an array, as r in spherical_fn).
 
     For real lam the modulus is bounded in r, so this form stays in range
     arbitrarily close to the boundary where Phi itself underflows; callers
     doing geodesic-radius integrals pass one_minus_r2 = sech^2(s) directly.
     """
-    KTypeIndex(l, m)
-    return _phi_scaled_at(lam, l, m, [float(one_minus_r2)]).item()
+    y = np.asarray(one_minus_r2, dtype=float)
+    omz = _lanes(y, (0.0 < y) & (y <= 1.0), "need 0 < 1-r^2 <= 1")
+    return _shaped(y, _phi_scaled(lam, l, m, [1.0 - v for v in omz], omz))

@@ -82,6 +82,8 @@ class TestConfigParsing:
         (["--suite", "invert", "--ngauss", "1"], "n_gauss"),
         (["--suite", "special", "--lmax", "-1"], "l_max"),
         (["--suite", "special", "--lambda", "nan"], "lambda"),
+        (["--suite", "invert", "--tgrid=4,400"], "t_grid"),
+        (["--suite", "poisson", "--tgrid=400"], "t_grid"),
     ])
     def test_out_of_range_setting_rejected(self, args, match, capsys):
         with pytest.raises(ValueError, match=match):
@@ -190,6 +192,14 @@ class TestReportContents:
         byid = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
         assert code in (0, 1)
         assert byid["po-m2-vs-hardy"]["measured"]["fitted_constant"] > 0
+
+    def test_invert_suite_at_the_largest_t(self, tmp_path, capsys):
+        # t = 350 is the largest accepted radius (above ~355.6 cosh(t)^2 overflows)
+        out = tmp_path / "r.json"
+        code = run_cli(["--suite", "invert", "--tgrid", "4,350", "--quiet", "--out", str(out)])
+        byid = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert code in (0, 1)
+        assert byid["inv-gt-profile-1.0"]["measured"]["g_t350.0"] > 0
 
     def test_cz_suite_records(self, tmp_path, capsys):
         # the lambda-free checks are recorded once, the rest once per lambda

@@ -54,6 +54,19 @@ def _per_node_ball_integral(integrand, t, spec):
     return complex(S15 * np.sum(w * weight * vals))
 
 
+def _count_scaled_calls(monkeypatch) -> list:
+    """Route poisson's spherical_fn_scaled through a recorder; returns the
+    list that receives ((lam, l, m), values of 1-r^2) per call."""
+    calls = []
+
+    def scaled(lam, l, m, *, one_minus_r2):
+        calls.append(((lam, l, m), list(one_minus_r2)))
+        return spherical_fn_scaled(lam, l, m, one_minus_r2=one_minus_r2)
+
+    monkeypatch.setattr(poisson, "spherical_fn_scaled", scaled)
+    return calls
+
+
 def _generic_callable(x):
     return np.cos(x[:, 0] + 2.0 * x[:, 9]) + 1j * x[:, 5] ** 2
 
@@ -195,15 +208,19 @@ class TestTransform:
 
 
 class TestEigenProfile:
-    def test_pointwise_evaluation_matches_spherical_fn(self):
+    def test_pointwise_evaluation_matches_spherical_fn(self, monkeypatch):
         prof = EigenProfile(1.0)
         radii = np.array([[0.2, 0.5, 0.2], [0.7, 0.5, 0.2]])
         pts = np.zeros((2, 3, 16))
         for k, (i, j) in enumerate(np.ndindex(2, 3)):
             pts[i, j, k] = radii[i, j]  # a different axis per point, same |x|
         calls = []
-        profile = prof.profile
-        prof.profile = lambda r: calls.append(list(r)) or profile(r)
+
+        def counted(lam, l, m, r):
+            calls.append(list(r))
+            return spherical_fn(lam, l, m, r)
+
+        monkeypatch.setattr(poisson, "spherical_fn", counted)
         out = prof(pts)
         assert out.shape == (2, 3)
         assert calls == [[0.2, 0.5, 0.7]]  # one call, each distinct radius once
@@ -223,7 +240,7 @@ class TestEigenProfile:
             EigenProfile(1.0, 0, 2)
         prof = EigenProfile(1.0, 2.0, 0.0)
         assert (prof.l, prof.m) == (2, 0)
-        assert prof.profile([0.5]).item() == spherical_fn(1.0, 2, 0, 0.5)
+        assert spherical_fn(prof.lam, prof.l, prof.m, 0.5) == spherical_fn(1.0, 2, 0, 0.5)
 
 
 class TestHardyNorm:
@@ -251,14 +268,12 @@ class TestHardyNorm:
         assert res.argmax_r in grid
         assert all(np.isfinite(v) for v in res.per_r)
 
-    def test_profile_grid_is_one_call_equal_to_scalar_values(self):
+    def test_profile_grid_is_one_call_equal_to_scalar_values(self, monkeypatch):
         grid = [0.0, 0.5, 0.9, 0.99, 0.999]
         prof = EigenProfile(1.0, 2, 2)
-        calls = []
-        scaled = prof.boundary_scaled
-        prof.boundary_scaled = lambda omr2: calls.append(list(omr2)) or scaled(omr2)
+        calls = _count_scaled_calls(monkeypatch)
         res = hardy_norm(prof, 2.0, grid, SPEC)
-        assert calls == [[1.0 - r * r for r in grid]]
+        assert calls == [((1.0, 2, 2), [1.0 - r * r for r in grid])]
         assert res.per_r == tuple(abs(spherical_fn_scaled(1.0, 2, 2, one_minus_r2=1.0 - r * r))
                                   for r in grid)
 
@@ -339,7 +354,8 @@ def _per_t_double_loop(F, t):
         for xk, wk in zip(xg, wg):
             sgeo = mid + half * xk
             omr2 = 1.0 / math.cosh(sgeo) ** 2
-            val = abs(F.boundary_scaled([omr2]).item()) ** 2 * math.tanh(sgeo) ** 15
+            scaled = spherical_fn_scaled(F.lam, F.l, F.m, one_minus_r2=omr2)
+            val = abs(scaled) ** 2 * math.tanh(sgeo) ** 15
             total += wk * half * val
     return S15 * total / t
 
@@ -361,14 +377,12 @@ class TestGeodesicRule:
         for got in (_geodesic_mean_sq(prof, ts), [_geodesic_mean_sq(prof, [t])[0] for t in ts]):
             assert max(abs(g - r) / r for g, r in zip(got, ref)) < 1e-13
 
-    def test_evaluates_each_node_once(self):
+    def test_evaluates_each_node_once(self, monkeypatch):
         prof = EigenProfile(1.0)
-        calls = []
-        scaled = prof.boundary_scaled
-        prof.boundary_scaled = lambda omr2: calls.append(list(omr2)) or scaled(omr2)
+        calls = _count_scaled_calls(monkeypatch)
         _geodesic_mean_sq(prof, [12.0, 6.0, 8.0, 10.0])
         assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) == 12 * 8 * 8
+        assert len(calls[0][1]) == len(set(calls[0][1])) == 12 * 8 * 8
 
     def test_m2_grid_equals_per_t_calls(self):
         invert_grid = (4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 32.0)
@@ -381,11 +395,19 @@ class TestGeodesicRule:
 
     def test_grid_validation(self):
         prof = EigenProfile(1.0)
-        for bad in ([], [0.0, 4.0], [-4.0, 8.0], [math.inf], [math.nan]):
+        for bad in ([], [0.0, 4.0], [-4.0, 8.0], [math.inf], [math.nan], [4.0, 400.0]):
             with pytest.raises(ValueError, match="t_grid"):
                 m2_norm(prof, bad, SPEC)
             with pytest.raises(ValueError, match="t_grid"):
                 boundary_recover_gt(1.0, prof, bad, SPEC)
+
+    def test_largest_t_accepted(self):
+        # cosh(t)^2 overflows above t ~ 355.6; up to 350 the rule's nodes stay finite
+        prof = EigenProfile(1.0)
+        assert math.isfinite(m2_norm(prof, [4.0, 350.0], SPEC).per_t[1])
+        assert math.isfinite(boundary_recover_gt(1.0, prof, [4.0, 350.0], SPEC)[1].real)
+        with pytest.raises(ValueError, match=r"t in \(0, 350\]"):
+            m2_norm(prof, [350.5], SPEC)
 
 
 class TestInversion:
@@ -434,6 +456,15 @@ class TestInversion:
         monkeypatch.setattr(poisson, "_geodesic_mean_sq", mean_sq)
         rep = run_suite(SuiteConfig(suite="invert", n_mc=2000, n_gauss=40))
         assert sorted(calls) == [(0.5, 0, 0), (1.0, 0, 0), (1.0, 2, 0), (1.0, 2, 2), (2.0, 0, 0)]
+        assert [c.status for c in rep.checks].count("error") == 0
+
+    def test_invert_suite_evaluates_each_profile_in_one_call(self, monkeypatch):
+        # the benchmark's special-layer metrics see the inversion work
+        # through this one route
+        calls = _count_scaled_calls(monkeypatch)
+        rep = run_suite(SuiteConfig(suite="invert"))
+        profiles = sorted((lam.real, l, m) for (lam, l, m), _ in calls)
+        assert profiles == [(0.5, 0, 0), (1.0, 0, 0), (1.0, 2, 0), (1.0, 2, 2), (2.0, 0, 0)]
         assert [c.status for c in rep.checks].count("error") == 0
 
     def test_mc_route_agrees_with_closed_form(self):
@@ -617,6 +648,21 @@ class TestCZSuite:
         for bad in ((1.5,), (0.5, -0.5), (0.9995,), (math.nan,)):
             with pytest.raises(ValueError, match=r"r_grid must lie in \[0, r_cap = 0.999\]"):
                 cz_suite((1.0,), SPEC, r_grid=bad)
+
+    def test_forms_each_sample_set_once(self, monkeypatch):
+        # theta, omega and theta' are formed once each (Phi and Psi reuse
+        # them), plus the Hormander sample and its single probe points
+        rows = []
+        forms = geometry._forms
+
+        def counted(x):
+            rows.append(np.shape(x)[:-1])
+            return forms(x)
+
+        for mod in (geometry, poisson):
+            monkeypatch.setattr(mod, "_forms", counted)
+        cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
+        assert [r for r in rows if r != (1,)] == [(2_000,)] * 4
 
     def test_hormander_tail_matches_per_kernel_reference(self):
         # reference: one szego_kernel call per (r, probe point, e1), on the

@@ -10,7 +10,6 @@ import scipy.special as ss
 
 from octoplane import special
 from octoplane.errors import NumericsError
-from octoplane.poisson import EigenProfile
 from octoplane.special import (
     RHO,
     KTypeIndex,
@@ -278,6 +277,35 @@ class TestSphericalFn:
         with pytest.raises(ValueError):
             spherical_fn(1.0, 0, 0, -0.1)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+    def test_array_range_error_names_the_element(self, bad):
+        # one array test for the whole input; NaN fails every range
+        with pytest.raises(ValueError, match=f"0 <= r < 1, got {bad}$"):
+            spherical_fn(1.0, 2, 0, [[0.1, 0.5], [bad, 0.2]])
+        with pytest.raises(ValueError, match=f"0 < 1-r\\^2 <= 1, got {bad}$"):
+            spherical_fn_scaled(1.0, 2, 0, one_minus_r2=np.array([0.5, bad, 2.0]))
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            spherical_fn_scaled(1.0, 2, 0, one_minus_r2=bad)
+        with pytest.raises(ValueError, match="got 0.0$"):
+            spherical_fn_scaled(1.0, 2, 0, one_minus_r2=[0.5, 0.0])
+
+    def test_float_input_returns_python_complex(self):
+        assert type(spherical_fn(1.0, 2, 0, 0.5)) is complex
+        assert type(spherical_fn(1.0, 2, 0, np.float64(0.5))) is complex
+        assert type(spherical_fn_scaled(1.0, 2, 0, one_minus_r2=0.75)) is complex
+
+    def test_array_input_keeps_its_shape(self):
+        radii = np.array([[0.0, 0.3, 0.9], [0.5, 0.99, 0.3]])  # both 2F1 paths
+        got = spherical_fn(1.0, 2, 0, radii)
+        assert got.shape == (2, 3) and got.dtype == complex
+        assert got.tolist() == [[spherical_fn(1.0, 2, 0, r) for r in row] for row in radii.tolist()]
+        omz = 1.0 - radii * radii
+        got = spherical_fn_scaled(1.0, 2, 0, one_minus_r2=omz)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[spherical_fn_scaled(1.0, 2, 0, one_minus_r2=y) for y in row]
+                                for row in omz.tolist()]
+        assert spherical_fn(1.0, 2, 0, np.empty((0, 4))).shape == (0, 4)
+
 
 # spherical_fn_scaled(lam, l, m, one_minus_r2=omz) as (omz, real.hex(), imag.hex()),
 # recorded from the per-node scalar implementation that preceded the array
@@ -331,7 +359,7 @@ class TestCoefficientPath:
         golden = [complex(float.fromhex(re), float.fromhex(im)) for _, re, im in points]
         omz = [p[0] for p in points]
         assert [spherical_fn_scaled(lam, l, m, one_minus_r2=y) for y in omz] == golden
-        assert EigenProfile(lam, l, m).boundary_scaled(omz).tolist() == golden
+        assert spherical_fn_scaled(lam, l, m, one_minus_r2=np.array(omz)).tolist() == golden
 
     def test_lane_failure_names_its_z(self):
         # 2F1(-50.5, 1; 1; z) = (1-z)^50.5: at z = 0.9 the terms reach ~1e13
@@ -375,7 +403,7 @@ class TestCoefficientPath:
         per_call = []
         for omz in ([0.1], np.linspace(0.001, 0.2, 100)):
             counted.clear()
-            assert EigenProfile(1.0, 2, 0).boundary_scaled(omz).shape == (len(omz),)
+            assert spherical_fn_scaled(1.0, 2, 0, one_minus_r2=omz).shape == (len(omz),)
             per_call.append(len(counted))
         assert per_call[0] == per_call[1] > 0
 
@@ -384,11 +412,10 @@ class TestCoefficientPath:
             raise AssertionError(f"log-gamma evaluated at {z}")
 
         monkeypatch.setattr(special, "_log_gamma_ext", refuse)
-        prof = EigenProfile(1.0, 2, 0)
         radii = [0.0, 0.3, 0.5, 0.8, 0.86]  # r^2 <= 0.75 throughout
-        got = prof.profile(radii).tolist()
+        got = spherical_fn(1.0, 2, 0, radii).tolist()
         assert got == [spherical_fn(1.0, 2, 0, r) for r in radii]
-        assert prof.boundary_scaled([1.0, 0.5, 0.26]).tolist() == [
+        assert spherical_fn_scaled(1.0, 2, 0, one_minus_r2=[1.0, 0.5, 0.26]).tolist() == [
             spherical_fn_scaled(1.0, 2, 0, one_minus_r2=y) for y in (1.0, 0.5, 0.26)]
 
     def test_harmonic_profile_takes_no_log_gamma(self, monkeypatch):
@@ -397,7 +424,7 @@ class TestCoefficientPath:
 
         monkeypatch.setattr(special, "_log_gamma_ext", refuse)
         radii = [0.0, 0.3, 0.5, 0.9, 0.99, 0.999]
-        got = EigenProfile(-1j * RHO).profile(radii).tolist()
+        got = spherical_fn(-1j * RHO, 0, 0, radii).tolist()
         assert got == [spherical_fn(-1j * RHO, 0, 0, r) for r in radii]
         assert got[:2] == [1.0, 1.0]
         assert max(abs(v - 1.0) for v in got) < 1e-10

@@ -16,6 +16,7 @@ import octoplane
 from octoplane.geometry import JordanMatrix
 from octoplane.poisson import (
     CZReport,
+    EigenProfile,
     _geodesic_mean_sq,
     boundary_recover_gt,
     cz_suite,
@@ -28,7 +29,8 @@ from octoplane.special import gauss_2f1
 MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
 REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value",
-           "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re")
+           "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re",
+           "_phi_at_radii", "_phi_scaled_at")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,6 +51,9 @@ def test_removed_options_and_methods_are_gone():
     assert "radial" not in inspect.signature(ball_integrate).parameters
     for attr in ("zeros", "scale", "jordan", "__add__", "__sub__"):
         assert not hasattr(JordanMatrix, attr)
+    # profiles evaluate through special.spherical_fn / spherical_fn_scaled
+    for attr in ("profile", "boundary_scaled"):
+        assert not hasattr(EigenProfile, attr)
 
 
 def test_removed_parameters_and_fields_are_gone():

@@ -3,18 +3,20 @@
 Octonions are represented by their 8 real coordinates in the basis
 ``e0, e1, ..., e7`` with ``e0`` the unit element, ``e_m^2 = -1`` and
 ``e_i e_j = -e_j e_i`` for distinct ``i, j >= 1``.  These relations do not
-pin down a unique basis-product table; we freeze the standard one obtained
-by Cayley-Dickson doubling of the quaternions (``(a,b)(c,d) =
-(ac - conj(d) b, da + b conj(c))`` with ``e4`` the doubling unit).  The
-resulting oriented Fano triples are
+pin down a unique basis-product table; the rest of it is declared by the
+seven oriented lines of the Fano plane, ``FANO_TRIPLES``:
 
     (1,2,3) (1,4,5) (1,7,6) (2,4,6) (2,5,7) (3,4,7) (3,6,5)
 
-meaning ``e1 e2 = e3`` etc., cyclically.  Any admissible table is isomorphic
-to this one and every derived quantity in this package (forms, kernels,
-metric) is table-independent; the test suite gates the table behind the
-norm-multiplicativity / alternativity / Moufang oracles rather than trusting
-the construction.
+meaning ``e_a e_b = e_c = -e_b e_a`` along each triple and its cyclic
+shifts (``e1 e2 = e3``, ``e2 e3 = e1``, ``e3 e1 = e2`` etc.).  This is the
+standard table of Cayley-Dickson doubling of the quaternions e0..e3,
+``(a,b)(c,d) = (ac - conj(d) b, da + b conj(c))`` with ``e4`` the doubling
+unit; the test suite checks that doubling on the product.  Any admissible
+table is isomorphic to this one and every derived quantity in this package
+(forms, kernels, metric) is table-independent; the test suite gates the
+table behind the norm-multiplicativity / alternativity / Moufang oracles
+rather than trusting the declaration.
 
 The array functions below are vectorized over leading axes: arguments are
 array-likes of shape ``(..., 8)``.  They are pure and thread-safe.
@@ -50,65 +52,32 @@ __all__ = [
 ]
 
 
-def _quaternion_products() -> dict[tuple[int, int], tuple[int, int]]:
-    """Quaternion basis products 1,i,j,k -> (index, sign)."""
-    mul = {(0, 0): (0, 1)}
-    for a in range(1, 4):
-        mul[(0, a)] = (a, 1)
-        mul[(a, 0)] = (a, 1)
-        mul[(a, a)] = (0, -1)
-    for i, j, k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-        mul[(i, j)] = (k, 1)
-        mul[(j, i)] = (k, -1)
-    return mul
+# The seven oriented Fano triples: the whole multiplication table.
+FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5))
 
 
-def _cayley_dickson_structure() -> np.ndarray:
-    """Structure tensor T with (e_i e_j) = sum_k T[i,j,k] e_k."""
-    q = _quaternion_products()
-    T = np.zeros((8, 8, 8))
-    for i in range(8):
-        pi, hi = i % 4, i // 4
-        for j in range(8):
-            pj, hj = j % 4, j // 4
-            # conj(q_p) = q_p for p=0, -q_p otherwise
-            cj = 1 if pj == 0 else -1
-            if hi == 0 and hj == 0:      # (a,0)(c,0) = (ac, 0)
-                k, s = q[pi, pj]
-                T[i, j, k] += s
-            elif hi == 0 and hj == 1:    # (a,0)(0,d) = (0, da)
-                k, s = q[pj, pi]
-                T[i, j, k + 4] += s
-            elif hi == 1 and hj == 0:    # (0,b)(c,0) = (0, b conj(c))
-                k, s = q[pi, pj]
-                T[i, j, k + 4] += s * cj
-            else:                        # (0,b)(0,d) = (-conj(d) b, 0)
-                k, s = q[pj, pi]
-                T[i, j, k] += -s * cj
-    return T
+def _basis_products() -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with e_i e_j = sign[i, j] e_index[i, j]."""
+    index = np.zeros((8, 8), dtype=np.intp)
+    sign = np.ones((8, 8), dtype=int)
+    index[0] = index[:, 0] = np.arange(8)     # e0 is the unit
+    sign[range(1, 8), range(1, 8)] = -1       # e_m^2 = -1 (index 0)
+    for a, b, c in FANO_TRIPLES:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            index[x, y] = index[y, x] = z     # e_x e_y = e_z = -e_y e_x
+            sign[y, x] = -1
+    return index, sign
 
-
-STRUCTURE = _cayley_dickson_structure()
-STRUCTURE.setflags(write=False)
 
 # (i,j) -> index of e_i e_j and its sign; convenient for table inspection.
-MUL_INDEX = np.argmax(np.abs(STRUCTURE), axis=2)
-MUL_SIGN = np.take_along_axis(STRUCTURE, MUL_INDEX[..., None], axis=2)[..., 0].astype(int)
+MUL_INDEX, MUL_SIGN = _basis_products()
+
+# Structure tensor T with (e_i e_j) = sum_k T[i,j,k] e_k.
+STRUCTURE = np.zeros((8, 8, 8))
+STRUCTURE[(*np.indices((8, 8)), MUL_INDEX)] = MUL_SIGN
 MUL_INDEX.setflags(write=False)
 MUL_SIGN.setflags(write=False)
-
-def _oriented_fano_triples() -> tuple[tuple[int, int, int], ...]:
-    lines = {frozenset((i, j, int(MUL_INDEX[i, j])))
-             for i in range(1, 8) for j in range(1, 8) if i != j}
-    triples = []
-    for line in lines:
-        a = min(line)
-        b = next(x for x in sorted(line - {a}) if MUL_SIGN[a, x] > 0)
-        triples.append((a, b, int(MUL_INDEX[a, b])))
-    return tuple(sorted(triples))
-
-
-FANO_TRIPLES = _oriented_fano_triples()
+STRUCTURE.setflags(write=False)
 
 
 def _term_rows() -> np.ndarray:

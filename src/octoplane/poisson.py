@@ -243,7 +243,6 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
 class HardyNormResult:
     value: float
     argmax_r: float
-    r_grid: tuple
     per_r: tuple
 
 
@@ -287,7 +286,7 @@ def hardy_norm(F, p: float, r_grid: Sequence[float],
         per = [float(np.mean(np.abs(np.asarray(F(r * pts))) ** p)) ** (1.0 / p)
                * (1.0 - r * r) ** (-RHO / 2.0) for r in rs]
     i = int(np.argmax(per))
-    return HardyNormResult(float(per[i]), rs[i], tuple(rs), tuple(per))
+    return HardyNormResult(float(per[i]), rs[i], tuple(per))
 
 
 def _geodesic_mean_sq(F: EigenProfile, ts: Sequence[float]) -> list[float]:
@@ -316,7 +315,6 @@ def _geodesic_mean_sq(F: EigenProfile, ts: Sequence[float]) -> list[float]:
 @dataclass(frozen=True)
 class M2Result:
     value: float
-    t_grid: tuple
     per_t: tuple
 
 
@@ -341,7 +339,7 @@ def m2_norm(F, t_grid: Sequence[float], spec: QuadratureSpec) -> M2Result:
             return np.mean(np.abs(np.asarray(F(r * pts))) ** 2)
         per = [math.sqrt(abs(ball_integrate(mean_sq, t)) / t) for t in ts]
     i = int(np.argmax(per))
-    return M2Result(float(per[i]), tuple(ts), tuple(per))
+    return M2Result(float(per[i]), tuple(per))
 
 
 def boundary_recover_gt(lam, F, t_grid: Sequence[float], spec: QuadratureSpec, *,
@@ -394,10 +392,6 @@ class OperatorNormResult:
     value: float
     residual: float
     iterations: int
-    n: int
-    r: float
-    lam: float
-    seed: int
 
 
 def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
@@ -408,8 +402,7 @@ def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
     theta and omega are independent uniform sample sets.  The kernel has an
     integrable singularity at theta = omega as r -> 1; the closest sampled
     pair then dominates the matrix, so estimates at large r measure that
-    spike rather than the integral operator (the suite records both this
-    estimator and the profile-based operator norm).
+    spike rather than the integral operator.
     """
     if n < 16:
         raise ValueError("n must be >= 16")
@@ -420,12 +413,13 @@ def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
     thetas = sample_sphere(n, s_theta)
     omegas = sample_sphere(n, s_omega)
     K = szego_matrix(lv, r, thetas, omegas)
+    KH = K.conj().T
     v = np.random.default_rng(s_start).standard_normal(n).astype(complex)
     v /= np.linalg.norm(v)
     sigma_prev = 0.0
     for it in range(1, 501):
         w = K @ v
-        u = K.conj().T @ w
+        u = KH @ w
         nu = np.linalg.norm(u)
         sigma = math.sqrt(np.linalg.norm(w) ** 2)  # = ||K v||, v unit
         if nu == 0.0:
@@ -440,17 +434,13 @@ def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
             f"(lam={lv}, r={r}, n={n})"
         )
     w = K @ v
-    u = K.conj().T @ w
+    u = KH @ w
     sigma_sq = float(np.real(np.vdot(v, u)))
     residual = float(np.linalg.norm(u - sigma_sq * v) / max(sigma_sq, 1e-300))
     return OperatorNormResult(
         value=math.sqrt(max(sigma_sq, 0.0)) / n,
         residual=residual,
         iterations=it,
-        n=n,
-        r=r,
-        lam=float(lv.real),
-        seed=seed,
     )
 
 
@@ -467,7 +457,6 @@ class CZReport:
     lams: tuple
     r_grid: tuple
     n_samples: int
-    seed: int
     size_per_r: dict = field(default_factory=dict)          # (i)
     smooth_per_r: dict = field(default_factory=dict)        # (ii)
     truncated_per_r: dict = field(default_factory=dict)     # (iii)
@@ -517,8 +506,10 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     if 0.0 in lams:
         raise ValueError("lambda must be nonzero")
     n = spec.n_mc
+    if n < 2:
+        raise ValueError(f"n_mc must be >= 2 to split the sample pairs in half, got {n}")
     rs = tuple(_checked_r_grid(r_grid))
-    rep = CZReport(lams=lams, r_grid=rs, n_samples=n, seed=spec.seed)
+    rep = CZReport(lams=lams, r_grid=rs, n_samples=n)
 
     s1, s2, s3, s4 = spawn_seeds(spec.seed, 4)
     theta = sample_sphere(n, s1)

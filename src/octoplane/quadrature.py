@@ -184,11 +184,11 @@ def gauss_panels(a: float, b: float, breakpoints: Sequence[float],
     return _panel_rule(np.asarray(pts, dtype=float), order)
 
 
-def _radial_rule(t: float, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
     # r in [0, tanh t], split at 1 - 2^-k to resolve the (1-r^2)^{-rho-1} blowup
     r_max = math.tanh(t)
     breaks = [1.0 - 2.0 ** (-k) for k in range(1, 60) if 1.0 - 2.0 ** (-k) < r_max]
-    return gauss_panels(0.0, r_max, breaks, order)
+    return gauss_panels(0.0, r_max, breaks)
 
 
 def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:

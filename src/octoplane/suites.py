@@ -75,6 +75,8 @@ class SuiteConfig:
         if self.l_max < 0:
             raise ValueError("l_max must be >= 0")
         QuadratureSpec(n_mc=self.n_mc, n_gauss=self.n_gauss)
+        if self.suite in ("cz", "all") and self.n_mc < 2:
+            raise ValueError("the cz suite splits its n_mc sample pairs in half: n_mc must be >= 2")
         if self.suite in ("special", "poisson", "cz", "invert", "all"):
             if any(l == 0 for l in self.lambdas):
                 raise ValueError("spectral suites need nonzero lambda values")
@@ -570,9 +572,10 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     rec.measured("po-m2-vs-hardy", "M_2(F) <= c * hardy norm of F (fitted c)",
                  len(config.lambdas), fitted_constant=worst_ratio)
 
-    res = po.operator_norm_est(lam0, 0.0, 256, _check_seed(config, "po-op-r0"))
+    seed_r0 = _check_seed(config, "po-op-r0")
+    res = po.operator_norm_est(lam0, 0.0, 256, seed_r0)
     rec.tol("po-operator-r-zero", "sampled operator norm at r = 0 equals 1",
-            abs(res.value - 1.0), 1e-9, 256, res.seed)
+            abs(res.value - 1.0), 1e-9, 256, seed_r0)
 
     n_op = 2000
     vals = {}

@@ -84,6 +84,8 @@ class TestConfigParsing:
         (["--suite", "special", "--lambda", "nan"], "lambda"),
         (["--suite", "invert", "--tgrid=4,400"], "t_grid"),
         (["--suite", "poisson", "--tgrid=400"], "t_grid"),
+        (["--suite", "cz", "--nmc", "1"], "n_mc"),
+        (["--suite", "all", "--nmc", "1"], "n_mc"),
     ])
     def test_out_of_range_setting_rejected(self, args, match, capsys):
         with pytest.raises(ValueError, match=match):

@@ -1,9 +1,11 @@
 """Unit and property tests for the octonion core.
 
-The multiplication table is generated by Cayley-Dickson doubling; the
-property suite here (norm multiplicativity, anti-commutation, alternativity,
-Moufang, two-generator associativity) is the gate that any admissible table
-must pass, so the frozen table is acceptable iff this module is green.
+The multiplication table is declared by its seven oriented Fano triples;
+TestTableGate checks that it is the Cayley-Dickson doubling of the
+quaternions and that its tables are read-only.  The property suite here
+(norm multiplicativity, anti-commutation, alternativity, Moufang,
+two-generator associativity) is the gate that any admissible table must
+pass, so the frozen table is acceptable iff this module is green.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from octoplane.octonion import (
     _BLOCK,
+    _TERM_ROWS,
     FANO_TRIPLES,
     MUL_INDEX,
     MUL_SIGN,
@@ -80,6 +83,29 @@ class TestTableGate:
         )
         assert np.array_equal(oct_mul(E[1], E[2]), E[3])
         assert np.array_equal(oct_mul(E[2], E[1]), -E[3])
+
+    def test_cayley_dickson_doubling(self):
+        # (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) on quaternion pairs,
+        # with e4 the doubling unit; integer coordinates make every product exact
+        a, b, c, d = np.random.default_rng(0).integers(-3, 4, size=(4, 1000, 4)).astype(float)
+        q_conj = np.array([1.0, -1.0, -1.0, -1.0])
+
+        def q_mul(p, q):
+            zero = np.zeros_like(p)
+            out = oct_mul(np.concatenate([p, zero], axis=-1), np.concatenate([q, zero], axis=-1))
+            assert not np.any(out[:, 4:])
+            return out[:, :4]
+
+        want = np.concatenate([q_mul(a, c) - q_mul(d * q_conj, b),
+                               q_mul(d, a) + q_mul(b, c * q_conj)], axis=-1)
+        got = oct_mul(np.concatenate([a, b], axis=-1), np.concatenate([c, d], axis=-1))
+        assert np.array_equal(got, want)
+
+    def test_tables_are_read_only(self):
+        for table in (STRUCTURE, MUL_INDEX, MUL_SIGN, _TERM_ROWS):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
 
     def test_nonassociativity_witness(self):
         lhs = oct_mul(oct_mul(E[1], E[2]), E[4])

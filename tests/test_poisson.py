@@ -567,6 +567,34 @@ class TestOperatorNorm:
         res = operator_norm_est(1.0, 0.99, 1500, 4)
         assert res.value > 50.0
 
+    @pytest.mark.parametrize("r,seed", [(0.5, 0), (0.9, 1), (0.99, 2)])
+    def test_matches_per_step_adjoint_loop(self, r, seed):
+        # K^H is formed once per call; the power steps stay bitwise those of
+        # a loop that forms K.conj().T at every step
+        n = 300
+        s_theta, s_omega, s_start = spawn_seeds(seed, 3)
+        K = szego_matrix(1.0 + 0j, r, sample_sphere(n, s_theta), sample_sphere(n, s_omega))
+        v = np.random.default_rng(s_start).standard_normal(n).astype(complex)
+        v /= np.linalg.norm(v)
+        sigma_prev = 0.0
+        for it in range(1, 501):
+            w = K @ v
+            u = K.conj().T @ w
+            nu = np.linalg.norm(u)
+            sigma = math.sqrt(np.linalg.norm(w) ** 2)
+            if nu == 0.0:
+                break
+            v = u / nu
+            if abs(sigma - sigma_prev) <= 1e-10 * max(sigma, 1e-300):
+                break
+            sigma_prev = sigma
+        u = K.conj().T @ (K @ v)
+        sigma_sq = float(np.real(np.vdot(v, u)))
+        residual = float(np.linalg.norm(u - sigma_sq * v) / max(sigma_sq, 1e-300))
+        res = operator_norm_est(1.0, r, n, seed)
+        assert res.value == math.sqrt(max(sigma_sq, 0.0)) / n
+        assert (res.residual, res.iterations) == (residual, it)
+
 
 # float.hex values of cz_suite called with one lambda at a time (n_mc =
 # 20,000, n_gauss = 200, default r grid), which one call over the whole
@@ -641,6 +669,13 @@ class TestCZSuite:
         for bad in ((0.0,), (1.0, 0.0), (-0.0, 2.0)):
             with pytest.raises(ValueError, match="lambda must be nonzero"):
                 cz_suite(bad, SPEC)
+
+    def test_fewer_than_two_pairs_rejected(self):
+        # half the pairs take independent partners, half perturbed ones
+        with pytest.raises(ValueError, match="n_mc"):
+            cz_suite((1.0,), QuadratureSpec(n_mc=1, n_gauss=200, seed=0))
+        rep = cz_suite((1.0,), QuadratureSpec(n_mc=2, n_gauss=200, seed=0))
+        assert rep.n_samples == 2
 
     def test_r_grid_validation(self):
         with pytest.raises(ValueError, match="empty r_grid"):

@@ -17,20 +17,24 @@ from octoplane.geometry import JordanMatrix
 from octoplane.poisson import (
     CZReport,
     EigenProfile,
+    HardyNormResult,
+    M2Result,
+    OperatorNormResult,
     _geodesic_mean_sq,
     boundary_recover_gt,
     cz_suite,
     hardy_norm,
     operator_norm_est,
 )
-from octoplane.quadrature import QuadratureSpec, ball_integrate
+from octoplane.quadrature import QuadratureSpec, _radial_rule, ball_integrate
 from octoplane.special import gauss_2f1
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(octoplane.__path__))
 REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value",
            "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re",
-           "_phi_at_radii", "_phi_scaled_at")
+           "_phi_at_radii", "_phi_scaled_at",
+           "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -62,6 +66,7 @@ def test_removed_parameters_and_fields_are_gone():
         operator_norm_est: ("max_iter", "rtol", "r_cap"),
         cz_suite: ("delta_grid", "slack", "n_samples"),
         _geodesic_mean_sq: ("panels_per_unit", "order"),
+        _radial_rule: ("order",),
     }
     for fn, names in removed.items():
         assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
@@ -74,6 +79,13 @@ def test_removed_parameters_and_fields_are_gone():
     assert not {"delta_grid", "truncated_per_cell", "lam", "size_constant",
                 "smooth_constant", "truncated_constant"} & fields
     assert "r_cap" not in {f.name for f in dataclasses.fields(QuadratureSpec)}
+    # result fields that only echoed an argument
+    echoes = {HardyNormResult: {"r_grid"}, M2Result: {"t_grid"}, CZReport: {"seed"},
+              OperatorNormResult: {"n", "r", "lam", "seed"}}
+    for cls, names in echoes.items():
+        assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    assert [f.name for f in dataclasses.fields(OperatorNormResult)] == [
+        "value", "residual", "iterations"]
 
 
 def test_gauss_2f1_path_keywords():

@@ -74,6 +74,9 @@ __all__ = [
 # operator are evaluated: beyond it the kernel peak outruns the quadrature.
 _R_CAP = 0.999
 
+# Rows per block of EigenProfile's |x|^2: a 0.5 MB temporary at most.
+_NORM_BLOCK = 4096
+
 
 # --------------------------------------------------------------------------
 # Kernels
@@ -163,7 +166,9 @@ class EigenProfile:
     (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported: one spherical_fn call on the distinct radii.
+    is supported: one spherical_fn call on the distinct radii.  |x|^2 is
+    formed in blocks of _NORM_BLOCK rows, so a large point set needs no
+    temporary of its own size.
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
@@ -179,9 +184,15 @@ class EigenProfile:
                 "only (l, m) = (0, 0) is supported"
             )
         pts = np.asarray(pts, dtype=float)
-        radii = np.sqrt(np.sum(pts * pts, axis=-1))
-        distinct, inverse = np.unique(radii, return_inverse=True)
-        out = spherical_fn(self.lam, self.l, self.m, distinct)[inverse].reshape(radii.shape)
+        rows = pts.reshape(-1, pts.shape[-1])
+        n2 = np.empty(len(rows))
+        for i in range(0, len(rows), _NORM_BLOCK):
+            block = rows[i:i + _NORM_BLOCK]
+            n2[i:i + _NORM_BLOCK] = np.sum(block * block, axis=-1)
+        radii = np.sqrt(n2)
+        distinct = np.unique(radii)
+        values = spherical_fn(self.lam, self.l, self.m, distinct)
+        out = values[np.searchsorted(distinct, radii)].reshape(pts.shape[:-1])
         return out if out.ndim else out[()]
 
 
@@ -351,36 +362,52 @@ def boundary_recover_gt(lam, F, t_grid: Sequence[float], spec: QuadratureSpec, *
     collapses to |Phi_{lam,lm}(r)|^2), which is independent of omega and
     needs the profile's own lam; the whole grid is one cumulative geodesic
     integral up to max(t_grid).  Other inputs need an explicit unit omega of
-    shape (16,) and integrate by radial quadrature of sphere Monte Carlo
-    means: one sphere sample serves every t, and <theta, omega>,
-    Phi(theta, omega) and |theta|^2 are formed once on it, so each radial
-    node assembles Psi(r theta, omega) elementwise and evaluates F once.  As
-    t grows, g_t tends to the boundary value of F times a fixed measure
-    normalization, which this package measures rather than assumes (every
-    limit constant is reported).
+    shape (16,) and take the Monte Carlo route of ``_mc_recover_gt`` with
+    the one boundary point omega.  As t grows, g_t tends to the boundary
+    value of F times a fixed measure normalization, which this package
+    measures rather than assumes (every limit constant is reported).
     """
     ts = _t_list(t_grid)
     lv = complex(lam)
-    c2 = abs(hc_c_function(lv)) ** 2
     if isinstance(F, EigenProfile):
         if F.lam != lv:
             raise ValueError(f"the profile has lambda = {F.lam}, not {lv}")
+        c2 = abs(hc_c_function(lv)) ** 2
         return [complex(v / c2) for v in _geodesic_mean_sq(F, ts)]
     if omega is None:
         raise ValueError("general inputs need an explicit boundary point omega")
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (16,) or not abs(float(np.linalg.norm(omega)) - 1.0) <= 1e-12:
         raise ValueError(f"omega must be a unit vector of shape (16,), got {omega!r}")
+    return _mc_recover_gt(lv, F, ts, spec, omega[None])[0]
+
+
+def _mc_recover_gt(lam, F, ts: Sequence[float], spec: QuadratureSpec,
+                   omegas: np.ndarray) -> list[list[complex]]:
+    """g_t of a general input F at each boundary point of omegas (shape
+    (k, 16), unit rows), one list over ts per point: radial quadrature of
+    sphere Monte Carlo means.
+
+    One sphere sample serves every t and every point; |theta|^2 is formed
+    once on it, and <theta, omega_j> and Phi(theta, omega_j) once per
+    point.  Each radial node evaluates F once on r theta, and each point's
+    kernel P_{-lam}(r theta, omega_j) is assembled elementwise from the
+    invariants.
+    """
+    lv = complex(lam)
+    c2 = abs(hc_c_function(lv)) ** 2
     pts = _sphere_sample(spec)
-    dot = np.sum(pts * omega, axis=-1)
-    phi = phi_form(pts, omega)
     n2 = np.sum(pts * pts, axis=-1)
+    forms = [(np.sum(pts * omega, axis=-1), phi_form(pts, omega)) for omega in omegas]
 
     def mean_at(r):
-        kern = _poisson_power(-lv, 1.0 - (r * r) * n2, _psi_r(r, dot, phi))
-        return np.mean(kern * np.asarray(F(r * pts)))
+        vals = np.asarray(F(r * pts))
+        omr2 = 1.0 - (r * r) * n2
+        return [np.mean(_poisson_power(-lv, omr2, _psi_r(r, dot, phi)) * vals)
+                for dot, phi in forms]
 
-    return [complex(ball_integrate(mean_at, t) / (t * c2)) for t in ts]
+    per_t = [ball_integrate(mean_at, t) for t in ts]
+    return [[complex(g / (t * c2)) for t, g in zip(ts, gs)] for gs in zip(*per_t)]
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +489,7 @@ class CZReport:
     truncated_per_r: dict = field(default_factory=dict)     # (iii)
     violations_shift: int = 0        # |1 - r b|^{-1} <= 2 |1 - b|^{-1}
     violations_difference: int = 0   # |[th - th', om]| <= d'(d' + 2d)
+    n_admissible: int = 0            # triples of (ii): d(th,om) >= 2 d(th,th') > 0
     hormander_per_r: dict = field(default_factory=dict)     # measured only
 
 
@@ -544,6 +572,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     rhs47 = d_tt * (d_tt + 2.0 * d_to)
     rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
     nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
+    rep.n_admissible = int(np.count_nonzero(nz))
     dot_po = np.sum(theta_p * omega, axis=-1)
     pow_to = d_to ** (2 * RHO + 1)
 

@@ -191,7 +191,7 @@ def _radial_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
     return gauss_panels(0.0, r_max, breaks)
 
 
-def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:
+def ball_integrate(mean_at: Callable, t: float):
     """Integral over the geodesic ball of radius t against the invariant
     measure, from the sphere means of the integrand:
 
@@ -200,6 +200,9 @@ def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:
     where mean_at(r) is the normalized sphere mean <F(r theta)>_theta of
     the integrand F at radius r, called once per node of the radial rule (a
     caller samples the sphere once and reuses the sample at every node).
+    mean_at may instead return a sequence of k means, one per integrand;
+    all k then share the radial rule, and the result is the list of their k
+    integrals, each summed as the one-integrand case sums it.
 
     The weight (1-r^2)^{-12} is infinite for t beyond ~19, where radial
     nodes round to r = 1, so such t raise NumericsError; eigenfunction
@@ -214,9 +217,9 @@ def ball_integrate(mean_at: Callable[[float], complex], t: float) -> complex:
     if not np.all(omr2 > 0.0):
         raise NumericsError(f"radial weight overflow at t = {t}; reduce t")
     weight = omr2 ** (-12.0) * r ** 15
-    vals = np.empty(len(r), dtype=complex)
-    for i, ri in enumerate(r):
-        vals[i] = mean_at(ri)
+    vals = np.array([mean_at(ri) for ri in r], dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise NumericsError("non-finite integrand sample in ball_integrate")
-    return complex(S15 * np.sum(w * weight * vals))
+    if vals.ndim == 1:
+        return complex(S15 * np.sum(w * weight * vals))
+    return [complex(S15 * np.sum(w * weight * col)) for col in vals.T]

@@ -117,9 +117,11 @@ def summary_lines(report: VerificationReport) -> list[str]:
 
 
 def strip_wall_times(rendered_json: str) -> str:
-    """Rendered JSON with wall-time fields zeroed, for determinism diffs."""
+    """Rendered JSON with wall-time fields zeroed and the host provenance
+    dropped, for determinism diffs that compare results only."""
     obj = json.loads(rendered_json)
     for c in obj.get("checks", []):
         c["wall_time"] = 0.0
     obj.get("meta", {}).pop("total_wall_time", None)
+    obj.get("meta", {}).pop("provenance", None)
     return json.dumps(obj, indent=2) + "\n"

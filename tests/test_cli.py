@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
+import octoplane
 from octoplane import suites
 from octoplane.cli import build_config, main
 from octoplane.errors import NumericsError
@@ -213,6 +216,21 @@ class TestReportContents:
             ids = [c["check_id"] for c in json.loads(out.read_text())["checks"]]
             assert ids == lam_free + [f.format(lam) for lam in lams for f in per_lam]
 
+    def test_cz_smooth_fails_without_admissible_triples(self, tmp_path, capsys):
+        # two sample pairs admit no triple with d(th,om) >= 2 d(th,th'), so the
+        # smoothness constant reads 0 with nothing measured
+        out = tmp_path / "r.json"
+        code = run_cli(["--suite", "cz", "--nmc", "2", "--seed", "0", "--quiet", "--out", str(out)])
+        smooth = [c for c in json.loads(out.read_text())["checks"]
+                  if c["check_id"].startswith("cz-smooth-")]
+        assert code == 1 and len(smooth) == 3
+        for c in smooth:
+            assert (c["status"], c["measured"]["n_admissible"]) == ("fail", 0.0)
+        run_cli(["--suite", "cz", "--nmc", "2000", "--lambda", "1.0", "--quiet",
+                 "--out", str(out)])
+        c = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}["cz-smooth-1.0"]
+        assert c["status"] == "pass" and c["measured"]["n_admissible"] > 0
+
     def test_csv_row_count(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         run_cli(["--suite", "algebra", "--seed", "2", "--quiet",
@@ -280,6 +298,21 @@ class TestDeterminism:
         run_cli(args + ["--out", str(b)])
         assert strip_wall_times(a.read_text()) == strip_wall_times(b.read_text())
         assert a.read_text() != "" and b.read_text()
+
+    def test_provenance_recorded_and_stripped(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        run_cli(["--suite", "algebra", "--nmc", "1000", "--quiet", "--out", str(out)])
+        text = out.read_text()
+        prov = json.loads(text)["meta"]["provenance"]
+        assert set(prov) == {"octoplane", "numpy", "python", "system", "machine", "cpu_count"}
+        assert prov["octoplane"] == octoplane.__version__
+        assert prov["numpy"] == np.__version__
+        assert prov["python"] == platform.python_version()
+        # a determinism diff across hosts compares results only
+        other = json.loads(text)
+        other["meta"]["provenance"] = {"python": "0.0", "cpu_count": 1}
+        assert strip_wall_times(json.dumps(other)) == strip_wall_times(text)
+        assert "provenance" not in json.loads(strip_wall_times(text))["meta"]
 
     def test_quiet_prefix_suppresses_summary(self, tmp_path, capsys):
         # argparse accepts unambiguous prefixes, so --qui means --quiet

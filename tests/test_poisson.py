@@ -230,6 +230,22 @@ class TestEigenProfile:
         assert np.shape(single) == ()
         assert single == spherical_fn(1.0, 0, 0, 0.7)
 
+    @pytest.mark.parametrize("shape", [(16,), (10_001, 16), (3, 7, 16)])
+    def test_blocked_norms_match_whole_array_radii(self, shape):
+        # |x|^2 is formed in row blocks (10,001 rows is not a multiple of
+        # the block); the radii, and so the values, are bitwise those of one
+        # whole-array reduction, with repeated radii and x = 0 included
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.24, 0.24, size=shape)
+        rows = x.reshape(-1, 16)
+        rows[::3] = rows[0]
+        rows[1::5] = 0.0
+        radii = np.sqrt(np.sum(x * x, -1))
+        out = EigenProfile(1.0)(x)
+        assert np.shape(out) == shape[:-1]
+        assert np.array_equal(out, spherical_fn(1.0, 0, 0, radii))
+        assert EigenProfile(1.0)(np.zeros(shape)).tolist() == np.ones(shape[:-1]).tolist()
+
     def test_index_validated_at_construction(self):
         # the index is checked as spherical_fn checks it, not rounded
         with pytest.raises(ValueError, match="l and m must be integers"):
@@ -530,6 +546,29 @@ class TestInversion:
         assert phi_rows == [(2000,)]
         assert samples == [2000]
 
+    def test_stacked_route_matches_per_omega_calls(self):
+        spec = QuadratureSpec(n_mc=4000, n_gauss=200, seed=3)
+        ts = (0.5, 1.0, 2.0)
+        omegas = np.stack([E1, -E1, _generic_omega()])
+        got = poisson._mc_recover_gt(1.0, _generic_callable, ts, spec, omegas)
+        assert got == [boundary_recover_gt(1.0, _generic_callable, ts, spec, omega=omega)
+                       for omega in omegas]
+
+    def test_stacked_route_evaluates_F_once_per_node(self):
+        radii = []
+
+        def counted(x):
+            radii.append(float(np.linalg.norm(x[0])))
+            return _generic_callable(x)
+
+        spec = QuadratureSpec(n_mc=2000, n_gauss=200, seed=0)
+        ts = (0.5, 1.0)
+        gts = poisson._mc_recover_gt(1.0, counted, ts, spec, np.stack([E1, -E1]))
+        assert [len(g) for g in gts] == [2, 2]
+        nodes = np.concatenate([quadrature._radial_rule(t)[0] for t in ts])
+        assert len(radii) == len(nodes)
+        assert np.allclose(radii, nodes, rtol=1e-14, atol=0.0)
+
     @pytest.mark.xfail(
         strict=True,
         reason="successive differences of g_t are phase-modulated by the oscillating "
@@ -541,6 +580,55 @@ class TestInversion:
         prof = EigenProfile(lam)
         g8, g16, g32 = np.real(boundary_recover_gt(lam, prof, [8, 16, 32], SPEC))
         assert abs(g32 - g16) < abs(g16 - g8)
+
+
+# float.hex of every measured value of SuiteConfig(suite="invert", seed=0),
+# recorded before the Monte Carlo g_t route took a stack of boundary points
+_INVERT_GOLDEN = {
+    "inv-normalization": ("measured", {"kappa": "0x1.c7389e313f3c9p+2"}),
+    "inv-gt-profile-0.5": ("measured", {"g_t4.0": "0x1.81d8d36192085p+0",
+                                        "g_t8.0": "0x1.81916192c19e2p+2",
+                                        "g_t16.0": "0x1.856d3961351b9p+2",
+                                        "g_t32.0": "0x1.cfe052976eb41p+2",
+                                        "diff0": "0x1.211b2cba5d1c1p+2",
+                                        "diff1": "0x1.edebe739beb80p-5",
+                                        "diff2": "0x1.29cc64d8e6620p+0"}),
+    "inv-gt-profile-1.0": ("measured", {"g_t4.0": "0x1.2b258345e7a76p+2",
+                                        "g_t8.0": "0x1.8e6c0452cd8bep+2",
+                                        "g_t16.0": "0x1.a43196db0960dp+2",
+                                        "g_t32.0": "0x1.c7389e313f3c9p+2",
+                                        "diff0": "0x1.8d1a043397920p+0",
+                                        "diff1": "0x1.5c592883bd4f0p-2",
+                                        "diff2": "0x1.18383ab1aede0p-1"}),
+    "inv-gt-profile-2.0": ("measured", {"g_t4.0": "0x1.3ee230b163026p+2",
+                                        "g_t8.0": "0x1.9f11b8f536aaap+2",
+                                        "g_t16.0": "0x1.bc3002197ca13p+2",
+                                        "g_t32.0": "0x1.cc32ea9b447c4p+2",
+                                        "diff0": "0x1.80be210f4ea10p+0",
+                                        "diff1": "0x1.d1e492445f690p-2",
+                                        "diff2": "0x1.002e881c7db10p-2"}),
+    "inv-lambda-independence": ("pass", {"defect": "0x1.378215b75db00p-6",
+                                         "ratio_0.5": "0x1.04de0856dd76cp+0",
+                                         "ratio_1.0": "0x1.0000000000000p+0",
+                                         "ratio_2.0": "0x1.02cc9e9ef1376p+0"}),
+    "inv-lm-independence": ("pass", {"defect": "0x1.3225b5a245ac0p-6",
+                                     "ratio_00": "0x1.0000000000000p+0",
+                                     "ratio_20": "0x1.f69bbf31666fap-1",
+                                     "ratio_22": "0x1.fa6574ab1af9bp-1"}),
+    "inv-omega-mc-noise": ("measured", {"gap": "0x1.53c8440c94d9dp-5"}),
+    "inv-mean-square-drift": ("measured", {"drift_0.5": "0x1.cd484ebdac3b0p-3",
+                                           "drift_1.0": "0x1.50119c9a997b0p-2",
+                                           "drift_2.0": "0x1.9b3377a416840p-5"}),
+}
+
+
+def test_invert_suite_bitwise_golden_values():
+    report = run_suite(SuiteConfig(suite="invert", seed=0))
+    assert [c.check_id for c in report.checks] == list(_INVERT_GOLDEN)
+    for c in report.checks:
+        status, values = _INVERT_GOLDEN[c.check_id]
+        assert c.status == status, c.check_id
+        assert {k: float(v).hex() for k, v in c.measured.items()} == values, c.check_id
 
 
 class TestOperatorNorm:

@@ -156,6 +156,13 @@ class TestBallIntegrate:
     def test_zero_function(self):
         assert ball_integrate(lambda r: 0.0, 3.0) == 0.0
 
+    def test_k_means_share_the_rule(self):
+        # each of k integrands reads as its own one-integrand call, bitwise
+        means = (lambda r: 1.0, lambda r: math.cos(7.0 * r) + 1j * r, lambda r: r ** 3)
+        for t in (0.5, 2.0, 6.0):
+            got = ball_integrate(lambda r: [f(r) for f in means], t)
+            assert got == [ball_integrate(f, t) for f in means]
+
     def test_rejects_nonpositive_t(self):
         for t in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):

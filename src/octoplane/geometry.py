@@ -20,6 +20,13 @@ x1 x2, and ``_phi``, ``_psi``, ``_dist`` (pairwise) and ``_phi_gram`` (all
 pairs of two sets) read them.  ``phi_form``, ``psi_form`` and ``ni_dist``
 form both arguments per call; a caller that pairs one point set with
 several others forms it once.
+
+``_forms`` and ``bracket`` make one pass over blocks of rows
+(``octonion._BLOCK``): each block is transposed once to coordinate-major
+(16, m) arrays and fed to the octonion block kernels, so their scratch
+memory is bounded by the block, not by the input.  Their values equal
+those of whole-array ``oct_norm_sq``/``oct_mul`` calls on row-major points
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
+from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, basis, oct_conj, oct_mul, oct_norm,
+                       oct_norm_sq)
 from .quadrature import C_ZONAL, gauss_panels
 
 __all__ = [
@@ -63,6 +71,9 @@ def pair(x1, x2) -> np.ndarray:
 E1 = pair(basis(0), np.zeros(8))   # (1, 0)
 E2 = pair(np.zeros(8), basis(0))   # (0, 1)
 
+# conj as a column factor on coordinate-major (8, m) blocks
+_CONJ = np.array([1.0] + [-1.0] * 7)[:, None]
+
 
 class _Forms(NamedTuple):
     """A point set x with the per-point invariants Phi reads: |x1|^2, |x2|^2
@@ -78,10 +89,28 @@ class _Forms(NamedTuple):
         return _Forms(*(a[idx] for a in self))
 
 
-def _forms(x) -> _Forms:
+def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., :8], x[..., 8:]
-    return _Forms(x, oct_norm_sq(x1), oct_norm_sq(x2), oct_mul(x1, x2))
+    if x.shape[-1:] != (16,):
+        raise ValueError(f"points of O^2 need last axis 16, got shape {x.shape}")
+    return x
+
+
+def _forms(x) -> _Forms:
+    """The invariants of x, one coordinate-major copy per block of rows."""
+    x = _as_points(x)
+    shape = x.shape[:-1]
+    n1, n2, prod = np.empty(shape), np.empty(shape), np.empty(shape + (8,))
+    n1_r, n2_r, prod_r = n1.reshape(-1), n2.reshape(-1), prod.reshape(-1, 8)
+    r0 = 0
+    for blk in _row_blocks(x, shape):
+        t = np.ascontiguousarray(blk.T)
+        r1 = r0 + len(blk)
+        n1_r[r0:r1] = _norm_sq_cols(t[:8])
+        n2_r[r0:r1] = _norm_sq_cols(t[8:])
+        prod_r[r0:r1] = _mul_cols(t[:8], t[8:]).T
+        r0 = r1
+    return _Forms(x, n1, n2, prod)
 
 
 def _phi(fx: _Forms, fy: _Forms) -> np.ndarray:
@@ -129,20 +158,29 @@ def bracket(x, y) -> np.ndarray:
         (conj(x1) y2)(y2^{-1} y1) + x2 conj(y2)   if y2 != 0
         conj(x1) y1                               if y2 == 0
 
-    Linear in x for fixed y; |[x,y]| <= |x||y|.
+    Linear in x for fixed y; |[x,y]| <= |x||y|.  Evaluated in one pass over
+    blocks of rows: each block is transposed once to coordinate-major
+    arrays, so the scratch memory is bounded by the block, not the input.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    x1, x2 = x[..., :8], x[..., 8:]
-    y1, y2 = y[..., :8], y[..., 8:]
-    n2 = oct_norm_sq(y2)
-    degenerate = n2 == 0.0
-    safe = np.where(degenerate[..., None], 1.0, n2[..., None])
-    y2inv = oct_conj(y2) / safe
-    out = oct_mul(oct_mul(oct_conj(x1), y2), oct_mul(y2inv, y1)) + oct_mul(x2, oct_conj(y2))
-    if np.any(degenerate):
-        out[degenerate] = oct_mul(oct_conj(x1[degenerate]), y1[degenerate])
+    x = _as_points(x)
+    y = _as_points(y)
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.empty(shape + (8,))
+    rows = out.reshape(-1, 8)
+    r0 = 0
+    for x_blk, y_blk in zip(_row_blocks(x, shape), _row_blocks(y, shape)):
+        xt, yt = np.ascontiguousarray(x_blk.T), np.ascontiguousarray(y_blk.T)
+        x1c, y2c = _CONJ * xt[:8], _CONJ * yt[8:]
+        n2 = _norm_sq_cols(yt[8:])
+        degenerate = n2 == 0.0
+        y2inv = y2c / np.where(degenerate, 1.0, n2)
+        b = _mul_cols(_mul_cols(x1c, yt[8:]), _mul_cols(y2inv, yt[:8]))
+        b += _mul_cols(xt[8:], y2c)
+        if np.any(degenerate):
+            b[:, degenerate] = _mul_cols(x1c[:, degenerate], yt[:8, degenerate])
+        r1 = r0 + len(x_blk)
+        rows[r0:r1] = b.T
+        r0 = r1
     return out
 
 
@@ -185,7 +223,7 @@ def ni_dist(a, b) -> np.ndarray:
 
 def dist_to_e1(theta) -> np.ndarray:
     """d(theta, (1,0)) = |1 - conj(theta_1)|^{1/2}, cheap special case."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _as_points(theta)
     u = theta[..., 0]
     v2 = np.sum(theta[..., 1:8] ** 2, axis=-1)
     return ((1.0 - u) ** 2 + v2) ** 0.25

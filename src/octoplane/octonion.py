@@ -23,13 +23,16 @@ array-likes of shape ``(..., 8)``.  They are pure and thread-safe.
 
 The product does not contract the dense 8x8x8 tensor, whose 512 entries are
 zero but for 64.  Each output coordinate k is the sum of 8 signed terms
-``+-a_i b_j`` with ``j = j(i, k)``, tabulated once at import.  The rows are
-processed in blocks of ``_BLOCK``: each block is transposed to 8 contiguous
-coordinate arrays, so every term is one vectorized multiply-add, and the
-scratch memory is bounded by the block, not by the input.  Each output is
-accumulated from +0.0 over i in ascending order, the order in which
+``+-a_i b_j`` with ``j = j(i, k)``, tabulated once at import.  The kernel
+``_mul_cols`` multiplies coordinate-major (8, m) blocks, so every term is
+one vectorized multiply-add.  Each output is accumulated from +0.0 over i
+in ascending order, the order in which
 ``np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)`` sums, so on finite
-input the two agree bit for bit (down to the sign of zero).
+input the two agree bit for bit (down to the sign of zero).  ``oct_mul``
+transposes blocks of ``_BLOCK`` rows into and out of it, so the scratch
+memory is bounded by the block, not by the input; ``geometry.bracket`` and
+``geometry._forms`` call it on blocks they have transposed once, together
+with ``_norm_sq_cols``, which sums |a|^2 in the order of ``oct_norm_sq``.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ def _term_rows() -> np.ndarray:
 _TERM_ROWS = _term_rows()
 _TERM_ROWS.setflags(write=False)
 
-# Rows per block of oct_mul; its scratch is 88 * _BLOCK doubles (0.7 MB).
+# Rows per block of oct_mul, geometry.bracket and geometry._forms; oct_mul's
+# scratch is 88 * _BLOCK doubles (0.7 MB).
 _BLOCK = 1024
 
 
@@ -105,17 +109,44 @@ def _as_coeffs(a) -> np.ndarray:
 
 def _row_blocks(x: np.ndarray, shape: tuple[int, ...]):
     """Consecutive blocks of at most _BLOCK rows of x broadcast to
-    ``shape + (8,)``, each of shape (rows, 8).  A broadcast operand is
-    gathered one block at a time, never expanded to full size."""
-    n = math.prod(shape)
+    ``shape + x.shape[-1:]``, each of shape (rows, x.shape[-1]).  A broadcast
+    operand is gathered one block at a time, never expanded to full size."""
+    n, w = math.prod(shape), x.shape[-1]
     if x.shape[:-1] == shape:
-        rows = x.reshape(n, 8)
+        rows = x.reshape(n, w)
         for r0 in range(0, n, _BLOCK):
             yield rows[r0:r0 + _BLOCK]
     else:
-        xb = np.broadcast_to(x, shape + (8,))
+        xb = np.broadcast_to(x, shape + (w,))
         for r0 in range(0, n, _BLOCK):
             yield xb[np.unravel_index(np.arange(r0, min(r0 + _BLOCK, n)), shape)]
+
+
+def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Product of coordinate-major (8, m) blocks: column c of the result is
+    the octonion product of columns c of a_t and b_t."""
+    b_pm = np.empty((16, b_t.shape[1]))
+    b_pm[:8] = b_t
+    np.negative(b_pm[:8], out=b_pm[8:])
+    terms = b_pm[_TERM_ROWS]                  # terms[i, k] = +-b_j, shape (8, 8, m)
+    terms *= a_t[:, None, :]
+    acc = terms[0]
+    acc += 0.0                                # +0.0 first: a sum of -0.0 terms is +0.0
+    for i in range(1, 8):
+        acc += terms[i]
+    return acc
+
+
+def _norm_sq_cols(a_t: np.ndarray) -> np.ndarray:
+    """|a|^2 of each column of an (8, m) block, summed by the tree
+    ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)): the order np.sum takes over a
+    contiguous last axis of 8, so it equals oct_norm_sq of the row-major
+    rows bit for bit."""
+    s = a_t * a_t
+    s[0::2] += s[1::2]
+    s[0::4] += s[2::4]
+    s[0] += s[4]
+    return s[0]
 
 
 def oct_mul(a, b) -> np.ndarray:
@@ -128,17 +159,7 @@ def oct_mul(a, b) -> np.ndarray:
     r0 = 0
     for a_blk, b_blk in zip(_row_blocks(a, shape), _row_blocks(b, shape)):
         m = len(a_blk)
-        a_t = np.ascontiguousarray(a_blk.T)
-        b_pm = np.empty((16, m))
-        b_pm[:8] = b_blk.T
-        np.negative(b_pm[:8], out=b_pm[8:])
-        terms = b_pm[_TERM_ROWS]              # terms[i, k] = +-b_j, shape (8, 8, m)
-        terms *= a_t[:, None, :]
-        acc = terms[0]
-        acc += 0.0                            # +0.0 first: a sum of -0.0 terms is +0.0
-        for i in range(1, 8):
-            acc += terms[i]
-        rows[r0:r0 + m] = acc.T
+        rows[r0:r0 + m] = _mul_cols(np.ascontiguousarray(a_blk.T), b_blk.T).T
         r0 += m
     return out
 

@@ -547,8 +547,6 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     half = n // 2
     theta_p[:half] = sample_sphere(half, s4)
     theta_p[half:] = _perturbed_partners(theta[half:], rng)
-    # the bracket of (ii), the suite's memory peak, while only the samples live
-    lhs47 = oct_norm(bracket(theta - theta_p, omega))
 
     # (i) and the shift inequality, pairwise by rows; each set is formed once,
     # and <theta,omega> and Phi(theta,omega) are hoisted out of the r loop
@@ -563,13 +561,16 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
             np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12)
         )
 
-    # (ii) the pair forms (dropped once read) and the bracket-difference inequality
+    # (ii) the pair forms (dropped once read) and the bracket-difference
+    # inequality; the suite's memory peak is the (n, 16) row product in _psi
+    # while three form sets live (the bracket's scratch is one row block)
     f_p = _forms(theta_p)
     d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
     phi_po = _phi(f_p, f_o)
     del f_t, f_o, f_p
     d_to = np.maximum(psi1, 0.0) ** 0.25
     rhs47 = d_tt * (d_tt + 2.0 * d_to)
+    lhs47 = oct_norm(bracket(theta - theta_p, omega))
     rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
     nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
     rep.n_admissible = int(np.count_nonzero(nz))

@@ -27,6 +27,7 @@ from octoplane.geometry import (
     psi_from_bracket,
     unit_rotation,
 )
+from octoplane.octonion import _BLOCK as BLOCK
 from octoplane.octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 from octoplane.quadrature import sample_sphere
 from octoplane.suites import SuiteConfig, _check_seed, run_suite
@@ -207,6 +208,105 @@ class TestBracket:
         lhs = oct_norm(bracket(x, y))
         rhs = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
         assert np.max(lhs - rhs) < 1e-12
+
+
+def reference_bracket(x, y):
+    """The bracket as four full-size oct_mul products, with the y2 = 0 rows
+    overwritten (the formula before the one-pass block kernel)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x1, x2, y1, y2 = x[..., :8], x[..., 8:], y[..., :8], y[..., 8:]
+    n2 = oct_norm_sq(y2)
+    degenerate = n2 == 0.0
+    y2inv = oct_conj(y2) / np.where(degenerate[..., None], 1.0, n2[..., None])
+    out = oct_mul(oct_mul(oct_conj(x1), y2), oct_mul(y2inv, y1)) + oct_mul(x2, oct_conj(y2))
+    if np.any(degenerate):
+        out[degenerate] = oct_mul(oct_conj(x1[degenerate]), y1[degenerate])
+    return out
+
+
+def reference_forms(x):
+    """|x1|^2, |x2|^2 and x1 x2 as three whole-array calls."""
+    x = np.asarray(x, dtype=float)
+    return oct_norm_sq(x[..., :8]), oct_norm_sq(x[..., 8:]), oct_mul(x[..., :8], x[..., 8:])
+
+
+def wide_points(shape, seed):
+    """Points whose coordinates spread over 1e-8..1e8, so any change of the
+    summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def assert_blocked_equals_reference(x, y):
+    got = bracket(x, y)
+    assert got.flags.c_contiguous
+    assert bitwise_equal(got, reference_bracket(x, y))
+    for p in (x, y):
+        fp = geometry._forms(p)
+        for a, b in zip(fp[1:], reference_forms(p)):
+            assert bitwise_equal(np.asarray(a), np.asarray(b))
+
+
+class TestBlockedKernels:
+    """bracket and _forms run one pass per block of rows; they equal the
+    whole-array references bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    def test_contiguous(self, n):
+        assert_blocked_equals_reference(wide_points((n, 16), 1), wide_points((n, 16), 2))
+        assert_blocked_equals_reference(ball_points(n, 3), sample_sphere(n + 1, 4)[:n])
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    def test_broadcast_single_point(self, n):
+        p, q = wide_points(16, 5), wide_points((n, 16), 6)
+        assert_blocked_equals_reference(p, q)
+        assert_blocked_equals_reference(q, p)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    def test_broadcast_grid(self, n):
+        assert_blocked_equals_reference(wide_points((3, 1, 16), 7), wide_points((1, n, 16), 8))
+        assert_blocked_equals_reference(wide_points((1, n, 16), 9), wide_points((3, 1, 16), 10))
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    def test_step_sliced(self, n):
+        big = wide_points((3 * n, 16), 11)
+        assert_blocked_equals_reference(big[::3], big[1::3])
+        assert_blocked_equals_reference(big[::-3], big[2::3])
+
+    def test_degenerate_rows(self):
+        x, y = wide_points((2 * BLOCK + 5, 16), 12), wide_points((2 * BLOCK + 5, 16), 13)
+        y[:BLOCK, 8:] = 0.0          # a whole block takes the y2 = 0 branch
+        y[BLOCK::3, 8:] = -0.0       # mixed rows in the next blocks
+        assert_blocked_equals_reference(x, y)
+        assert bitwise_equal(bracket(x, y)[:BLOCK], oct_mul(oct_conj(x[:BLOCK, :8]), y[:BLOCK, :8]))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(14)
+        vals = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+        x = vals[rng.integers(0, 6, (BLOCK + 7, 16))]
+        y = vals[rng.integers(0, 6, (BLOCK + 7, 16))]
+        assert_blocked_equals_reference(x, y)
+        assert_blocked_equals_reference(np.zeros(16), -0.0 * y)
+        zeros = -np.zeros((2, 16))
+        assert_blocked_equals_reference(zeros, zeros)
+
+    def test_layout_independent(self):
+        x, y = wide_points((BLOCK + 3, 16), 15), wide_points((BLOCK + 3, 16), 16)
+        xf, yf = np.asfortranarray(x), np.asfortranarray(y)
+        assert bitwise_equal(bracket(xf, yf), bracket(x, y))
+        for a, b in zip(geometry._forms(xf)[1:], geometry._forms(x)[1:]):
+            assert bitwise_equal(a, b)
+
+    @pytest.mark.parametrize("width", [8, 15, 17, 32])
+    def test_shape_errors_name_o2(self, width):
+        bad, good = np.ones((5, width)), np.ones((5, 16))
+        for call in (lambda: bracket(bad, good), lambda: bracket(good, bad),
+                     lambda: geometry._forms(bad), lambda: phi_form(bad, good),
+                     lambda: psi_form(good, bad), lambda: ni_dist(bad, good),
+                     lambda: dist_to_e1(bad)):
+            with pytest.raises(ValueError, match=rf"points of O\^2 need last axis 16, "
+                                                 rf"got shape \(5, {width}\)"):
+                call()
 
 
 class TestMetric:

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from octoplane.octonion import (
     _BLOCK,
     _TERM_ROWS,
+    _norm_sq_cols,
     FANO_TRIPLES,
     MUL_INDEX,
     MUL_SIGN,
@@ -207,6 +208,15 @@ class TestSparseKernel:
                 b[j] = -0.0 if MUL_SIGN[i, j] > 0 else 0.0
             assert not np.any(np.signbit(dense_mul(np.zeros(8), b)))
             assert not np.any(np.signbit(oct_mul(np.zeros(8), b)))
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 1024])
+    def test_column_norm_tree_is_np_sum_order(self, m):
+        """_norm_sq_cols sums by the pairwise tree that np.sum takes over a
+        contiguous last axis of 8; a numpy that changes that order fails here."""
+        rng = np.random.default_rng(m)
+        a_t = rng.standard_normal((8, m)) * 10.0 ** rng.uniform(-30, 30, (8, m))
+        want = oct_norm_sq(np.ascontiguousarray(a_t.T))
+        assert np.array_equal(_norm_sq_cols(a_t).view(np.uint64), want.view(np.uint64))
 
     def test_no_dense_contraction(self, monkeypatch):
         def refuse(*args, **kwargs):

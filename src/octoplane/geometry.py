@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, basis, oct_conj, oct_mul, oct_norm,
-                       oct_norm_sq)
+from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis, oct_conj, oct_mul,
+                       oct_norm, oct_norm_sq)
 from .quadrature import C_ZONAL, gauss_panels
 
 __all__ = [
@@ -132,7 +132,7 @@ def _psi_r(r, dot, phi):
 
 def _psi(fx: _Forms, fy: _Forms) -> np.ndarray:
     """Psi(x, y) from formed invariants."""
-    return _psi_r(1.0, np.sum(fx.x * fy.x, axis=-1), _phi(fx, fy))
+    return _psi_r(1.0, _row_dot(fx.x, fy.x), _phi(fx, fy))
 
 
 def _dist(fx: _Forms, fy: _Forms) -> np.ndarray:

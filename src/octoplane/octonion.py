@@ -95,7 +95,7 @@ def _term_rows() -> np.ndarray:
 _TERM_ROWS = _term_rows()
 _TERM_ROWS.setflags(write=False)
 
-# Rows per block of oct_mul, geometry.bracket and geometry._forms; oct_mul's
+# Rows per block of oct_mul, _row_dot, geometry.bracket and geometry._forms; oct_mul's
 # scratch is 88 * _BLOCK doubles (0.7 MB).
 _BLOCK = 1024
 
@@ -110,16 +110,35 @@ def _as_coeffs(a) -> np.ndarray:
 def _row_blocks(x: np.ndarray, shape: tuple[int, ...]):
     """Consecutive blocks of at most _BLOCK rows of x broadcast to
     ``shape + x.shape[-1:]``, each of shape (rows, x.shape[-1]).  A broadcast
-    operand is gathered one block at a time, never expanded to full size."""
+    operand is gathered one block at a time, never expanded to full size; a
+    single row is repeated by a read-only view."""
     n, w = math.prod(shape), x.shape[-1]
     if x.shape[:-1] == shape:
         rows = x.reshape(n, w)
         for r0 in range(0, n, _BLOCK):
             yield rows[r0:r0 + _BLOCK]
+    elif x.size == w:
+        row = x.reshape(1, w)
+        for r0 in range(0, n, _BLOCK):
+            yield np.broadcast_to(row, (min(_BLOCK, n - r0), w))
     else:
         xb = np.broadcast_to(x, shape + (w,))
         for r0 in range(0, n, _BLOCK):
             yield xb[np.unravel_index(np.arange(r0, min(r0 + _BLOCK, n)), shape)]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sum(a * b, axis=-1) over the broadcast leading axes of a and b,
+    bit for bit, with the product formed one block of rows at a time."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    r0 = 0
+    for a_blk, b_blk in zip(_row_blocks(a, shape), _row_blocks(b, shape)):
+        r1 = r0 + len(a_blk)
+        flat[r0:r1] = np.sum(a_blk * b_blk, axis=-1)
+        r0 = r1
+    return out
 
 
 def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:

@@ -28,10 +28,12 @@ import numpy as np
 from .errors import NumericsError
 from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, bracket,
                        dist_to_e1, ni_dist, phi_form, psi_form)
-from .octonion import oct_norm
+from .octonion import _row_dot, oct_norm
 from .quadrature import (
     S15,
     QuadratureSpec,
+    _Fill,
+    _to_sphere,
     ball_integrate,
     gauss_panels,
     sample_sphere,
@@ -493,13 +495,38 @@ class CZReport:
     hormander_per_r: dict = field(default_factory=dict)     # measured only
 
 
-def _perturbed_partners(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Partners theta' covering separation scales from O(1) down to ~1e-3."""
-    n = len(theta)
-    eps = 10.0 ** rng.uniform(-3.0, 0.3, size=n)
-    g = rng.standard_normal((n, 16))
-    tp = theta + eps[:, None] * g
-    return tp / np.linalg.norm(tp, axis=1, keepdims=True)
+def _cz_samples(n: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, omega and the partners theta' of cz_suite's n sample pairs,
+    from seeds = (s1, s2, s3, s4).
+
+    theta and omega are uniform on the sphere from s1 and s2.  The first
+    n // 2 partners are uniform from s4; the others are theta perturbed by
+    10^U(-3, 0.3) times a Gaussian from s3 and normalized, so they cover
+    separations from O(1) down to ~1e-3.  The four Gaussian fills run on
+    helper threads (``quadrature._Fill``), theta's and omega's first, while
+    this thread normalizes the rows that have arrived.  Each generator is
+    used by one thread at a time and in the serial order, so the bits equal
+    those of sample_sphere(n, s1), sample_sphere(n, s2),
+    sample_sphere(n // 2, s4) and the serial draw of the perturbed partners.
+    """
+    s1, s2, s3, s4 = seeds
+    half = n // 2
+    theta, omega, theta_p = (np.empty((n, 16)) for _ in range(3))
+    rng3 = np.random.default_rng(s3)
+    with (_Fill(np.random.default_rng(s1), theta) as theta_fill,
+          _Fill(np.random.default_rng(s2), omega) as omega_fill):
+        eps = 10.0 ** rng3.uniform(-3.0, 0.3, size=n - half)
+        theta_fill.result()
+        # the partner fills start only now, so that they do not slow theta's
+        with (_Fill(np.random.default_rng(s4), theta_p[:half]) as independent_fill,
+              _Fill(rng3, theta_p[half:]) as perturbation_fill):
+            _to_sphere(theta)
+            _to_sphere(omega_fill.result())
+            partners = perturbation_fill.result()
+            partners *= eps[:, None]
+            partners += theta[half:]
+            independent_fill.result()
+    return theta, omega, _to_sphere(theta_p)
 
 
 def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
@@ -527,6 +554,15 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     Hormander probe forms, the size ratios (i) (|Psi_r| d^{2 rho} =
     (Psi_1/Psi_r)^{rho/2}) and both violation counts.  Only (ii), (iii)
     and the tail are evaluated per lambda, keyed {lam: {r: value}}.
+
+    The five Gaussian fills of the samples (theta, omega, both halves of
+    theta' in ``_cz_samples``, and the Hormander sample) run on helper
+    threads, each joined just before its array is first read, so the
+    draws overlap this thread's normalizing and form work.  A helper only
+    fills an array allocated here, with a generator nothing else touches
+    until the join, so the values do not depend on thread timing; an
+    exception on a helper re-raises here, and every helper is joined
+    before cz_suite returns or raises.
     """
     lams = tuple(float(lam) for lam in lams)
     if not lams:
@@ -539,19 +575,12 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     rs = tuple(_checked_r_grid(r_grid))
     rep = CZReport(lams=lams, r_grid=rs, n_samples=n)
 
-    s1, s2, s3, s4 = spawn_seeds(spec.seed, 4)
-    theta = sample_sphere(n, s1)
-    omega = sample_sphere(n, s2)
-    rng = np.random.default_rng(s3)
-    theta_p = theta.copy()
-    half = n // 2
-    theta_p[:half] = sample_sphere(half, s4)
-    theta_p[half:] = _perturbed_partners(theta[half:], rng)
-
+    seeds = spawn_seeds(spec.seed, 4)
+    theta, omega, theta_p = _cz_samples(n, seeds)
     # (i) and the shift inequality, pairwise by rows; each set is formed once,
     # and <theta,omega> and Phi(theta,omega) are hoisted out of the r loop
     f_t, f_o = _forms(theta), _forms(omega)
-    dot_to = np.sum(theta * omega, axis=-1)
+    dot_to = _row_dot(theta, omega)
     phi_to = _phi(f_t, f_o)
     psi1 = _psi_r(1.0, dot_to, phi_to)
     for r in rs:
@@ -562,26 +591,28 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         )
 
     # (ii) the pair forms (dropped once read) and the bracket-difference
-    # inequality; the suite's memory peak is the (n, 16) row product in _psi
-    # while three form sets live (the bracket's scratch is one row block)
+    # inequality; the suite's memory peak is the (n, 8) slot product in _phi
+    # while three form sets live (142.7 MiB at n = 200,000 by tracemalloc)
     f_p = _forms(theta_p)
     d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
     phi_po = _phi(f_p, f_o)
     del f_t, f_o, f_p
-    d_to = np.maximum(psi1, 0.0) ** 0.25
-    rhs47 = d_tt * (d_tt + 2.0 * d_to)
-    lhs47 = oct_norm(bracket(theta - theta_p, omega))
-    rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
-    nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
-    rep.n_admissible = int(np.count_nonzero(nz))
-    dot_po = np.sum(theta_p * omega, axis=-1)
-    pow_to = d_to ** (2 * RHO + 1)
+    # the Hormander sample fills while the bracket is formed
+    m = min(n, 100_000)
+    with _Fill(np.random.default_rng(seeds[3] + 1), np.empty((m, 16))) as hormander_fill:
+        d_to = np.maximum(psi1, 0.0) ** 0.25
+        rhs47 = d_tt * (d_tt + 2.0 * d_to)
+        lhs47 = oct_norm(bracket(theta - theta_p, omega))
+        rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
+        nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
+        rep.n_admissible = int(np.count_nonzero(nz))
+        dot_po = _row_dot(theta_p, omega)
+        pow_to = d_to ** (2 * RHO + 1)
+        om_h = _to_sphere(hormander_fill.result())
 
     # Hormander tail probes: theta at dyadic distances from e1; the
     # r-independent <om, th> and Phi(om, th) are formed once per probe point,
     # Phi from the invariants of om_h, formed once for all probes
-    m = min(n, 100_000)
-    om_h = sample_sphere(m, s4 + 1)
     f_h = _forms(om_h)
     d_om = dist_to_e1(om_h)
     probes = []
@@ -590,8 +621,8 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         th = th[None, :] / np.linalg.norm(th)
         mask = d_om > 2.0 * float(dist_to_e1(th)[0])
         if mask.any():
-            probes.append((mask, np.sum(om_h * th, axis=-1), _phi(f_h, _forms(th))))
-    dot_e1 = np.sum(om_h * E1[None, :], axis=-1)
+            probes.append((mask, _row_dot(om_h, th), _phi(f_h, _forms(th))))
+    dot_e1 = _row_dot(om_h, E1[None, :])
     phi_e1 = _phi(f_h, _forms(E1[None, :]))
 
     for lam in lams:

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericsError
+from .octonion import _row_dot
 
 __all__ = [
     "C_ZONAL",
@@ -73,10 +75,56 @@ def sample_sphere(n: int, seed: int) -> np.ndarray:
     deterministic for fixed seed.  Shape (n, 16)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 16))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return _to_sphere(_fill_normal(np.random.default_rng(seed), np.empty((n, 16))))
+
+
+def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """out filled with standard normals from rng, in C order: the values of
+    rng.standard_normal(out.shape).  Generator.standard_normal runs without
+    the GIL, so a helper thread (_Fill) can run this beside other work."""
+    rng.standard_normal(out=out)
+    return out
+
+
+def _to_sphere(x: np.ndarray) -> np.ndarray:
+    """Each row of the (n, 16) array x scaled in place to unit length, with
+    the bits of x / np.linalg.norm(x, axis=1, keepdims=True)."""
+    x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
+
+
+class _Fill:
+    """_fill_normal(rng, out) on a helper thread, started at construction.
+
+    result() waits for the fill, re-raises any exception it raised and
+    returns out.  As a context manager, leaving the block joins the thread
+    whatever happened in it, so no helper outlives its caller.  While the
+    fill runs, rng and out belong to the helper: the caller touches neither
+    before result(), so the values do not depend on thread timing.
+    """
+
+    def __init__(self, rng: np.random.Generator, out: np.ndarray):
+        self._out, self._error = out, None
+        self._thread = threading.Thread(target=self._run, args=(rng,), name="octoplane-fill")
+        self._thread.start()
+
+    def _run(self, rng):
+        try:
+            _fill_normal(rng, self._out)
+        except BaseException as exc:  # handed to the thread that calls result()
+            self._error = exc
+
+    def result(self) -> np.ndarray:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
+
+    def __enter__(self) -> "_Fill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
 
 
 def spawn_seeds(seed: int, k: int) -> list[int]:

@@ -20,6 +20,7 @@ from octoplane.octonion import (
     _BLOCK,
     _TERM_ROWS,
     _norm_sq_cols,
+    _row_dot,
     FANO_TRIPLES,
     MUL_INDEX,
     MUL_SIGN,
@@ -223,6 +224,39 @@ class TestSparseKernel:
             raise AssertionError("oct_mul called np.einsum")
         monkeypatch.setattr(np, "einsum", refuse)
         oct_mul(rand(3, 14), rand(3, 15))
+
+
+
+class TestRowDot:
+    """_row_dot equals np.sum(a * b, axis=-1) bit for bit, on row blocks."""
+
+    @staticmethod
+    def assert_bitwise_sum(a, b):
+        got, want = _row_dot(a, b), np.sum(a * b, axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_contiguous(self, n):
+        self.assert_bitwise_sum(wide_rand((n, 16), 21), wide_rand((n, 16), 22))
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_single_row_against_many(self, n):
+        a, b = wide_rand(16, 23), wide_rand((n, 16), 24)
+        self.assert_bitwise_sum(a, b)
+        self.assert_bitwise_sum(b, a)
+        self.assert_bitwise_sum(a[None, :], b)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_broadcast_grid(self, n):
+        a, b = wide_rand((3, 1, 16), 25), wide_rand((1, n, 16), 26)
+        self.assert_bitwise_sum(a, b)
+        self.assert_bitwise_sum(b, a)
+
+    def test_strided_and_other_widths(self):
+        x = wide_rand((_BLOCK + 4, 32), 27)
+        self.assert_bitwise_sum(x[:, :16], x[:, 16:])
+        self.assert_bitwise_sum(x[::2, :8], x[1::2, 8:16])
 
 
 def octonion_pairs():

@@ -1,11 +1,15 @@
 """Kernels, transforms, norms, inversion functional, CZ harness, molecules."""
 
+import inspect
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from octoplane import geometry, poisson, quadrature
+from octoplane import geometry, octonion, poisson, quadrature, special
 from octoplane.errors import NumericsError
 from octoplane.geometry import E1, dist_to_e1, ni_dist, psi_form
 from octoplane.poisson import (
@@ -65,6 +69,13 @@ def _count_scaled_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(poisson, "spherical_fn_scaled", scaled)
     return calls
+
+
+def _serial_sphere(n, seed):
+    """The whole-array construction of sample_sphere: one (n, 16) Gaussian
+    draw divided by the norms of its rows."""
+    x = np.random.default_rng(seed).standard_normal((n, 16))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _generic_callable(x):
@@ -786,6 +797,85 @@ class TestCZSuite:
             monkeypatch.setattr(mod, "_forms", counted)
         cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert [r for r in rows if r != (1,)] == [(2_000,)] * 4
+
+    @pytest.mark.parametrize("n", [2, 3, 2_001])
+    def test_sample_set_matches_serial_construction(self, n):
+        seeds = spawn_seeds(9, 4)
+        s1, s2, s3, s4 = seeds
+        # reference: the serial draws cz_suite made before its Gaussian fills
+        # ran on helper threads, with sample_sphere's whole-array normalization
+        theta, omega = _serial_sphere(n, s1), _serial_sphere(n, s2)
+        theta_p = theta.copy()
+        half = n // 2
+        theta_p[:half] = _serial_sphere(half, s4)
+        rng = np.random.default_rng(s3)
+        eps = 10.0 ** rng.uniform(-3.0, 0.3, size=n - half)
+        tp = theta[half:] + eps[:, None] * rng.standard_normal((n - half, 16))
+        theta_p[half:] = tp / np.linalg.norm(tp, axis=1, keepdims=True)
+        got = poisson._cz_samples(n, seeds)
+        for a, b in zip(got, (theta, omega, theta_p)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_helpers_are_joined_on_return(self):
+        before = threading.enumerate()
+        cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
+        assert threading.enumerate() == before
+
+    def test_helper_error_reraises_after_every_helper_is_joined(self, monkeypatch):
+        # the first fill to run raises; the others finish 0.2 s later, so a
+        # helper left running past cz_suite shows in threading.enumerate()
+        fill_normal, lock, calls = quadrature._fill_normal, threading.Lock(), []
+
+        def first_fails(rng, out):
+            with lock:
+                calls.append(out.shape)
+                first = len(calls) == 1
+            if first:
+                raise NumericsError("fill failed on a helper")
+            time.sleep(0.2)
+            return fill_normal(rng, out)
+
+        monkeypatch.setattr(quadrature, "_fill_normal", first_fails)
+        before = threading.enumerate()
+        with pytest.raises(NumericsError, match="fill failed on a helper"):
+            cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
+        assert threading.enumerate() == before
+        calls.clear()
+        checks = run_suite(SuiteConfig(suite="cz", n_mc=2_000, seed=7)).checks
+        assert [(c.check_id, c.status, c.anchor) for c in checks] == [
+            ("cz-error", "error", "fill failed on a helper")]
+        assert threading.enumerate() == before
+
+    def test_public_functions_run_on_the_main_thread(self, monkeypatch):
+        # perfbench's tracer keeps one span stack, so the helpers may call no
+        # public function of the layers: each asserts that it runs on the
+        # main thread, through every module attribute that refers to it
+        calls = []
+
+        def on_main_thread(name, fn):
+            def checked(*args, **kwargs):
+                assert threading.current_thread() is threading.main_thread(), name
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return checked
+
+        wrapped = {}
+        for mod in (octonion, geometry, special, quadrature, poisson):
+            for name in mod.__all__:
+                fn = getattr(mod, name)
+                if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                    wrapped[id(fn)] = on_main_thread(f"{mod.__name__}.{name}", fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "octoplane" or mod_name.startswith("octoplane."):
+                for attr, val in list(vars(mod).items()):
+                    if id(val) in wrapped:
+                        monkeypatch.setattr(mod, attr, wrapped[id(val)])
+        before = threading.enumerate()
+        rep = poisson.cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
+        assert threading.enumerate() == before
+        assert rep.n_admissible > 0
+        assert {"octoplane.poisson.cz_suite", "octoplane.geometry.bracket",
+                "octoplane.geometry.dist_to_e1"} <= set(calls)
 
     def test_hormander_tail_matches_per_kernel_reference(self):
         # reference: one szego_kernel call per (r, probe point, e1), on the

@@ -38,7 +38,7 @@ import numpy as np
 
 from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis, oct_conj, oct_mul,
                        oct_norm, oct_norm_sq)
-from .quadrature import C_ZONAL, gauss_panels
+from .quadrature import C_ZONAL, _to_sphere, gauss_panels
 
 __all__ = [
     "pair",
@@ -115,7 +115,7 @@ def _forms(x) -> _Forms:
 
 def _phi(fx: _Forms, fy: _Forms) -> np.ndarray:
     """Phi from formed invariants, pairwise over broadcast leading axes."""
-    return fx.n1 * fy.n1 + fx.n2 * fy.n2 + 2.0 * np.sum(fx.prod * fy.prod, axis=-1)
+    return fx.n1 * fy.n1 + fx.n2 * fy.n2 + 2.0 * _row_dot(fx.prod, fy.prod)
 
 
 def _phi_gram(fx: _Forms, fy: _Forms) -> np.ndarray:
@@ -415,9 +415,7 @@ def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[
     batch = 1_000_000
     while remaining > 0:
         k = min(batch, remaining)
-        x = rng.standard_normal((k, 16))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        d = dist_to_e1(x)
+        d = dist_to_e1(_to_sphere(rng.standard_normal((k, 16))))
         hits = [h + int(np.count_nonzero(d < delta)) for h, delta in zip(hits, deltas)]
         remaining -= k
     out = []

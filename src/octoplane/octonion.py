@@ -129,7 +129,8 @@ def _row_blocks(x: np.ndarray, shape: tuple[int, ...]):
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.sum(a * b, axis=-1) over the broadcast leading axes of a and b,
-    bit for bit, with the product formed one block of rows at a time."""
+    bit for bit (a numpy scalar for single rows), with the product formed
+    one block of rows at a time."""
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     out = np.empty(shape)
     flat = out.reshape(-1)
@@ -138,7 +139,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r1 = r0 + len(a_blk)
         flat[r0:r1] = np.sum(a_blk * b_blk, axis=-1)
         r0 = r1
-    return out
+    return out if out.ndim else out[()]
 
 
 def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
@@ -194,7 +195,7 @@ def oct_conj(a) -> np.ndarray:
 def oct_norm_sq(a) -> np.ndarray:
     """|a|^2 = sum of squared coordinates."""
     a = _as_coeffs(a)
-    return np.sum(a * a, axis=-1)
+    return _row_dot(a, a)
 
 
 def oct_norm(a) -> np.ndarray:

@@ -76,32 +76,30 @@ __all__ = [
 # operator are evaluated: beyond it the kernel peak outruns the quadrature.
 _R_CAP = 0.999
 
-# Rows per block of EigenProfile's |x|^2: a 0.5 MB temporary at most.
-_NORM_BLOCK = 4096
-
 
 # --------------------------------------------------------------------------
 # Kernels
 # --------------------------------------------------------------------------
 
+def _inside(x: np.ndarray, name: str) -> np.ndarray:
+    """1 - |x|^2 for the points x of the ball; a point with |x| >= 1 raises
+    ValueError "<name> requires |x| < 1"."""
+    n2 = _row_dot(x, x)
+    if np.any(n2 >= 1.0):
+        raise ValueError(f"{name} requires |x| < 1")
+    return 1.0 - n2
+
+
 def poisson_kernel(x, omega) -> np.ndarray:
     """Harmonic Poisson kernel ((1-|x|^2)/Psi(x,omega))^rho for |x| < 1."""
     x = np.asarray(x, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    n2 = np.sum(x * x, axis=-1)
-    if np.any(n2 >= 1.0):
-        raise ValueError("poisson_kernel requires |x| < 1")
-    return ((1.0 - n2) / psi_form(x, omega)) ** RHO
+    return (_inside(x, "poisson_kernel") / psi_form(x, omega)) ** RHO
 
 
 def poisson_kernel_lambda(lam, x, omega) -> np.ndarray:
     """P_lam(x, omega) = exp(s log((1-|x|^2)/Psi(x,omega))), s = (i lam + rho)/2."""
     x = np.asarray(x, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    n2 = np.sum(x * x, axis=-1)
-    if np.any(n2 >= 1.0):
-        raise ValueError("poisson_kernel_lambda requires |x| < 1")
-    return _poisson_power(lam, 1.0 - n2, psi_form(x, omega))
+    return _poisson_power(lam, _inside(x, "poisson_kernel_lambda"), psi_form(x, omega))
 
 
 def _poisson_power(lam, omr2, psi) -> np.ndarray:
@@ -119,7 +117,7 @@ def szego_kernel(lam, r, theta, omega) -> np.ndarray:
     """Psi_r(lam, theta, omega) = |1 - r[theta,omega]|^{-i lam - rho}."""
     theta = np.asarray(theta, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    psi = _psi_r(r, np.sum(theta * omega, axis=-1), phi_form(theta, omega))
+    psi = _psi_r(r, _row_dot(theta, omega), phi_form(theta, omega))
     return _szego_power(complex(lam), psi)
 
 
@@ -168,8 +166,8 @@ class EigenProfile:
     (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported: one spherical_fn call on the distinct radii.  |x|^2 is
-    formed in blocks of _NORM_BLOCK rows, so a large point set needs no
+    is supported: one spherical_fn call on the distinct radii.  |x|^2 comes
+    from the row-blocked octonion._row_dot, so a large point set needs no
     temporary of its own size.
     """
 
@@ -186,16 +184,9 @@ class EigenProfile:
                 "only (l, m) = (0, 0) is supported"
             )
         pts = np.asarray(pts, dtype=float)
-        rows = pts.reshape(-1, pts.shape[-1])
-        n2 = np.empty(len(rows))
-        for i in range(0, len(rows), _NORM_BLOCK):
-            block = rows[i:i + _NORM_BLOCK]
-            n2[i:i + _NORM_BLOCK] = np.sum(block * block, axis=-1)
-        radii = np.sqrt(n2)
+        radii = np.sqrt(_row_dot(pts, pts))
         distinct = np.unique(radii)
-        values = spherical_fn(self.lam, self.l, self.m, distinct)
-        out = values[np.searchsorted(distinct, radii)].reshape(pts.shape[:-1])
-        return out if out.ndim else out[()]
+        return spherical_fn(self.lam, self.l, self.m, distinct)[np.searchsorted(distinct, radii)]
 
 
 # --------------------------------------------------------------------------
@@ -399,8 +390,8 @@ def _mc_recover_gt(lam, F, ts: Sequence[float], spec: QuadratureSpec,
     lv = complex(lam)
     c2 = abs(hc_c_function(lv)) ** 2
     pts = _sphere_sample(spec)
-    n2 = np.sum(pts * pts, axis=-1)
-    forms = [(np.sum(pts * omega, axis=-1), phi_form(pts, omega)) for omega in omegas]
+    n2 = _row_dot(pts, pts)
+    forms = [(_row_dot(pts, omega), phi_form(pts, omega)) for omega in omegas]
 
     def mean_at(r):
         vals = np.asarray(F(r * pts))
@@ -591,8 +582,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         )
 
     # (ii) the pair forms (dropped once read) and the bracket-difference
-    # inequality; the suite's memory peak is the (n, 8) slot product in _phi
-    # while three form sets live (142.7 MiB at n = 200,000 by tracemalloc)
+    # inequality
     f_p = _forms(theta_p)
     d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
     phi_po = _phi(f_p, f_o)
@@ -609,6 +599,8 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         dot_po = _row_dot(theta_p, omega)
         pow_to = d_to ** (2 * RHO + 1)
         om_h = _to_sphere(hormander_fill.result())
+    # dead from here; kept, they would set the memory peak in the lambda loop
+    del theta, omega, theta_p, psi1, d_to, rhs47, lhs47
 
     # Hormander tail probes: theta at dyadic distances from e1; the
     # r-independent <om, th> and Phi(om, th) are formed once per probe point,

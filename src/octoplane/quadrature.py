@@ -159,14 +159,11 @@ def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (lo + hi) + half * xg).ravel(), (half * wg).ravel()
 
 
-def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (U, V) and weights W with  int f domega = sum W * g(U, V).
-
-    Polar coordinates (R, phi) on the half disk, u = R cos phi,
-    v = R sin phi; R panels graded toward R = 1 (20 dyadic levels) and phi
-    panels graded toward phi = 0, resolving corner scales down to ~2^-40
-    in 1 - u.  Weight (1-R^2)^3 (R sin phi)^6 R >= 0 everywhere.
-    """
+@functools.cache
+def _zonal_rule(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """R, cos phi, sin phi and the weights W of zonal_grid(n_gauss), computed
+    once per n_gauss and read-only, since every caller shares them; only W
+    has the grid's size, so the shared rule holds a third of its memory."""
     levels = 20
     order = max(4, int(round(n_gauss / (levels + 1))))
     r_edges = _graded_edges_toward_one(levels)
@@ -177,10 +174,25 @@ def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P *= math.pi
     wP *= math.pi
     Rg, Pg = np.meshgrid(R, P, indexing="ij")
-    U = Rg * np.cos(Pg)
     V = Rg * np.sin(Pg)
     W = np.outer(wR, wP) * (1.0 - Rg ** 2) ** 3 * V ** 6 * Rg * C_ZONAL
-    return U, V, W
+    rule = (R, np.cos(P), np.sin(P), W)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (U, V) and weights W with  int f domega = sum W * g(U, V).
+
+    Polar coordinates (R, phi) on the half disk, u = R cos phi,
+    v = R sin phi; R panels graded toward R = 1 (20 dyadic levels) and phi
+    panels graded toward phi = 0, resolving corner scales down to ~2^-40
+    in 1 - u.  Weight (1-R^2)^3 (R sin phi)^6 R >= 0 everywhere.  Each call
+    returns fresh arrays from the rule shared per n_gauss (_zonal_rule).
+    """
+    R, cos_phi, sin_phi, W = _zonal_rule(n_gauss)
+    return np.multiply.outer(R, cos_phi), np.multiply.outer(R, sin_phi), W.copy()
 
 
 def zonal_integrate(g: Callable, spec: QuadratureSpec) -> complex:

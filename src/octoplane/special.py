@@ -18,9 +18,10 @@ spherical_fn and spherical_fn_scaled take a float or an array and run one
 private evaluator over its elements as lanes.  Per call it forms what
 depends on (lambda, l, m) alone: the 2F1 parameters, the Pochhammer
 prefactor and, only when some lane takes the connection path, its two
-gamma-function factors; the connection lanes run as one clongdouble array
-series.  gauss_2f1 stays scalar, one lane of the same 2F1 evaluator, so
-each call takes one path, which the benchmark's tracer reads off
+gamma-function factors.  One lane-array power series serves both regimes:
+its series lanes run in Python complex, each connection term in
+clongdouble.  gauss_2f1 stays scalar, one lane of the same 2F1 evaluator,
+so each call takes one path, which the benchmark's tracer reads off
 z <= z_switch.  The module is pure and reentrant; no caches, no state.
 """
 
@@ -106,13 +107,15 @@ def log_gamma(z) -> complex:
 
 def pochhammer(a, k: int) -> complex:
     """Rising factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1, as the
-    direct product."""
+    direct product; NumericsError where it overflows (from (8)_166)."""
     if k < 0 or k != int(k):
         raise ValueError("k must be a nonnegative integer")
     a = complex(a)
     out = complex(1.0)
     for i in range(int(k)):
         out *= a + i
+    if not cmath.isfinite(out):
+        raise NumericsError(f"pochhammer overflows: (a)_k = {out} at a = {a}, k = {k}")
     return out
 
 
@@ -129,52 +132,46 @@ def _no_convergence(a, b, c, z, term) -> NumericsError:
     )
 
 
-def _f21_series(a, b, c, z, tol: float) -> complex:
-    """Power series of 2F1 in Python complex arithmetic, stopped at
-    |term| < tol |sum|; see gauss_2f1 for the guard."""
-    total = term = peak = 1.0
-    for k in range(10_000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total = total + term
-        peak = max(peak, abs(term))
-        if abs(term) < tol * abs(total):
-            ratio = peak / abs(total)
-            if tol * ratio > 1e-11:
-                raise _cancellation(a, b, c, z, ratio)
-            return total
-    raise _no_convergence(a, b, c, z, term)
-
-
 def _f21_lanes(a, b, c, z: np.ndarray, tol: float) -> np.ndarray:
-    """The power series of _f21_series for clongdouble parameters, one lane
-    per element of the nonempty clongdouble array z.  Each lane runs the
-    scalar recurrence in the scalar order and stops at its own term, so it
-    is bitwise the clongdouble scalar series; the first lane to cancel or
-    pass 10^4 terms raises, naming its z.  Terms come in blocks of up to 32
-    per lane (~2k elements at most), accumulated down each lane, so a few
-    lanes cost a few array calls per block rather than ~10 per term.
+    """Power series of 2F1(a, b; c; z), one lane per element of the array z,
+    in the arithmetic of the parameters: Python complex with a complex z, or
+    clongdouble with a clongdouble z.  Each lane is bit for bit the scalar
+    loop term *= (a+k)(b+k)/((c+k)(k+1)) z; total += term, stopped at
+    |term| < tol |total|, by four rules: each term ratio is a scalar in the
+    parameters' type (numpy divides complex128 arrays by a reciprocal); the
+    running term is multiplied only inside np.multiply.accumulate over blocks
+    of two or more terms, numpy's scalar loop (a plain or one-term complex128
+    multiply may take fused multiply-add kernels, unlike Python complex); a
+    block carries the previous row by np.concatenate; magnitudes are np.hypot
+    of the parts, as abs() of a Python complex (numpy's complex128 absolute
+    is not libm's hypot).  Guard as in gauss_2f1: the first lane to cancel in
+    term order, or the first left at 10^4 terms, raises, naming its z.  Even
+    blocks of 2 to 32 terms per lane keep a block near 2k elements.
     """
     out = np.empty_like(z)
     lane = np.arange(z.size)
-    term, total = np.ones_like(z), np.ones_like(z)
-    peak = np.ones(z.shape, dtype=np.longdouble)
+    term = total = np.ones_like(z)
+    peak = np.hypot(term.real, term.imag)
     k = 0
     while k < 10_000:
-        ks = np.arange(k, k + min(max(2048 // lane.size, 1), 32, 10_000 - k))
-        k += ks.size
-        steps = ((a + ks) * (b + ks) / ((c + ks) * (ks + 1)))[:, None] * z
-        terms = np.multiply.accumulate(np.vstack([term, steps]))[1:]
-        totals = np.add.accumulate(np.vstack([total, terms]))[1:]
-        peaks = np.maximum.accumulate(np.vstack([peak, np.abs(terms)]))[1:]
-        stops = np.abs(terms) < tol * np.abs(totals)
+        ks = range(k, k + min(2 * max(1024 // lane.size, 1), 32, 10_000 - k))
+        k += len(ks)
+        ratios = np.array([(a + j) * (b + j) / ((c + j) * (j + 1)) for j in ks], dtype=z.dtype)
+        terms = np.multiply.accumulate(np.concatenate((term[None], ratios[:, None] * z)))[1:]
+        totals = np.add.accumulate(np.concatenate((total[None], terms)))[1:]
+        mags = np.hypot(terms.real, terms.imag)
+        peaks = np.maximum.accumulate(np.concatenate((peak[None], mags)))[1:]
+        stops = mags < tol * np.hypot(totals.real, totals.imag)
         first = (np.argmax(stops, axis=0), np.arange(lane.size))
         done = stops[first]
         if done.any():
-            ratio = peaks[first][done] / np.abs(totals[first][done])
+            sums = totals[first][done]
+            ratio = peaks[first][done] / np.hypot(sums.real, sums.imag)
             bad = np.flatnonzero(tol * ratio > 1e-11)
             if bad.size:
-                raise _cancellation(a, b, c, z[done][bad[0]], ratio[bad[0]])
-            out[lane[done]] = totals[first][done]
+                i = bad[np.argmin(first[0][done][bad])]
+                raise _cancellation(a, b, c, z[done][i], ratio[i])
+            out[lane[done]] = sums
         keep = ~done
         if not keep.any():
             return out
@@ -193,10 +190,11 @@ _Z_SWITCH = 0.75
 def _f21_values(a, b, c, z: list, omz: list, z_switch: float = _Z_SWITCH) -> list[complex]:
     """2F1(a, b; c; z) at each lane (z[i], omz[i] = 1 - z[i]), for lists of floats.
 
-    Binomial parameters and the series lanes (z <= z_switch) run per lane in
-    Python complex arithmetic.  The connection lanes run as one clongdouble
-    array through _f21_lanes, and the connection formula's two gamma-function
-    factors are formed once per call, only when some lane takes that path.
+    Binomial parameters run per lane in Python complex arithmetic.  The
+    series lanes (z <= z_switch) run as one complex array through
+    _f21_lanes, the connection lanes as one clongdouble array per term, and
+    the connection formula's two gamma-function factors are formed once per
+    call, only when some lane takes that path.
     """
     a, b, c = complex(a), complex(b), complex(c)
     if _is_nonpositive_integer(c):
@@ -212,7 +210,9 @@ def _f21_values(a, b, c, z: list, omz: list, z_switch: float = _Z_SWITCH) -> lis
         e = a if b == c else b
         return [cmath.exp(-e * math.log(x)) for x in omz]
     conn = zs > z_switch
-    out = [None if conn[i] else _f21_series(a, b, c, z[i], 1e-16) for i in range(len(z))]
+    out = np.empty(zs.size, dtype=complex)
+    if not conn.all():
+        out[~conn] = _f21_lanes(a, b, c, zs[~conn].astype(complex), 1e-16)
     if conn.any():
         cab = c - a - b
         if _near_integer(cab):
@@ -227,29 +227,25 @@ def _f21_values(a, b, c, z: list, omz: list, z_switch: float = _Z_SWITCH) -> lis
         t1 = np.exp(g1) * _f21_lanes(ea, eb, 1.0 - ecab, eomz, 1e-21)
         t2 = np.exp(g2 + ecab * np.log(eomz)) * _f21_lanes(
             ec - ea, ec - eb, 1.0 + ecab, eomz, 1e-21)
-        for i, v in zip(np.flatnonzero(conn), (t1 + t2).astype(complex).tolist()):
-            out[i] = v
-    return out
+        out[conn] = t1 + t2
+    return out.tolist()
 
 
 def gauss_2f1(a, b, c, z: float, *, z_switch: float = _Z_SWITCH) -> complex:
     """2F1(a, b; c; z) for real z in [0, 1).
 
-    For z <= z_switch: truncated power series with term-ratio stopping
-    (stop when |term| < 1e-16 |sum|; more than 10^4 terms raises
-    NumericsError).  Above the switch: the standard two-term connection
-    formula in powers of 1-z with gamma-function coefficients, assembled
-    in extended precision (its two series stop at 1e-21), which requires
-    c - a - b to be non-integer.  Degenerate upper parameters (b == c or
+    For z <= z_switch: the power series in Python complex arithmetic,
+    stopped when |term| < 1e-16 |sum| (more than 10^4 terms raises
+    NumericsError).  Above the switch: the two-term connection formula in
+    powers of 1-z with gamma-function coefficients, assembled in extended
+    precision (its two series stop at 1e-21), which requires c - a - b to
+    be non-integer.  Degenerate upper parameters (b == c or
     a == c) use the binomial identity (1-z)^{-a} exactly, covering the
     harmonic parameter set where the connection formula has a pole.
 
     Cancellation guard: a series whose rounding error, estimated as its
     stopping tolerance times its largest |term|, exceeds 1e-11 |sum| raises
     NumericsError naming the digits lost; no other path is tried.
-
-    One lane of the evaluator that spherical_fn and spherical_fn_scaled run
-    over whole arrays; scalar, so that each call takes one path.
     """
     return _f21_values(a, b, c, [z], [1.0 - z], z_switch)[0]
 

@@ -28,7 +28,7 @@ from . import geometry as geo
 from . import poisson as po
 from .errors import NumericsError
 from .octonion import basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import QuadratureSpec, sample_sphere, zonal_integrate
+from .quadrature import QuadratureSpec, _to_sphere, sample_sphere, zonal_integrate
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
@@ -206,8 +206,7 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
 # --------------------------------------------------------------------------
 
 def _random_ball_points(n: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal((n, 16))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = _to_sphere(rng.standard_normal((n, 16)))
     radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / 16.0)
     return x * radii[:, None]
 

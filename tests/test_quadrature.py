@@ -23,7 +23,7 @@ from octoplane.quadrature import (
     zonal_grid,
     zonal_integrate,
 )
-from octoplane.quadrature import _Fill, _legendre_rule, _to_sphere
+from octoplane.quadrature import _Fill, _legendre_rule, _to_sphere, _zonal_rule
 
 SPEC = QuadratureSpec(n_mc=1_000_000, n_gauss=200, seed=5)
 
@@ -159,6 +159,45 @@ class TestZonal:
     def test_determinism_bit_identical(self):
         g = lambda u, v: np.exp(1j * u) * v
         assert zonal_integrate(g, SPEC) == zonal_integrate(g, SPEC)
+
+    @pytest.mark.parametrize("n_gauss", [2, 50, 97, 200, 333])
+    def test_grid_equals_the_one_pass_construction(self, n_gauss):
+        assert all(np.array_equal(got, want) for got, want
+                   in zip(zonal_grid(n_gauss), one_pass_zonal_grid(n_gauss)))
+
+    def test_rule_built_once_per_n_gauss_and_read_only(self, monkeypatch):
+        n_gauss = 131  # a size no other test uses, so the first call builds it
+        built = []
+        panel_rule = quadrature._panel_rule
+        monkeypatch.setattr(quadrature, "_panel_rule",
+                            lambda *a: built.append(a) or panel_rule(*a))
+        spec = QuadratureSpec(n_gauss=n_gauss)
+        g = lambda u, v: np.exp(1j * u) * v
+        values = [zonal_integrate(g, spec) for _ in range(3)]
+        assert len(built) == 2 and values == [values[0]] * 3
+        for arr in _zonal_rule(n_gauss):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # callers get fresh, writable arrays
+        for arr in zonal_grid(n_gauss):
+            arr *= 2.0
+        assert np.array_equal(zonal_grid(n_gauss)[2], one_pass_zonal_grid(n_gauss)[2])
+
+
+def one_pass_zonal_grid(n_gauss):
+    """zonal_grid as built in one pass, every array from the meshgrid, before
+    its radii, angle cosines and sines and weights were shared per n_gauss."""
+    levels = 20
+    order = max(4, int(round(n_gauss / (levels + 1))))
+    R, wR = quadrature._panel_rule(quadrature._graded_edges_toward_one(levels), order)
+    P, wP = quadrature._panel_rule(1.0 - quadrature._graded_edges_toward_one(levels)[::-1], order)
+    P *= math.pi
+    wP *= math.pi
+    Rg, Pg = np.meshgrid(R, P, indexing="ij")
+    U = Rg * np.cos(Pg)
+    V = Rg * np.sin(Pg)
+    W = np.outer(wR, wP) * (1.0 - Rg ** 2) ** 3 * V ** 6 * Rg * quadrature.C_ZONAL
+    return U, V, W
 
 
 def per_panel_rule(pts, order):

@@ -81,6 +81,15 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(1.0, -1)
 
+    def test_overflow_raises(self):
+        # (8)_165 ~ 4.2e307 is the last finite one; (8)_166 overflows
+        assert cmath.isfinite(pochhammer(8.0, 165))
+        with pytest.raises(NumericsError, match=r"a = \(8\+0j\), k = 166"):
+            pochhammer(8.0, 166)
+        # the Phi prefactor divides by (8)_l, so large l raises instead of NaN
+        with pytest.raises(NumericsError, match="pochhammer overflows"):
+            spherical_fn_scaled(0.5, 170, 0, one_minus_r2=0.75)
+
 
 class TestGauss2F1:
     def test_at_zero(self):
@@ -350,6 +359,80 @@ _GOLDEN_SCALED = {
         (0.1, "-0x1.0aa35ea5c0feap-14", "0x1.6ba58f05d9176p-14"),
     ),
 }
+
+
+def _f21_series(a, b, c, z, tol):
+    """The scalar power series of 2F1 in Python complex arithmetic that the
+    lanes replaced: the reference they must equal bit for bit."""
+    total = term = peak = 1.0
+    for k in range(10_000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total = total + term
+        peak = max(peak, abs(term))
+        if abs(term) < tol * abs(total):
+            ratio = peak / abs(total)
+            if tol * ratio > 1e-11:
+                raise special._cancellation(a, b, c, z, ratio)
+            return total
+    raise special._no_convergence(a, b, c, z, term)
+
+
+def _same_bits(x: complex, y: complex) -> bool:
+    return all(u.hex() == v.hex() for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+class TestOneSeries:
+    # z = r^2 in [0, 0.75]: the lanes the series path takes
+    ZS = [0.0, 1e-9, 0.123456789, 0.5 ** 0.5] + np.linspace(0.0, 0.75, 31)[1:].tolist()
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.5, 1.0, 2.0, 20.0])
+    def test_complex_lanes_equal_the_scalar_series(self, lam):
+        for l in range(21):
+            for m in range(l % 2, l + 1, 2):
+                a, b, c = special._phi_parameters(lam, l, m)
+                good, want = [], []
+                for z in self.ZS:
+                    try:
+                        want.append(_f21_series(a, b, c, z, 1e-16))
+                        good.append(z)
+                    except NumericsError as exc:
+                        # the lanes raise where the reference raises
+                        kind = str(exc).split(":")[0]
+                        with pytest.raises(NumericsError, match=kind):
+                            special._f21_lanes(a, b, c, np.array([z], dtype=complex), 1e-16)
+                got = special._f21_lanes(a, b, c, np.array(good, dtype=complex), 1e-16)
+                assert got.dtype == complex
+                for z, g, w in zip(good, got.tolist(), want):
+                    assert _same_bits(g, w), (lam, l, m, z)
+
+    def test_many_lanes_take_blocks_of_two_terms(self):
+        # above 1024 lanes a block holds two terms per lane; a one-term block
+        # would multiply outside the accumulate's scalar loop
+        a, b, c = special._phi_parameters(1.0, 20, 0)
+        z = np.linspace(0.0, 0.75, 2500)
+        got = special._f21_lanes(a, b, c, z.astype(complex), 1e-16).tolist()
+        assert all(_same_bits(g, _f21_series(a, b, c, x, 1e-16)) for g, x in zip(got, z.tolist()))
+
+    def test_first_lane_to_fail_in_term_order_is_named(self):
+        # 2F1(-50.5, 1; 1; z) = (1-z)^50.5 cancels at both lanes; the smaller z
+        # stops first, so it is named although it comes second
+        a, b, c = -50.5 + 0j, 1.0 + 0j, 1.0 + 0j
+        with pytest.raises(NumericsError, match=r"cancels: .*z=\(0\.9\+0j\)"):
+            special._f21_lanes(a, b, c, np.array([0.95, 0.9], dtype=complex), 1e-16)
+
+    def test_one_call_per_series_and_per_connection_term(self, monkeypatch):
+        calls = []
+        f21_lanes = special._f21_lanes
+
+        def count(a, b, c, z, tol):
+            calls.append((z.dtype, z.size, tol))
+            return f21_lanes(a, b, c, z, tol)
+
+        monkeypatch.setattr(special, "_f21_lanes", count)
+        spherical_fn(1.0, 2, 0, [0.3, 0.95, 0.5, 0.99, 0.1])
+        assert calls == [(np.dtype(complex), 3, 1e-16),
+                         (np.dtype(np.clongdouble), 2, 1e-21),
+                         (np.dtype(np.clongdouble), 2, 1e-21)]
 
 
 class TestCoefficientPath:

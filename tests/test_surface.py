@@ -34,7 +34,8 @@ REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "MoleculeTools", "molecule_tools", "SpectralParam", "_lam_value",
            "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re",
            "_phi_at_radii", "_phi_scaled_at",
-           "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples")
+           "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples",
+           "_f21_series", "_NORM_BLOCK")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -21,7 +21,6 @@ from .octonion import (
 )
 from .geometry import (
     E1,
-    E2,
     JordanMatrix,
     ball_volume_est,
     ball_volume_quadrature,

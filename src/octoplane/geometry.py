@@ -43,7 +43,6 @@ from .quadrature import C_ZONAL, _to_sphere, gauss_panels
 __all__ = [
     "pair",
     "E1",
-    "E2",
     "phi_form",
     "bracket",
     "psi_form",
@@ -69,7 +68,6 @@ def pair(x1, x2) -> np.ndarray:
 
 
 E1 = pair(basis(0), np.zeros(8))   # (1, 0)
-E2 = pair(np.zeros(8), basis(0))   # (0, 1)
 
 # conj as a column factor on coordinate-major (8, m) blocks
 _CONJ = np.array([1.0] + [-1.0] * 7)[:, None]
@@ -276,13 +274,6 @@ class JordanMatrix:
             raise ValueError(f"expected (3,3,8) entries, got {imag.shape}")
         self.plain = plain
         self.imag = imag
-
-    @classmethod
-    def diag_unit(cls) -> "JordanMatrix":
-        """E_1 = diag(1, 0, 0)."""
-        p = np.zeros((3, 3, 8))
-        p[0, 0, 0] = 1.0
-        return cls(p)
 
     @classmethod
     def corner_unit(cls) -> "JordanMatrix":

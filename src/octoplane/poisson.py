@@ -32,7 +32,6 @@ from .octonion import _row_dot, oct_norm
 from .quadrature import (
     S15,
     QuadratureSpec,
-    _Fill,
     _to_sphere,
     ball_integrate,
     gauss_panels,
@@ -486,38 +485,46 @@ class CZReport:
     hormander_per_r: dict = field(default_factory=dict)     # measured only
 
 
-def _cz_samples(n: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """theta, omega and the partners theta' of cz_suite's n sample pairs,
-    from seeds = (s1, s2, s3, s4).
+# Sample pairs per block of cz_suite's streamed pass.
+_CZ_ROWS = 8192
+
+
+def _cz_pairs(n: int, seeds: Sequence[int], pool):
+    """cz_suite's n sample rows (theta, omega, theta') from seeds
+    = (s1, s2, s3, s4), yielded in consecutive blocks of at most _CZ_ROWS.
 
     theta and omega are uniform on the sphere from s1 and s2.  The first
     n // 2 partners are uniform from s4; the others are theta perturbed by
     10^U(-3, 0.3) times a Gaussian from s3 and normalized, so they cover
-    separations from O(1) down to ~1e-3.  The four Gaussian fills run on
-    helper threads (``quadrature._Fill``), theta's and omega's first, while
-    this thread normalizes the rows that have arrived.  Each generator is
-    used by one thread at a time and in the serial order, so the bits equal
-    those of sample_sphere(n, s1), sample_sphere(n, s2),
-    sample_sphere(n // 2, s4) and the serial draw of the perturbed partners.
+    separations from O(1) down to ~1e-3.  All n - n // 2 factors come from
+    s3 before its Gaussians, and every generator draws its rows in stream
+    order, so the stacked blocks equal sample_sphere(n, s1),
+    sample_sphere(n, s2) and the whole-array partners bit for bit, for any
+    block size.  The one worker of pool draws the next block while the
+    caller evaluates this one; it calls only _to_sphere and generator
+    methods, and a draw that raises re-raises here.
     """
-    s1, s2, s3, s4 = seeds
+    rng1, rng2, rng3, rng4 = (np.random.default_rng(s) for s in seeds)
     half = n // 2
-    theta, omega, theta_p = (np.empty((n, 16)) for _ in range(3))
-    rng3 = np.random.default_rng(s3)
-    with (_Fill(np.random.default_rng(s1), theta) as theta_fill,
-          _Fill(np.random.default_rng(s2), omega) as omega_fill):
-        eps = 10.0 ** rng3.uniform(-3.0, 0.3, size=n - half)
-        theta_fill.result()
-        # the partner fills start only now, so that they do not slow theta's
-        with (_Fill(np.random.default_rng(s4), theta_p[:half]) as independent_fill,
-              _Fill(rng3, theta_p[half:]) as perturbation_fill):
-            _to_sphere(theta)
-            _to_sphere(omega_fill.result())
-            partners = perturbation_fill.result()
-            partners *= eps[:, None]
-            partners += theta[half:]
-            independent_fill.result()
-    return theta, omega, _to_sphere(theta_p)
+    eps = 10.0 ** rng3.uniform(-3.0, 0.3, size=n - half)
+
+    def draw(lo: int, hi: int):
+        theta = _to_sphere(rng1.standard_normal((hi - lo, 16)))
+        omega = _to_sphere(rng2.standard_normal((hi - lo, 16)))
+        cut = min(max(half, lo), hi)   # rows from here take perturbed partners
+        theta_p = np.empty_like(theta)
+        rng4.standard_normal(out=theta_p[:cut - lo])
+        partners = rng3.standard_normal(out=theta_p[cut - lo:])
+        partners *= eps[cut - half:hi - half, None]
+        partners += theta[cut - lo:]
+        return theta, omega, _to_sphere(theta_p)
+
+    ahead = pool.submit(draw, 0, min(n, _CZ_ROWS))
+    for lo in range(0, n, _CZ_ROWS):
+        block = ahead.result()
+        if lo + _CZ_ROWS < n:
+            ahead = pool.submit(draw, lo + _CZ_ROWS, min(n, lo + 2 * _CZ_ROWS))
+        yield block
 
 
 def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
@@ -539,22 +546,19 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     place theta' at log-spaced distances from theta so the sup is probed
     across separation scales, not just at typical ones.
 
-    One sample set serves every lambda of lams.  Everything but the Szego
-    powers is lambda-free and formed once: the samples, <theta, omega>,
-    Phi, the distances, the bracket, the admissible pairs of (ii), the
-    Hormander probe forms, the size ratios (i) (|Psi_r| d^{2 rho} =
-    (Psi_1/Psi_r)^{rho/2}) and both violation counts.  Only (ii), (iii)
-    and the tail are evaluated per lambda, keyed {lam: {r: value}}.
-
-    The five Gaussian fills of the samples (theta, omega, both halves of
-    theta' in ``_cz_samples``, and the Hormander sample) run on helper
-    threads, each joined just before its array is first read, so the
-    draws overlap this thread's normalizing and form work.  A helper only
-    fills an array allocated here, with a generator nothing else touches
-    until the join, so the values do not depend on thread timing; an
-    exception on a helper re-raises here, and every helper is joined
-    before cz_suite returns or raises.
+    The sample rows stream once through one pass in blocks (_cz_pairs),
+    drawn by a single worker thread that this call joins on every exit.
+    Each block's forms, distances, bracket and admissible pairs are formed
+    once for every lambda; (i), (ii) and the counts are running maxima
+    and sums over the blocks.  The maxima fold with np.maximum from -inf,
+    so each equals one np.max over all rows, NaN included, whatever the
+    block size.  (iii) and the tail are evaluated per lambda after the
+    pass, on the zonal rule and on sample_sphere(min(n, 100_000), s4 + 1).
+    Estimates other than (i) and the counts are keyed {lam: {r: value}}.
     """
+    # imported here: a module-level import loads logging into every run
+    from concurrent.futures import ThreadPoolExecutor
+
     lams = tuple(float(lam) for lam in lams)
     if not lams:
         raise ValueError("empty lambda grid")
@@ -567,44 +571,42 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     rep = CZReport(lams=lams, r_grid=rs, n_samples=n)
 
     seeds = spawn_seeds(spec.seed, 4)
-    theta, omega, theta_p = _cz_samples(n, seeds)
-    # (i) and the shift inequality, pairwise by rows; each set is formed once,
-    # and <theta,omega> and Phi(theta,omega) are hoisted out of the r loop
-    f_t, f_o = _forms(theta), _forms(omega)
-    dot_to = _row_dot(theta, omega)
-    phi_to = _phi(f_t, f_o)
-    psi1 = _psi_r(1.0, dot_to, phi_to)
-    for r in rs:
-        psir = _psi_r(r, dot_to, phi_to)
-        rep.size_per_r[r] = float(np.max((psi1 / psir) ** (RHO / 2.0)))
-        rep.violations_shift += int(
-            np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12)
-        )
-
-    # (ii) the pair forms (dropped once read) and the bracket-difference
-    # inequality
-    f_p = _forms(theta_p)
-    d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
-    phi_po = _phi(f_p, f_o)
-    del f_t, f_o, f_p
-    # the Hormander sample fills while the bracket is formed
-    m = min(n, 100_000)
-    with _Fill(np.random.default_rng(seeds[3] + 1), np.empty((m, 16))) as hormander_fill:
-        d_to = np.maximum(psi1, 0.0) ** 0.25
-        rhs47 = d_tt * (d_tt + 2.0 * d_to)
-        lhs47 = oct_norm(bracket(theta - theta_p, omega))
-        rep.violations_difference = int(np.count_nonzero(lhs47 > rhs47 + 1e-12))
-        nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
-        rep.n_admissible = int(np.count_nonzero(nz))
-        dot_po = _row_dot(theta_p, omega)
-        pow_to = d_to ** (2 * RHO + 1)
-        om_h = _to_sphere(hormander_fill.result())
-    # dead from here; kept, they would set the memory peak in the lambda loop
-    del theta, omega, theta_p, psi1, d_to, rhs47, lhs47
+    size = dict.fromkeys(rs, -np.inf)
+    smooth = {lam: dict.fromkeys(rs, -np.inf) for lam in lams}
+    with ThreadPoolExecutor(1) as pool:
+        for theta, omega, theta_p in _cz_pairs(n, seeds, pool):
+            f_t, f_o, f_p = _forms(theta), _forms(omega), _forms(theta_p)
+            dot_to, dot_po = _row_dot(theta, omega), _row_dot(theta_p, omega)
+            phi_to, phi_po = _phi(f_t, f_o), _phi(f_p, f_o)
+            psi1 = _psi_r(1.0, dot_to, phi_to)
+            d_to = np.maximum(psi1, 0.0) ** 0.25
+            d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
+            # the bracket-difference inequality and the admissible triples of (ii)
+            lhs47 = oct_norm(bracket(theta - theta_p, omega))
+            rep.violations_difference += int(
+                np.count_nonzero(lhs47 > d_tt * (d_tt + 2.0 * d_to) + 1e-12))
+            nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
+            rep.n_admissible += int(np.count_nonzero(nz))
+            pow_to = d_to ** (2 * RHO + 1)
+            for r in rs:
+                # (i) as (Psi_1/Psi_r)^{rho/2} = |Psi_r| d^{2 rho}, and the shift inequality
+                psir = _psi_r(r, dot_to, phi_to)
+                size[r] = np.maximum(size[r], np.max((psi1 / psir) ** (RHO / 2.0)))
+                rep.violations_shift += int(
+                    np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12))
+                # (ii) on the admissible pairs
+                psir_p = _psi_r(r, dot_po, phi_po)
+                for lam in lams:
+                    num = np.abs(_szego_power(lam, psir) - _szego_power(lam, psir_p)) * pow_to
+                    den = d_tt * (1.0 + abs(lam))
+                    smooth[lam][r] = np.maximum(
+                        smooth[lam][r], np.max(np.where(nz, num / np.where(nz, den, 1.0), 0.0)))
+    rep.size_per_r = {r: float(v) for r, v in size.items()}
 
     # Hormander tail probes: theta at dyadic distances from e1; the
     # r-independent <om, th> and Phi(om, th) are formed once per probe point,
     # Phi from the invariants of om_h, formed once for all probes
+    om_h = sample_sphere(min(n, 100_000), seeds[3] + 1)
     f_h = _forms(om_h)
     d_om = dist_to_e1(om_h)
     probes = []
@@ -619,15 +621,8 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
 
     for lam in lams:
         la = abs(lam)
-        smooth, truncated, tail = {}, {}, {}
+        truncated, tail = {}, {}
         for r in rs:
-            # (ii) on the admissible pairs
-            k1 = _szego_power(lam, _psi_r(r, dot_to, phi_to))
-            k2 = _szego_power(lam, _psi_r(r, dot_po, phi_po))
-            num = np.abs(k1 - k2) * pow_to
-            den = d_tt * (1.0 + la)
-            smooth[r] = float(np.max(np.where(nz, num / np.where(nz, den, 1.0), 0.0)))
-
             # (iii) truncated means through the zonal rule
             best = 0.0
             for dta in (0.2, 0.5, 1.0):
@@ -644,7 +639,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
                 vals = np.abs(_szego_power(lam, _psi_r(r, dot, phi)) - k_e1)
                 worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
             tail[r] = worst
-        rep.smooth_per_r[lam] = smooth
+        rep.smooth_per_r[lam] = {r: float(v) for r, v in smooth[lam].items()}
         rep.truncated_per_r[lam] = truncated
         rep.hormander_per_r[lam] = tail
     return rep

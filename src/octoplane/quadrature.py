@@ -19,6 +19,9 @@ Lebesgue on R^16; in polar form dm = S15 r^15 dr domega with
 S15 = 2 pi^8 / 7! the area of S^15.  Geodesic balls of radius t are
 Euclidean balls of radius tanh(t).
 
+Sphere samples are one seeded Gaussian draw per call, its rows normalized
+in place (``_to_sphere``); every routine here runs on its caller's thread.
+
 The zonal rule uses tensor Gauss-Legendre panels on polar coordinates of
 the half disk, graded geometrically toward the corner (u,v) = (1,0) where
 every kernel in this package concentrates; n_gauss controls the roughly
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,19 +73,11 @@ class QuadratureSpec:
 
 
 def sample_sphere(n: int, seed: int) -> np.ndarray:
-    """n i.i.d. uniform points of S^15 (normalized 16-dim Gaussians),
-    deterministic for fixed seed.  Shape (n, 16)."""
+    """n i.i.d. uniform points of S^15, shape (n, 16): the rows of
+    default_rng(seed).standard_normal((n, 16)), normalized in place."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _to_sphere(_fill_normal(np.random.default_rng(seed), np.empty((n, 16))))
-
-
-def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """out filled with standard normals from rng, in C order: the values of
-    rng.standard_normal(out.shape).  Generator.standard_normal runs without
-    the GIL, so a helper thread (_Fill) can run this beside other work."""
-    rng.standard_normal(out=out)
-    return out
+    return _to_sphere(np.random.default_rng(seed).standard_normal((n, 16)))
 
 
 def _to_sphere(x: np.ndarray) -> np.ndarray:
@@ -91,40 +85,6 @@ def _to_sphere(x: np.ndarray) -> np.ndarray:
     the bits of x / np.linalg.norm(x, axis=1, keepdims=True)."""
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
-
-
-class _Fill:
-    """_fill_normal(rng, out) on a helper thread, started at construction.
-
-    result() waits for the fill, re-raises any exception it raised and
-    returns out.  As a context manager, leaving the block joins the thread
-    whatever happened in it, so no helper outlives its caller.  While the
-    fill runs, rng and out belong to the helper: the caller touches neither
-    before result(), so the values do not depend on thread timing.
-    """
-
-    def __init__(self, rng: np.random.Generator, out: np.ndarray):
-        self._out, self._error = out, None
-        self._thread = threading.Thread(target=self._run, args=(rng,), name="octoplane-fill")
-        self._thread.start()
-
-    def _run(self, rng):
-        try:
-            _fill_normal(rng, self._out)
-        except BaseException as exc:  # handed to the thread that calls result()
-            self._error = exc
-
-    def result(self) -> np.ndarray:
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._out
-
-    def __enter__(self) -> "_Fill":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._thread.join()
 
 
 def spawn_seeds(seed: int, k: int) -> list[int]:

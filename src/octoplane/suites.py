@@ -696,13 +696,24 @@ _SUITES: dict[str, Callable[[SuiteConfig, _Recorder], None]] = {
 }
 
 
+def _simd_targets() -> list[str]:
+    """numpy's SIMD dispatch targets enabled on this host, in numpy's order;
+    the bitwise goldens hold only for one such set."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def _provenance() -> dict:
-    """The package, numpy and Python versions and the host the report was
-    made on.  platform.platform() is avoided: it reads the interpreter
-    binary (~10 ms)."""
+    """The package, numpy and Python versions, numpy's enabled SIMD dispatch
+    targets and the host the report was made on.  platform.platform() is
+    avoided: it reads the interpreter binary (~10 ms)."""
     return {
         "octoplane": __version__,
         "numpy": np.__version__,
+        "simd": _simd_targets(),
         "python": platform.python_version(),
         "system": platform.system(),
         "machine": platform.machine(),

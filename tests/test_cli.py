@@ -5,6 +5,8 @@ import io
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,7 +306,8 @@ class TestDeterminism:
         run_cli(["--suite", "algebra", "--nmc", "1000", "--quiet", "--out", str(out)])
         text = out.read_text()
         prov = json.loads(text)["meta"]["provenance"]
-        assert set(prov) == {"octoplane", "numpy", "python", "system", "machine", "cpu_count"}
+        assert set(prov) == {"octoplane", "numpy", "simd", "python", "system", "machine",
+                             "cpu_count"}
         assert prov["octoplane"] == octoplane.__version__
         assert prov["numpy"] == np.__version__
         assert prov["python"] == platform.python_version()
@@ -313,6 +316,26 @@ class TestDeterminism:
         other["meta"]["provenance"] = {"python": "0.0", "cpu_count": 1}
         assert strip_wall_times(json.dumps(other)) == strip_wall_times(text)
         assert "provenance" not in json.loads(strip_wall_times(text))["meta"]
+
+    def test_provenance_records_enabled_simd_targets(self):
+        # numpy reads NPY_DISABLE_CPU_FEATURES at import, so each setting runs
+        # in its own interpreter; disabling all but the first enabled target
+        # leaves that one
+        def simd(disabled):
+            src = os.path.dirname(os.path.dirname(octoplane.__file__))
+            path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
+            code = "import json; from octoplane import suites; print(json.dumps(suites._provenance()['simd']))"
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            return json.loads(out)
+
+        enabled = simd("")
+        assert enabled == suites._simd_targets()
+        assert all(isinstance(t, str) for t in enabled)
+        if len(enabled) < 2:
+            pytest.skip("fewer than two SIMD dispatch targets enabled on this host")
+        assert simd(" ".join(enabled[1:])) == enabled[:1]
 
     def test_quiet_prefix_suppresses_summary(self, tmp_path, capsys):
         # argparse accepts unambiguous prefixes, so --qui means --quiet

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from octoplane import geometry
 from octoplane.geometry import (
     E1,
-    E2,
     JordanMatrix,
     ball_volume_est,
     ball_volume_quadrature,
@@ -31,6 +30,16 @@ from octoplane.octonion import _BLOCK as BLOCK
 from octoplane.octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 from octoplane.quadrature import sample_sphere
 from octoplane.suites import SuiteConfig, _check_seed, run_suite
+
+
+E2 = pair(np.zeros(8), basis(0))   # (0, 1)
+
+
+def diag_unit():
+    """E_1 = diag(1, 0, 0) as a Jordan matrix."""
+    p = np.zeros((3, 3, 8))
+    p[0, 0, 0] = 1.0
+    return JordanMatrix(p)
 
 
 def ball_points(n, seed, rmax=1.0):
@@ -391,7 +400,7 @@ class TestJordan:
         interior = [jordan_embed(p) for p in ball_points(6, 30, rmax=0.9)]
         boundary = [boundary_embed(w[:8], w[8:]) for w in sample_sphere(6, 31)]
         assert all(np.any(X.imag != 0.0) for X in interior)
-        mats = interior + boundary + [JordanMatrix.diag_unit(), JordanMatrix.corner_unit()]
+        mats = interior + boundary + [diag_unit(), JordanMatrix.corner_unit()]
         for A in mats:
             for B in mats:
                 rp, rq = entry_loop_mat_mul(A, B)
@@ -418,16 +427,16 @@ class TestJordan:
             assert X.hermitian_defect() == entry_loop_hermitian_defect(X)
 
     def test_e1_idempotent(self):
-        e1m = JordanMatrix.diag_unit()
+        e1m = diag_unit()
         assert jordan_product(e1m, e1m).max_abs_diff(e1m) == 0.0
 
     def test_embed_origin_is_diag_unit(self):
         X = jordan_embed(np.zeros(16))
-        assert X.max_abs_diff(JordanMatrix.diag_unit()) == 0.0
+        assert X.max_abs_diff(diag_unit()) == 0.0
 
     def test_embed_invariants(self):
         pts = ball_points(32, 28, rmax=0.95)
-        e1m = JordanMatrix.diag_unit()
+        e1m = diag_unit()
         for p in pts:
             X = jordan_embed(p)
             assert abs(X.trace() - 1.0) < 1e-12

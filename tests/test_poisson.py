@@ -1,10 +1,13 @@
 """Kernels, transforms, norms, inversion functional, CZ harness, molecules."""
 
+import dataclasses
 import inspect
 import math
 import sys
 import threading
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -798,12 +801,14 @@ class TestCZSuite:
         cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert [r for r in rows if r != (1,)] == [(2_000,)] * 4
 
-    @pytest.mark.parametrize("n", [2, 3, 2_001])
+    @pytest.mark.parametrize("n", [2, 3, 2_001, poisson._CZ_ROWS - 1, poisson._CZ_ROWS,
+                                   poisson._CZ_ROWS + 1, 2 * poisson._CZ_ROWS + 5])
     def test_sample_set_matches_serial_construction(self, n):
         seeds = spawn_seeds(9, 4)
         s1, s2, s3, s4 = seeds
-        # reference: the serial draws cz_suite made before its Gaussian fills
-        # ran on helper threads, with sample_sphere's whole-array normalization
+        # reference: the whole-array serial draws, with sample_sphere's
+        # whole-array normalization; n // 2 falls inside a block at
+        # _CZ_ROWS + 1 and 2 _CZ_ROWS + 5
         theta, omega = _serial_sphere(n, s1), _serial_sphere(n, s2)
         theta_p = theta.copy()
         half = n // 2
@@ -812,9 +817,67 @@ class TestCZSuite:
         eps = 10.0 ** rng.uniform(-3.0, 0.3, size=n - half)
         tp = theta[half:] + eps[:, None] * rng.standard_normal((n - half, 16))
         theta_p[half:] = tp / np.linalg.norm(tp, axis=1, keepdims=True)
-        got = poisson._cz_samples(n, seeds)
-        for a, b in zip(got, (theta, omega, theta_p)):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        with ThreadPoolExecutor(1) as pool:
+            blocks = list(poisson._cz_pairs(n, seeds, pool))
+        assert [len(b[0]) for b in blocks[:-1]] == [poisson._CZ_ROWS] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= poisson._CZ_ROWS
+        for parts, want in zip(zip(*blocks), (theta, omega, theta_p)):
+            got = np.concatenate(parts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @staticmethod
+    def _report_bits(rep):
+        """Every field of a CZReport, floats as their hex strings."""
+        def bits(v):
+            if isinstance(v, dict):
+                return [(k, bits(x)) for k, x in v.items()]
+            return v.hex() if isinstance(v, float) else v
+
+        return [(f.name, bits(getattr(rep, f.name))) for f in dataclasses.fields(rep)]
+
+    def test_block_size_does_not_change_the_report(self, monkeypatch):
+        spec = QuadratureSpec(n_mc=2_001, n_gauss=200, seed=4)
+        reports = []
+        for rows in (7, 1_000, 2_001):
+            monkeypatch.setattr(poisson, "_CZ_ROWS", rows)
+            reports.append(self._report_bits(cz_suite((0.5, 2.0), spec)))
+        assert all(bits == reports[0] for bits in reports[1:])
+
+    def test_running_maxima_keep_nan_from_a_later_block(self, monkeypatch):
+        # theta row 30 -> NaN makes every size ratio NaN; omega row 40 scaled
+        # by 1e30 makes an admissible (ii) quotient 0 * inf at r = 0.9, 0.99
+        pairs = poisson._cz_pairs
+
+        def poisoned(n, seeds, pool):
+            lo = 0
+            for theta, omega, theta_p in pairs(n, seeds, pool):
+                for row, arr, factor in ((30, theta, np.nan), (40, omega, 1e30)):
+                    if lo <= row < lo + len(theta):
+                        arr[row - lo] *= factor
+                lo += len(theta)
+                yield theta, omega, theta_p
+
+        monkeypatch.setattr(poisson, "_cz_pairs", poisoned)
+        spec = QuadratureSpec(n_mc=50, n_gauss=200, seed=7)
+        reports = []
+        with np.errstate(all="ignore"):
+            for rows in (7, 50):
+                monkeypatch.setattr(poisson, "_CZ_ROWS", rows)
+                reports.append(cz_suite((1.0,), spec))
+        assert self._report_bits(reports[0]) == self._report_bits(reports[1])
+        assert all(math.isnan(v) for v in reports[0].size_per_r.values())
+        assert [math.isnan(v) for v in reports[0].smooth_per_r[1.0].values()] == [False, True, True]
+
+    def test_cz_suite_tracemalloc_peak(self):
+        # one block of pairs at a time: the whole-array sample set and its
+        # forms peaked at 137 MiB here
+        tracemalloc.start()
+        try:
+            cz_suite((1.0,), QuadratureSpec(n_mc=200_000, n_gauss=200, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
     def test_helpers_are_joined_on_return(self):
         before = threading.enumerate()
@@ -822,28 +885,45 @@ class TestCZSuite:
         assert threading.enumerate() == before
 
     def test_helper_error_reraises_after_every_helper_is_joined(self, monkeypatch):
-        # the first fill to run raises; the others finish 0.2 s later, so a
-        # helper left running past cz_suite shows in threading.enumerate()
-        fill_normal, lock, calls = quadrature._fill_normal, threading.Lock(), []
+        # the worker's first draw raises; a worker left running past
+        # cz_suite shows in threading.enumerate()
+        to_sphere, calls = poisson._to_sphere, []
 
-        def first_fails(rng, out):
-            with lock:
-                calls.append(out.shape)
-                first = len(calls) == 1
-            if first:
-                raise NumericsError("fill failed on a helper")
-            time.sleep(0.2)
-            return fill_normal(rng, out)
+        def first_fails(x):
+            assert threading.current_thread() is not threading.main_thread()
+            calls.append(x.shape)
+            if len(calls) == 1:
+                raise NumericsError("draw failed on the worker")
+            return to_sphere(x)
 
-        monkeypatch.setattr(quadrature, "_fill_normal", first_fails)
+        monkeypatch.setattr(poisson, "_to_sphere", first_fails)
         before = threading.enumerate()
-        with pytest.raises(NumericsError, match="fill failed on a helper"):
+        with pytest.raises(NumericsError, match="draw failed on the worker"):
             cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert threading.enumerate() == before
         calls.clear()
         checks = run_suite(SuiteConfig(suite="cz", n_mc=2_000, seed=7)).checks
         assert [(c.check_id, c.status, c.anchor) for c in checks] == [
-            ("cz-error", "error", "fill failed on a helper")]
+            ("cz-error", "error", "draw failed on the worker")]
+        assert threading.enumerate() == before
+
+    def test_error_in_a_block_joins_the_drawing_worker(self, monkeypatch):
+        # bracket fails on the first block while the worker draws the next
+        to_sphere = poisson._to_sphere
+
+        def slow(x):
+            time.sleep(0.05)
+            return to_sphere(x)
+
+        def fail(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(poisson, "_to_sphere", slow)
+        monkeypatch.setattr(poisson, "bracket", fail)
+        monkeypatch.setattr(poisson, "_CZ_ROWS", 500)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="block failed"):
+            cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert threading.enumerate() == before
 
     def test_public_functions_run_on_the_main_thread(self, monkeypatch):

@@ -1,8 +1,6 @@
 """Sphere sampling, the zonal half-disk rule, and ball integration."""
 
 import math
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -23,7 +21,7 @@ from octoplane.quadrature import (
     zonal_grid,
     zonal_integrate,
 )
-from octoplane.quadrature import _Fill, _legendre_rule, _to_sphere, _zonal_rule
+from octoplane.quadrature import _legendre_rule, _to_sphere, _zonal_rule
 
 SPEC = QuadratureSpec(n_mc=1_000_000, n_gauss=200, seed=5)
 
@@ -66,41 +64,6 @@ class TestSampleSphere:
         x = rng.standard_normal((2053, 16)) * 10.0 ** rng.integers(-100, 100, (2053, 16))
         want = x / np.linalg.norm(x, axis=1, keepdims=True)
         assert np.array_equal(_to_sphere(x).view(np.uint64), want.view(np.uint64))
-
-
-class TestHelperFill:
-    def test_fill_equals_serial_draw_and_joins(self):
-        before = threading.enumerate()
-        out = np.empty((3000, 16))
-        with _Fill(np.random.default_rng(8), out) as fill:
-            assert fill.result() is out
-        assert threading.enumerate() == before
-        assert np.array_equal(out, np.random.default_rng(8).standard_normal((3000, 16)))
-
-    def test_error_reraises_on_the_caller(self, monkeypatch):
-        def fail(rng, out):
-            raise NumericsError("fill failed")
-
-        monkeypatch.setattr(quadrature, "_fill_normal", fail)
-        before = threading.enumerate()
-        with pytest.raises(NumericsError, match="fill failed"):
-            with _Fill(np.random.default_rng(0), np.empty((4, 16))) as fill:
-                fill.result()
-        assert threading.enumerate() == before
-
-    def test_leaving_the_block_joins(self, monkeypatch):
-        fill_normal = quadrature._fill_normal
-
-        def slow(rng, out):
-            time.sleep(0.2)
-            return fill_normal(rng, out)
-
-        monkeypatch.setattr(quadrature, "_fill_normal", slow)
-        before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="caller failed"):
-            with _Fill(np.random.default_rng(0), np.empty((4, 16))):
-                raise RuntimeError("caller failed")
-        assert threading.enumerate() == before
 
 
 class TestZonal:

@@ -35,7 +35,7 @@ REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re",
            "_phi_at_radii", "_phi_scaled_at",
            "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples",
-           "_f21_series", "_NORM_BLOCK")
+           "_f21_series", "_NORM_BLOCK", "_Fill", "_fill_normal", "_cz_samples", "E2")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,7 +54,7 @@ def test_removed_names_are_gone(name):
 
 def test_removed_options_and_methods_are_gone():
     assert "radial" not in inspect.signature(ball_integrate).parameters
-    for attr in ("zeros", "scale", "jordan", "__add__", "__sub__"):
+    for attr in ("zeros", "scale", "jordan", "__add__", "__sub__", "diag_unit"):
         assert not hasattr(JordanMatrix, attr)
     # profiles evaluate through special.spherical_fn / spherical_fn_scaled
     for attr in ("profile", "boundary_scaled"):

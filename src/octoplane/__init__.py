@@ -33,7 +33,6 @@ from .geometry import (
     pair,
     phi_form,
     psi_form,
-    psi_from_bracket,
     unit_rotation,
 )
 from .special import (
@@ -57,7 +56,6 @@ from .quadrature import (
 )
 from .poisson import (
     BoundaryConstant,
-    BoundaryZonal,
     CZReport,
     EigenProfile,
     HardyNormResult,
@@ -65,7 +63,6 @@ from .poisson import (
     OperatorNormResult,
     boundary_recover_gt,
     cz_suite,
-    eta_j,
     hardy_norm,
     m2_norm,
     operator_norm_est,
@@ -74,7 +71,6 @@ from .poisson import (
     poisson_transform,
     szego_kernel,
     szego_matrix,
-    weight_omega,
 )
 
 __version__ = "0.1.0"

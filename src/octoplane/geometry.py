@@ -46,7 +46,6 @@ __all__ = [
     "phi_form",
     "bracket",
     "psi_form",
-    "psi_from_bracket",
     "ni_dist",
     "dist_to_e1",
     "unit_rotation",
@@ -192,11 +191,6 @@ def psi_form(x, y) -> np.ndarray:
     """Psi(x,y) = 1 - 2<x,y>_R + Phi(x,y); strictly positive when one
     argument is in the open ball and the other in the closed ball."""
     return _psi(_forms(x), _forms(y))
-
-
-def psi_from_bracket(x, y) -> np.ndarray:
-    """Psi via the product expression |1 - [x,y]|^2 (same value as psi_form)."""
-    return _abs_one_minus_sq(bracket(x, y))
 
 
 def _abs_one_minus_sq(b) -> np.ndarray:

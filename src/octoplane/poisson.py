@@ -13,21 +13,20 @@ logarithm is used throughout and there is no branch ambiguity.
 
 The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
-a sampled-operator norm estimator, the Calderon-Zygmund estimate harness,
-and the molecule weight Omega with its dyadic radii eta_j.
+a sampled-operator norm estimator and the Calderon-Zygmund estimate harness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericsError
 from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, bracket,
-                       dist_to_e1, ni_dist, phi_form, psi_form)
+                       dist_to_e1, phi_form, psi_form)
 from .octonion import _row_dot, oct_norm
 from .quadrature import (
     S15,
@@ -55,7 +54,6 @@ __all__ = [
     "szego_kernel",
     "szego_matrix",
     "BoundaryConstant",
-    "BoundaryZonal",
     "EigenProfile",
     "poisson_transform",
     "HardyNormResult",
@@ -67,8 +65,6 @@ __all__ = [
     "operator_norm_est",
     "CZReport",
     "cz_suite",
-    "eta_j",
-    "weight_omega",
 ]
 
 # Largest radius at which the transform, the Hardy grid and the sampled
@@ -143,19 +139,6 @@ class BoundaryConstant:
     value: complex = 1.0
 
 
-@dataclass(frozen=True)
-class BoundaryZonal:
-    """Boundary function of the first slot only: f(omega) = g(Re w1, |Im w1|)."""
-
-    g: Callable
-
-    def __call__(self, omega: np.ndarray) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        u = omega[..., 0]
-        v = np.sqrt(np.sum(omega[..., 1:8] ** 2, axis=-1))
-        return self.g(u, v)
-
-
 class EigenProfile:
     """The eigenfunction P_lam f for f in the (l, m) boundary type, through
     its radial factor Phi_{lam,lm}.
@@ -192,20 +175,12 @@ class EigenProfile:
 # Poisson transform
 # --------------------------------------------------------------------------
 
-def _radius_aligned(x: np.ndarray) -> float | None:
-    """|x| if x is a nonnegative multiple of (1,0), else None."""
-    if abs(float(np.max(np.abs(x[1:])))) < 1e-14 and x[0] >= 0.0:
-        return float(x[0])
-    return None
-
-
-def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
-                      return_stderr: bool = False):
+def poisson_transform(lam, f, x, spec: QuadratureSpec):
     """P_lam f(x) = int P_lam(x, omega) f(omega) domega.
 
     Constant data reduces to |x| e1 by invariance and integrates with the
-    zonal rule; zonal data does so when x is aligned with e1; anything else
-    uses sphere Monte Carlo (optionally returning the standard error).
+    zonal rule.  Any other f is a callable on boundary points, and the
+    value is the mean of sphere_average on P_lam(x, .) f.
     Refuses |x| > r_cap = 0.999, where the kernel peak outruns the quadrature.
     """
     lv = complex(lam)
@@ -214,28 +189,18 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec, *,
     if radius > _R_CAP:
         raise ValueError(f"|x| = {radius} exceeds r_cap = {_R_CAP} accuracy guard")
 
-    r = None
     if isinstance(f, BoundaryConstant):
-        r = radius
-    elif isinstance(f, BoundaryZonal):
-        r = _radius_aligned(x)
-    if r is not None:
-        omr2 = 1.0 - r * r
+        omr2 = 1.0 - radius * radius
 
         def g(u, v):
-            kern = _poisson_power(lv, omr2, _zonal_psi(r, u, v))
-            return kern * f.g(u, v) if isinstance(f, BoundaryZonal) else kern
+            return _poisson_power(lv, omr2, _zonal_psi(radius, u, v))
 
-        val = zonal_integrate(g, spec)
-        if isinstance(f, BoundaryConstant):
-            val = f.value * val
-        return (val, 0.0) if return_stderr else val
+        return f.value * zonal_integrate(g, spec)
 
     def integrand(omega):
         return poisson_kernel_lambda(lv, x, omega) * np.asarray(f(omega))
 
-    val, se = sphere_average(integrand, spec)
-    return (val, se) if return_stderr else val
+    return sphere_average(integrand, spec)[0]
 
 
 # --------------------------------------------------------------------------
@@ -527,6 +492,25 @@ def _cz_pairs(n: int, seeds: Sequence[int], pool):
         yield block
 
 
+def _hormander_probes(n: int, seed: int):
+    """cz_suite's Hormander tail forms on om = sample_sphere(min(n, 100_000),
+    seed): (probes, <om, e1>, Phi(om, e1)), a probe (mask, <om, th>, Phi(om,
+    th)) for each theta at a dyadic distance from e1 whose mask d(om, e1) >
+    2 d(th, e1) holds somewhere.  Only these r-independent forms leave, so
+    om and its invariants are freed on return."""
+    om = sample_sphere(min(n, 100_000), seed)
+    f_om = _forms(om)
+    d_om = dist_to_e1(om)
+    probes = []
+    for k in range(0, 4):
+        th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
+        th = th[None, :] / np.linalg.norm(th)
+        mask = d_om > 2.0 * float(dist_to_e1(th)[0])
+        if mask.any():
+            probes.append((mask, _row_dot(om, th), _phi(f_om, _forms(th))))
+    return probes, _row_dot(om, E1[None, :]), _phi(f_om, _forms(E1[None, :]))
+
+
 def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
              r_grid: Sequence[float] = (0.5, 0.9, 0.99)) -> CZReport:
     """Evaluate the kernel-family estimates on spec.n_mc sample pairs:
@@ -553,7 +537,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     and sums over the blocks.  The maxima fold with np.maximum from -inf,
     so each equals one np.max over all rows, NaN included, whatever the
     block size.  (iii) and the tail are evaluated per lambda after the
-    pass, on the zonal rule and on sample_sphere(min(n, 100_000), s4 + 1).
+    pass, on the zonal rule and on the probes of _hormander_probes(n, s4 + 1).
     Estimates other than (i) and the counts are keyed {lam: {r: value}}.
     """
     # imported here: a module-level import loads logging into every run
@@ -603,22 +587,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
                         smooth[lam][r], np.max(np.where(nz, num / np.where(nz, den, 1.0), 0.0)))
     rep.size_per_r = {r: float(v) for r, v in size.items()}
 
-    # Hormander tail probes: theta at dyadic distances from e1; the
-    # r-independent <om, th> and Phi(om, th) are formed once per probe point,
-    # Phi from the invariants of om_h, formed once for all probes
-    om_h = sample_sphere(min(n, 100_000), seeds[3] + 1)
-    f_h = _forms(om_h)
-    d_om = dist_to_e1(om_h)
-    probes = []
-    for k in range(0, 4):
-        th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
-        th = th[None, :] / np.linalg.norm(th)
-        mask = d_om > 2.0 * float(dist_to_e1(th)[0])
-        if mask.any():
-            probes.append((mask, _row_dot(om_h, th), _phi(f_h, _forms(th))))
-    dot_e1 = _row_dot(om_h, E1[None, :])
-    phi_e1 = _phi(f_h, _forms(E1[None, :]))
-
+    probes, dot_e1, phi_e1 = _hormander_probes(n, seeds[3] + 1)
     for lam in lams:
         la = abs(lam)
         truncated, tail = {}, {}
@@ -643,25 +612,3 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
         rep.truncated_per_r[lam] = truncated
         rep.hormander_per_r[lam] = tail
     return rep
-
-
-# --------------------------------------------------------------------------
-# Molecules
-# --------------------------------------------------------------------------
-
-def eta_j(j: int) -> float:
-    """Dyadic radii 2(1 - 2^{-j}) / (2^{-2j} + 2(1 - 2^{-j})): 0, 4/5, ... -> 1."""
-    if j < 0 or j != int(j):
-        raise ValueError("j must be a nonnegative integer")
-    a = 1.0 - 2.0 ** (-j)
-    return 2.0 * a / (2.0 ** (-2 * j) + 2.0 * a)
-
-
-def weight_omega(eta: float, delta: float, theta, omega) -> np.ndarray:
-    """Molecule weight eta^delta (eta + d(theta, omega))^{-delta - 2 rho}."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    d = ni_dist(theta, omega)
-    return eta ** delta * (eta + d) ** (-delta - 2.0 * RHO)

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 __all__ = ["CheckResult", "VerificationReport", "render_json", "render_csv", "CSV_HEADER"]
 

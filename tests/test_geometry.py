@@ -23,7 +23,6 @@ from octoplane.geometry import (
     pair,
     phi_form,
     psi_form,
-    psi_from_bracket,
     unit_rotation,
 )
 from octoplane.octonion import _BLOCK as BLOCK
@@ -74,7 +73,7 @@ class TestForms:
     def test_psi_two_forms_agree(self):
         x = ball_points(50_000, 4)
         y = ball_points(50_000, 5)
-        a, b = psi_form(x, y), psi_from_bracket(x, y)
+        a, b = psi_form(x, y), oct_norm_sq(basis(0) - bracket(x, y))
         assert np.max(np.abs(a - b) / np.maximum(a, 1e-12)) < 1e-12
 
     def test_psi_positive(self):
@@ -144,7 +143,7 @@ class TestFormInvariants:
     def test_bracket_form_of_psi(self):
         x, y = self.point_sets()
         b = bracket(x, y)
-        assert np.array_equal(geometry._abs_one_minus_sq(b), psi_from_bracket(x, y))
+        assert np.array_equal(geometry._abs_one_minus_sq(b), oct_norm_sq(basis(0) - b))
 
 
 def closed_ball_points():
@@ -175,7 +174,7 @@ class TestFormProperties:
     @given(closed_ball_points(), closed_ball_points())
     def test_psi_is_bracket_form(self, x, y):
         psi = psi_form(x, y)
-        assert abs(psi - psi_from_bracket(x, y)) <= 1e-12 * max(psi, 1e-12)
+        assert abs(psi - oct_norm_sq(basis(0) - bracket(x, y))) <= 1e-12 * max(psi, 1e-12)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(closed_ball_points(), closed_ball_points())

@@ -17,13 +17,11 @@ from octoplane.errors import NumericsError
 from octoplane.geometry import E1, dist_to_e1, ni_dist, psi_form
 from octoplane.poisson import (
     BoundaryConstant,
-    BoundaryZonal,
     EigenProfile,
     _geodesic_mean_sq,
     _szego_power,
     boundary_recover_gt,
     cz_suite,
-    eta_j,
     hardy_norm,
     m2_norm,
     operator_norm_est,
@@ -32,7 +30,6 @@ from octoplane.poisson import (
     poisson_transform,
     szego_kernel,
     szego_matrix,
-    weight_omega,
 )
 from octoplane.quadrature import (
     S15,
@@ -40,6 +37,7 @@ from octoplane.quadrature import (
     gauss_panels,
     sample_sphere,
     spawn_seeds,
+    sphere_average,
     zonal_integrate,
 )
 from octoplane.special import RHO, hc_c_function, spherical_fn, spherical_fn_scaled
@@ -191,20 +189,18 @@ class TestTransform:
             via = np.exp(s * math.log(1 - r * r)) * szego_int
             assert abs(direct - via) / abs(direct) < 1e-8
 
-    def test_zonal_descriptor_aligned(self):
-        lam = 1.0
-        val = poisson_transform(lam, BoundaryZonal(lambda u, v: u * u + v * v),
-                                0.0 * E1, SPEC)
-        assert abs(val - 0.5) < 1e-8
-
     def test_zonal_descriptor_unaligned_falls_back_to_mc(self):
+        # zonal data as a plain callable at a point off the e1 axis: the
+        # value is the sphere_average mean of the kernel times f, bit for bit
         lam = 1.0
-        f = BoundaryZonal(lambda u, v: u)
+        f = lambda w: w[..., 0]
         x = 0.3 * sample_sphere(1, 13)[0]
         spec = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=2)
-        val, se = poisson_transform(lam, f, x, spec, return_stderr=True)
+        val = poisson_transform(lam, f, x, spec)
+        mean, se = sphere_average(lambda w: poisson_kernel_lambda(complex(lam), x, w) * f(w),
+                                  spec)
+        assert val == mean
         assert se > 0
-        assert np.isfinite(abs(val))
 
     def test_linearity(self):
         f1 = lambda w: w[..., 0]
@@ -869,15 +865,15 @@ class TestCZSuite:
         assert [math.isnan(v) for v in reports[0].smooth_per_r[1.0].values()] == [False, True, True]
 
     def test_cz_suite_tracemalloc_peak(self):
-        # one block of pairs at a time: the whole-array sample set and its
-        # forms peaked at 137 MiB here
+        # one block of pairs at a time, and through the lambda loop only the
+        # Hormander probe forms, not their sample (33.2 MiB; 39.4 with it)
         tracemalloc.start()
         try:
             cz_suite((1.0,), QuadratureSpec(n_mc=200_000, n_gauss=200, seed=7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        assert peak < 36 * 2 ** 20
 
     def test_helpers_are_joined_on_return(self):
         before = threading.enumerate()
@@ -982,31 +978,15 @@ class TestCZSuite:
 
 
 class TestMolecules:
-    def test_eta_values(self):
-        assert eta_j(0) == 0.0
-        assert eta_j(1) == pytest.approx(0.8, abs=1e-15)
-        prev = 0.0
-        for j in range(1, 20):
-            cur = eta_j(j)
-            assert prev < cur < 1.0
-            prev = cur
-        assert eta_j(40) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            eta_j(-1)
-
-    def test_omega_weight_diagonal(self):
-        th = sample_sphere(10, 7)
-        w = weight_omega(0.25, 1.0, th, th)
-        assert np.max(np.abs(w - 0.25 ** (-2 * RHO))) < 1e-6
-        with pytest.raises(ValueError):
-            weight_omega(0.0, 1.0, th, th)
-        with pytest.raises(ValueError):
-            weight_omega(0.5, 1.5, th, th)
-
     def test_delta_j_cancellation(self):
+        # the dyadic radii 2a / (2^{-2j} + 2a), a = 1 - 2^{-j}: 0, 4/5, ... -> 1
+        def eta(j):
+            a = 1.0 - 2.0 ** (-j)
+            return 2.0 * a / (2.0 ** (-2 * j) + 2.0 * a)
+
         spec = QuadratureSpec(n_mc=1000, n_gauss=200, seed=8)
         for j in range(0, 7):
-            rj, rj1 = eta_j(j), eta_j(j + 1)
+            rj, rj1 = eta(j), eta(j + 1)
 
             def g(u, v):
                 q1 = ((1 - rj1 ** 2) / ((1 - rj1 * u) ** 2 + (rj1 * v) ** 2)) ** RHO

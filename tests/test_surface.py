@@ -1,14 +1,16 @@
-"""The public surface: every ``__all__`` entry resolves, and names removed
-from the package stay removed.
+"""The public surface: every ``__all__`` entry resolves, names removed from
+the package stay removed, and no module imports a name it never reads.
 
 Tooling that walks ``__all__`` with ``getattr`` (tracers, wrappers) breaks
 on a stale entry, so each module's list is checked against the module.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from octoplane.poisson import (
     cz_suite,
     hardy_norm,
     operator_norm_est,
+    poisson_transform,
 )
 from octoplane.quadrature import QuadratureSpec, _radial_rule, ball_integrate
 from octoplane.special import gauss_2f1
@@ -35,7 +38,8 @@ REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "molecule_check", "MoleculeCheck", "_molecule_sample", "delta_j_kernel", "oct_re",
            "_phi_at_radii", "_phi_scaled_at",
            "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples",
-           "_f21_series", "_NORM_BLOCK", "_Fill", "_fill_normal", "_cz_samples", "E2")
+           "_f21_series", "_NORM_BLOCK", "_Fill", "_fill_normal", "_cz_samples", "E2",
+           "BoundaryZonal", "_radius_aligned", "eta_j", "weight_omega", "psi_from_bracket")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -72,6 +76,9 @@ def test_removed_parameters_and_fields_are_gone():
     for fn, names in removed.items():
         assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
     assert list(inspect.signature(hardy_norm).parameters) == ["F", "p", "r_grid", "spec"]
+    params = inspect.signature(poisson_transform).parameters
+    assert "return_stderr" not in params
+    assert list(params) == ["lam", "f", "x", "spec"]
     params = inspect.signature(boundary_recover_gt).parameters
     assert list(params) == ["lam", "F", "t_grid", "spec", "omega"]
     assert params["omega"].kind is inspect.Parameter.KEYWORD_ONLY
@@ -87,6 +94,32 @@ def test_removed_parameters_and_fields_are_gone():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
     assert [f.name for f in dataclasses.fields(OperatorNormResult)] == [
         "value", "residual", "iterations"]
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of source (``__future__``
+    aside) that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_unread_imports_are_found():
+    source = "import os.path\nfrom typing import Sequence\nimport numpy as np\nnp.zeros(os.sep)\n"
+    assert unread_imports(source) == ["Sequence"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_are_read(name):
+    path = Path(octoplane.__file__).parent / f"{name}.py"
+    assert unread_imports(path.read_text()) == []
 
 
 def test_gauss_2f1_path_keywords():

@@ -26,7 +26,8 @@ several others forms it once.
 (16, m) arrays and fed to the octonion block kernels, so their scratch
 memory is bounded by the block, not by the input.  Their values equal
 those of whole-array ``oct_norm_sq``/``oct_mul`` calls on row-major points
-bit for bit.
+bit for bit.  ``ball_volume_est`` streams its sample in one pass over blocks
+of ``quadrature._PASS_ROWS`` rows, as the geometry suite's form checks do.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis, oct_conj, oct_mul,
                        oct_norm, oct_norm_sq)
-from .quadrature import C_ZONAL, _to_sphere, gauss_panels
+from .quadrature import _PASS_ROWS, C_ZONAL, _to_sphere, gauss_panels
 
 __all__ = [
     "pair",
@@ -380,8 +381,10 @@ def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[
     """Plain rejection Monte Carlo estimates of the normalized boundary
     measure of {theta : d(theta, (1,0)) < delta}, one per delta of the grid.
 
-    Uniform sphere points come from normalized 16-dim Gaussians, streamed
-    in batches; every delta counts its hits on the same points, so each
+    Uniform sphere points come from normalized 16-dim Gaussians, drawn in
+    one pass over blocks of _PASS_ROWS rows from one generator; hits are
+    integer counts per point, so the estimates do not depend on the block
+    size.  Every delta counts its hits on the same points, so each
     estimate equals that of a one-delta grid with the same seed.
     Deterministic for fixed seed.  The measure saturates at 1 for
     delta >= sqrt(2) (the diameter) and decays like delta^22 as
@@ -396,13 +399,9 @@ def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     hits = [0] * len(deltas)
-    remaining = n_samples
-    batch = 1_000_000
-    while remaining > 0:
-        k = min(batch, remaining)
-        d = dist_to_e1(_to_sphere(rng.standard_normal((k, 16))))
+    for lo in range(0, n_samples, _PASS_ROWS):
+        d = dist_to_e1(_to_sphere(rng.standard_normal((min(_PASS_ROWS, n_samples - lo), 16))))
         hits = [h + int(np.count_nonzero(d < delta)) for h, delta in zip(hits, deltas)]
-        remaining -= k
     out = []
     for h in hits:
         p = h / n_samples

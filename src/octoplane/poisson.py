@@ -29,6 +29,7 @@ from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, br
                        dist_to_e1, phi_form, psi_form)
 from .octonion import _row_dot, oct_norm
 from .quadrature import (
+    _PASS_ROWS,
     S15,
     QuadratureSpec,
     _to_sphere,
@@ -180,7 +181,7 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec):
 
     Constant data reduces to |x| e1 by invariance and integrates with the
     zonal rule.  Any other f is a callable on boundary points, and the
-    value is the mean of sphere_average on P_lam(x, .) f.
+    value is sphere_average of P_lam(x, .) f.
     Refuses |x| > r_cap = 0.999, where the kernel peak outruns the quadrature.
     """
     lv = complex(lam)
@@ -200,7 +201,7 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec):
     def integrand(omega):
         return poisson_kernel_lambda(lv, x, omega) * np.asarray(f(omega))
 
-    return sphere_average(integrand, spec)[0]
+    return sphere_average(integrand, spec)
 
 
 # --------------------------------------------------------------------------
@@ -450,13 +451,9 @@ class CZReport:
     hormander_per_r: dict = field(default_factory=dict)     # measured only
 
 
-# Sample pairs per block of cz_suite's streamed pass.
-_CZ_ROWS = 8192
-
-
 def _cz_pairs(n: int, seeds: Sequence[int], pool):
     """cz_suite's n sample rows (theta, omega, theta') from seeds
-    = (s1, s2, s3, s4), yielded in consecutive blocks of at most _CZ_ROWS.
+    = (s1, s2, s3, s4), yielded in consecutive blocks of at most _PASS_ROWS.
 
     theta and omega are uniform on the sphere from s1 and s2.  The first
     n // 2 partners are uniform from s4; the others are theta perturbed by
@@ -484,11 +481,11 @@ def _cz_pairs(n: int, seeds: Sequence[int], pool):
         partners += theta[cut - lo:]
         return theta, omega, _to_sphere(theta_p)
 
-    ahead = pool.submit(draw, 0, min(n, _CZ_ROWS))
-    for lo in range(0, n, _CZ_ROWS):
+    ahead = pool.submit(draw, 0, min(n, _PASS_ROWS))
+    for lo in range(0, n, _PASS_ROWS):
         block = ahead.result()
-        if lo + _CZ_ROWS < n:
-            ahead = pool.submit(draw, lo + _CZ_ROWS, min(n, lo + 2 * _CZ_ROWS))
+        if lo + _PASS_ROWS < n:
+            ahead = pool.submit(draw, lo + _PASS_ROWS, min(n, lo + 2 * _PASS_ROWS))
         yield block
 
 

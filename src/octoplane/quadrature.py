@@ -56,6 +56,10 @@ __all__ = [
 C_ZONAL = 896.0 / math.pi
 S15 = 2.0 * math.pi ** 8 / math.factorial(7)
 
+# Rows per block of the package's streamed passes over sample sets
+# (poisson.cz_suite, the geometry suite's form checks, geometry.ball_volume_est).
+_PASS_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -169,18 +173,17 @@ def zonal_integrate(g: Callable, spec: QuadratureSpec) -> complex:
     return complex(np.sum(W * vals))
 
 
-def sphere_average(f: Callable, spec: QuadratureSpec) -> tuple[complex, float]:
-    """Monte Carlo mean of f over the boundary sphere with standard error.
+def sphere_average(f: Callable, spec: QuadratureSpec) -> complex:
+    """Monte Carlo mean of f over the boundary sphere.
 
-    Splits spec.n_mc across seeded substreams and merges (sum, sumsq, count),
-    so the value is independent of the batch size.
+    Splits spec.n_mc into batches of 500,000 points drawn from seeded
+    substreams (spawn_seeds) and sums the values batch by batch.
     """
     n_total = spec.n_mc
     batch = 500_000
     n_batches = (n_total + batch - 1) // batch
     seeds = spawn_seeds(spec.seed, n_batches)
     acc = 0.0 + 0.0j
-    acc2 = 0.0
     done = 0
     for s in seeds:
         k = min(batch, n_total - done)
@@ -189,11 +192,8 @@ def sphere_average(f: Callable, spec: QuadratureSpec) -> tuple[complex, float]:
         if not np.all(np.isfinite(vals)):
             raise NumericsError("non-finite sample in sphere Monte Carlo")
         acc += np.sum(vals)
-        acc2 += float(np.sum(np.abs(vals) ** 2))
         done += k
-    mean = acc / n_total
-    var = max(acc2 / n_total - abs(mean) ** 2, 0.0)
-    return complex(mean), float(math.sqrt(var / n_total))
+    return complex(acc / n_total)
 
 
 def gauss_panels(a: float, b: float, breakpoints: Sequence[float],

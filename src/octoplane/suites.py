@@ -28,7 +28,7 @@ from . import geometry as geo
 from . import poisson as po
 from .errors import NumericsError
 from .octonion import basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import QuadratureSpec, _to_sphere, sample_sphere, zonal_integrate
+from .quadrature import _PASS_ROWS, QuadratureSpec, _to_sphere, sample_sphere, zonal_integrate
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
@@ -211,80 +211,91 @@ def _random_ball_points(n: int, rng: np.random.Generator) -> np.ndarray:
     return x * radii[:, None]
 
 
+# _geometry_form_checks' records in order: (id, anchor, tolerance or None for a count).
+_GEO_FORM_CHECKS = (
+    ("geo-phi-product-form", "Phi(x,y) = |(conj(x1) y2)(y2^{-1} y1) + x2 conj(y2)|^2", 1e-12),
+    ("geo-psi-two-forms", "1 - 2<x,y> + Phi(x,y) = |1 - [x,y]|^2", 1e-12),
+    ("geo-bracket-bound", "|[x,y]| <= |x| |y|", None),
+    ("geo-bracket-scaling", "[r e1, omega] = r omega_1", 1e-12),
+    ("geo-bracket-diagonal", "[a, a] = 1 for |a| = 1", 1e-12),
+    ("geo-metric-identity", "d(a, a) = 0 on the sphere", 1e-8),
+    ("geo-metric-symmetry", "d(a, b) = d(b, a)", 1e-14),
+    ("geo-triangle", "d(a,c) <= d(a,b) + d(b,c) on the closed ball", None),
+    ("geo-difference-ineq", "|[th - th', om]| <= d(th,th') (d(th,th') + 2 d(th,om))", None),
+    ("geo-invariance", "d((u x1, x2 u), (u y1, y2 u)) = d(x, y) for |u| = 1", 1e-12),
+)
+
+
 def _geometry_form_checks(rec: _Recorder, rng: np.random.Generator) -> None:
-    """The form, bracket and metric checks.  Each point set is formed once
-    (geo._forms) and released after its last check; one bracket [x, y]
-    serves the product form of Phi, the two forms of Psi and the bound."""
+    """The form, bracket and metric checks, in one pass over blocks of
+    _PASS_ROWS rows.  x, y, the radii, z and u are drawn whole from rng
+    first, in the order the checks have always read them; the sphere sets
+    om, th and th' (sample_sphere at rec.seed + 2, + 1, + 3) have their own
+    generators, so the pass draws them per block with the same bits.  Each
+    block forms its invariants, brackets and distances once for every check.
+    The running maxima fold with np.maximum from -inf, so each equals one
+    np.max over all rows, NaN included, for any block size.  The records
+    follow the pass, so geo-phi-product-form carries the pass's wall time."""
     n = min(rec.config.n_mc, 100_000)
-    seed = rec.seed
     x = _random_ball_points(n, rng)
     y = _random_ball_points(n, rng)
-    fx, fy = geo._forms(x), geo._forms(y)
-
-    b = geo.bracket(x, y)
-    mask = fy.n2 > 1e-8
-    phi = geo._phi(fx, fy)[mask]
-    d = np.max(np.abs(phi - oct_norm_sq(b[mask])) / np.maximum(phi, 1e-12))
-    rec.tol("geo-phi-product-form", "Phi(x,y) = |(conj(x1) y2)(y2^{-1} y1) + x2 conj(y2)|^2",
-            d, 1e-12, int(mask.sum()))
-
-    psi = geo._psi(fx, fy)
-    d = np.max(np.abs(psi - geo._abs_one_minus_sq(b)) / np.maximum(psi, 1e-12))
-    rec.tol("geo-psi-two-forms", "1 - 2<x,y> + Phi(x,y) = |1 - [x,y]|^2", d, 1e-12, n)
-
-    viol = int(np.count_nonzero(
-        oct_norm(b) > np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1) + 1e-12
-    ))
-    rec.exact("geo-bracket-bound", "|[x,y]| <= |x| |y|", viol, n)
-    del b, phi, psi
-
-    om = sample_sphere(n, seed + 2)
     rvals = rng.uniform(0, 1, size=n)
-    br = geo.bracket(rvals[:, None] * geo.E1[None, :], om)
-    d = np.max(oct_norm(br - rvals[:, None] * om[:, :8]))
-    rec.tol("geo-bracket-scaling", "[r e1, omega] = r omega_1", d, 1e-12, n)
-    del br, rvals
-
-    th = sample_sphere(n, seed + 1)
-    d = np.max(oct_norm(geo.bracket(th, th) - basis(0)[None, :]))
-    rec.tol("geo-bracket-diagonal", "[a, a] = 1 for |a| = 1", d, 1e-12, n)
-
-    fth = geo._forms(th)
-    first = fth.take(slice(10_000))
-    d = np.max(geo._dist(first, first))
-    rec.tol("geo-metric-identity", "d(a, a) = 0 on the sphere", d, 1e-8, 10_000)
-
-    dxy = geo._dist(fx, fy)
-    d = np.max(np.abs(dxy - geo._dist(fy, fx)))
-    rec.tol("geo-metric-symmetry", "d(a, b) = d(b, a)", d, 1e-14, n)
-
-    fz = geo._forms(_random_ball_points(n, rng))
-    viol = int(np.count_nonzero(geo._dist(fx, fz) > dxy + geo._dist(fy, fz) + 1e-12))
-    rec.exact("geo-triangle", "d(a,c) <= d(a,b) + d(b,c) on the closed ball", viol, n)
-    del fx, fy, fz
-
-    thp = sample_sphere(n, seed + 3)
-    fthp = geo._forms(thp)
-    dtt = geo._dist(fth, fthp)
-    dto = geo._dist(fth, geo._forms(om))
-    del fth, fthp
-    lhs = oct_norm(geo.bracket(th - thp, om))
-    viol = int(np.count_nonzero(lhs > dtt * (dtt + 2.0 * dto) + 1e-12))
-    rec.exact("geo-difference-ineq", "|[th - th', om]| <= d(th,th') (d(th,th') + 2 d(th,om))",
-              viol, n)
-    del th, thp, om
-
+    z = _random_ball_points(n, rng)
     u = rng.standard_normal(8)
-    u /= np.linalg.norm(u)
-    act = geo.unit_rotation(u)
-    d = np.max(np.abs(geo._dist(geo._forms(act(x)), geo._forms(act(y))) - dxy))
-    rec.tol("geo-invariance", "d((u x1, x2 u), (u y1, y2 u)) = d(x, y) for |u| = 1",
-            d, 1e-12, n)
+    act = geo.unit_rotation(u / np.linalg.norm(u))
+    sphere_rngs = [np.random.default_rng(rec.seed + k) for k in (2, 1, 3)]
+    acc = {check_id: (0 if tol is None else -np.inf) for check_id, _, tol in _GEO_FORM_CHECKS}
+    n_phi = 0
+
+    def fold(check_id, values):
+        acc[check_id] = np.maximum(acc[check_id], np.max(values, initial=-np.inf))
+
+    def count(check_id, violated):
+        acc[check_id] += int(np.count_nonzero(violated))
+
+    for lo in range(0, n, _PASS_ROWS):
+        blk = slice(lo, min(n, lo + _PASS_ROWS))
+        xb, yb, r = x[blk], y[blk], rvals[blk, None]
+        om, th, thp = (_to_sphere(g.standard_normal((len(xb), 16))) for g in sphere_rngs)
+        fx, fy, fz, fth = geo._forms(xb), geo._forms(yb), geo._forms(z[blk]), geo._forms(th)
+
+        # one bracket [x, y] for the product form of Phi, the two forms of Psi and the bound
+        b = geo.bracket(xb, yb)
+        mask = fy.n2 > 1e-8
+        n_phi += int(mask.sum())
+        phi = geo._phi(fx, fy)[mask]
+        fold("geo-phi-product-form", np.abs(phi - oct_norm_sq(b[mask])) / np.maximum(phi, 1e-12))
+        psi = geo._psi(fx, fy)
+        fold("geo-psi-two-forms", np.abs(psi - geo._abs_one_minus_sq(b)) / np.maximum(psi, 1e-12))
+        count("geo-bracket-bound",
+              oct_norm(b) > np.linalg.norm(xb, axis=1) * np.linalg.norm(yb, axis=1) + 1e-12)
+
+        fold("geo-bracket-scaling", oct_norm(geo.bracket(r * geo.E1[None, :], om) - r * om[:, :8]))
+        fold("geo-bracket-diagonal", oct_norm(geo.bracket(th, th) - basis(0)[None, :]))
+        if lo < 10_000:
+            first = fth.take(slice(10_000 - lo))
+            fold("geo-metric-identity", geo._dist(first, first))
+
+        dxy = geo._dist(fx, fy)
+        fold("geo-metric-symmetry", np.abs(dxy - geo._dist(fy, fx)))
+        count("geo-triangle", geo._dist(fx, fz) > dxy + geo._dist(fy, fz) + 1e-12)
+        dtt = geo._dist(fth, geo._forms(thp))
+        dto = geo._dist(fth, geo._forms(om))
+        count("geo-difference-ineq",
+              oct_norm(geo.bracket(th - thp, om)) > dtt * (dtt + 2.0 * dto) + 1e-12)
+        fold("geo-invariance", np.abs(geo._dist(geo._forms(act(xb)), geo._forms(act(yb))) - dxy))
+
+    sizes = {"geo-phi-product-form": n_phi, "geo-metric-identity": 10_000}
+    for check_id, anchor, tol in _GEO_FORM_CHECKS:
+        if tol is None:
+            rec.exact(check_id, anchor, acc[check_id], n)
+        else:
+            rec.tol(check_id, anchor, acc[check_id], tol, sizes.get(check_id, n))
 
 
 def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
     rng = np.random.default_rng(rec.seed)
-    # the forms arrays are released when this returns, before the volume draw
+    # the point sets are released when this returns, before the volume draw
     _geometry_form_checks(rec, rng)
 
     pts = _random_ball_points(64, rng)

@@ -1,6 +1,7 @@
 """Boundary geometry: forms, bracket, metric, Jordan embeddings, volumes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from octoplane import geometry
+from octoplane import geometry, suites
 from octoplane.geometry import (
     E1,
     JordanMatrix,
@@ -517,12 +518,32 @@ class TestVolume:
 
     @pytest.mark.parametrize("n", [200_000, 1_500_000])
     def test_grid_equals_one_call_per_delta(self, n):
-        # one stream serves the grid; 1.5M samples take two batches
+        # one stream serves the grid; 1.5M samples take 184 blocks of _PASS_ROWS rows
         deltas = (0.7, 0.9, 1.1, 1.5)
         grid = ball_volume_est(deltas, n, 123)
         assert grid == [ball_volume_est([d], n, 123)[0] for d in deltas]
         if n == 200_000:
             assert [e.hits for e in grid[:3]] == [108, 8390, 99576]
+
+    def test_hits_do_not_depend_on_the_block_size(self, monkeypatch):
+        deltas = (0.7, 0.9, 1.1, 1.5)
+        hits = []
+        for rows in (7, 1_000, geometry._PASS_ROWS, 20_001):
+            monkeypatch.setattr(geometry, "_PASS_ROWS", rows)
+            hits.append([e.hits for e in ball_volume_est(deltas, 20_001, 5)])
+        assert all(h == hits[0] for h in hits[1:])
+        assert hits[0][-1] == 20_001
+
+    def test_tracemalloc_peak(self):
+        # one block of sphere points at a time (2.3 MiB); batches of 1M
+        # rows peaked at 183.8 MiB
+        tracemalloc.start()
+        try:
+            ball_volume_est((0.7, 0.9, 1.1), 1_500_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_asymptotic_exponent(self):
         # the delta^22 law emerges only for small delta, far below MC reach
@@ -576,3 +597,65 @@ def test_geometry_suite_bitwise_golden_values():
         status, values = _GEOMETRY_GOLDEN[c.check_id]
         assert c.status == status, c.check_id
         assert {k: float(v).hex() for k, v in c.measured.items()} == values, c.check_id
+
+
+def _record_bits(checks):
+    """Every field of the check records but the wall time, floats as hex."""
+    return [(c.check_id, c.anchor, c.status, c.tolerance, c.n_samples, c.seed,
+             {k: float(v).hex() for k, v in c.measured.items()}) for c in checks]
+
+
+def _form_checks(n_mc, seed=0):
+    rec = suites._Recorder(SuiteConfig(suite="geometry", n_mc=n_mc, seed=seed), "geometry")
+    suites._geometry_form_checks(rec, np.random.default_rng(rec.seed))
+    return rec.checks
+
+
+def test_geometry_block_size_does_not_change_the_report(monkeypatch):
+    # 12,345 rows: geo-metric-identity's first 10,000 end inside a block
+    reports = []
+    for rows in (7, 1_000, 12_345):
+        monkeypatch.setattr(suites, "_PASS_ROWS", rows)
+        reports.append(_record_bits(_form_checks(12_345, seed=5)))
+    assert all(bits == reports[0] for bits in reports[1:])
+    assert len(reports[0]) == 10
+
+
+def test_geometry_running_maxima_keep_nan_from_a_later_block(monkeypatch):
+    # x row 30 -> NaN makes the Phi, Psi, symmetry and invariance defects
+    # NaN, which must reach their records from the fifth block of 7 rows
+    ball_points_of = suites._random_ball_points
+    calls = []
+
+    def poisoned(n, rng):
+        pts = ball_points_of(n, rng)
+        if not calls:
+            pts[30] = np.nan
+        calls.append(n)
+        return pts
+
+    monkeypatch.setattr(suites, "_random_ball_points", poisoned)
+    reports = []
+    with np.errstate(all="ignore"):
+        for rows in (7, 50):
+            monkeypatch.setattr(suites, "_PASS_ROWS", rows)
+            calls.clear()
+            reports.append(_form_checks(50))
+    assert _record_bits(reports[0]) == _record_bits(reports[1])
+    nan_ids = {c.check_id for c in reports[0] if math.isnan(next(iter(c.measured.values())))}
+    assert nan_ids == {"geo-phi-product-form", "geo-psi-two-forms", "geo-metric-symmetry",
+                       "geo-invariance"}
+    assert all(c.status == "fail" for c in reports[0] if c.check_id in nan_ids)
+
+
+def test_geometry_form_checks_tracemalloc_peak():
+    # x, y and z are drawn whole (12.2 MiB each at n = 100,000); every form,
+    # bracket and distance lives one block of _PASS_ROWS rows at a time
+    # (50.4 MiB; 97.8 with whole-array forms)
+    tracemalloc.start()
+    try:
+        _form_checks(SuiteConfig().n_mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2 ** 20

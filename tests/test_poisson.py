@@ -197,10 +197,15 @@ class TestTransform:
         x = 0.3 * sample_sphere(1, 13)[0]
         spec = QuadratureSpec(n_mc=200_000, n_gauss=200, seed=2)
         val = poisson_transform(lam, f, x, spec)
-        mean, se = sphere_average(lambda w: poisson_kernel_lambda(complex(lam), x, w) * f(w),
-                                  spec)
-        assert val == mean
-        assert se > 0
+        drawn = []
+
+        def integrand(w):
+            drawn.append(poisson_kernel_lambda(complex(lam), x, w) * f(w))
+            return drawn[-1]
+
+        assert val == sphere_average(integrand, spec)
+        # the standard error of the drawn values, formed here
+        assert np.std(np.concatenate(drawn)) / math.sqrt(spec.n_mc) > 0
 
     def test_linearity(self):
         f1 = lambda w: w[..., 0]
@@ -797,14 +802,14 @@ class TestCZSuite:
         cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert [r for r in rows if r != (1,)] == [(2_000,)] * 4
 
-    @pytest.mark.parametrize("n", [2, 3, 2_001, poisson._CZ_ROWS - 1, poisson._CZ_ROWS,
-                                   poisson._CZ_ROWS + 1, 2 * poisson._CZ_ROWS + 5])
+    @pytest.mark.parametrize("n", [2, 3, 2_001, poisson._PASS_ROWS - 1, poisson._PASS_ROWS,
+                                   poisson._PASS_ROWS + 1, 2 * poisson._PASS_ROWS + 5])
     def test_sample_set_matches_serial_construction(self, n):
         seeds = spawn_seeds(9, 4)
         s1, s2, s3, s4 = seeds
         # reference: the whole-array serial draws, with sample_sphere's
         # whole-array normalization; n // 2 falls inside a block at
-        # _CZ_ROWS + 1 and 2 _CZ_ROWS + 5
+        # _PASS_ROWS + 1 and 2 _PASS_ROWS + 5
         theta, omega = _serial_sphere(n, s1), _serial_sphere(n, s2)
         theta_p = theta.copy()
         half = n // 2
@@ -815,8 +820,8 @@ class TestCZSuite:
         theta_p[half:] = tp / np.linalg.norm(tp, axis=1, keepdims=True)
         with ThreadPoolExecutor(1) as pool:
             blocks = list(poisson._cz_pairs(n, seeds, pool))
-        assert [len(b[0]) for b in blocks[:-1]] == [poisson._CZ_ROWS] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1][0]) <= poisson._CZ_ROWS
+        assert [len(b[0]) for b in blocks[:-1]] == [poisson._PASS_ROWS] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= poisson._PASS_ROWS
         for parts, want in zip(zip(*blocks), (theta, omega, theta_p)):
             got = np.concatenate(parts)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -835,7 +840,7 @@ class TestCZSuite:
         spec = QuadratureSpec(n_mc=2_001, n_gauss=200, seed=4)
         reports = []
         for rows in (7, 1_000, 2_001):
-            monkeypatch.setattr(poisson, "_CZ_ROWS", rows)
+            monkeypatch.setattr(poisson, "_PASS_ROWS", rows)
             reports.append(self._report_bits(cz_suite((0.5, 2.0), spec)))
         assert all(bits == reports[0] for bits in reports[1:])
 
@@ -858,7 +863,7 @@ class TestCZSuite:
         reports = []
         with np.errstate(all="ignore"):
             for rows in (7, 50):
-                monkeypatch.setattr(poisson, "_CZ_ROWS", rows)
+                monkeypatch.setattr(poisson, "_PASS_ROWS", rows)
                 reports.append(cz_suite((1.0,), spec))
         assert self._report_bits(reports[0]) == self._report_bits(reports[1])
         assert all(math.isnan(v) for v in reports[0].size_per_r.values())
@@ -916,7 +921,7 @@ class TestCZSuite:
 
         monkeypatch.setattr(poisson, "_to_sphere", slow)
         monkeypatch.setattr(poisson, "bracket", fail)
-        monkeypatch.setattr(poisson, "_CZ_ROWS", 500)
+        monkeypatch.setattr(poisson, "_PASS_ROWS", 500)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="block failed"):
             cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))

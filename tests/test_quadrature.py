@@ -257,8 +257,19 @@ class TestBallIntegrate:
 
 class TestSphereAverage:
     def test_mean_and_stderr(self):
+        # the standard error is formed here, from the values sphere_average drew
         spec = QuadratureSpec(n_mc=400_000, n_gauss=64, seed=3)
-        val, se = sphere_average(lambda x: x[:, 0] ** 2, spec)
+        drawn = []
+
+        def f(x):
+            drawn.append(x[:, 0] ** 2)
+            return drawn[-1]
+
+        val = sphere_average(f, spec)
+        vals = np.concatenate(drawn)
+        assert len(vals) == spec.n_mc
+        assert val == np.sum(vals) / spec.n_mc
+        se = float(np.std(vals) / math.sqrt(spec.n_mc))
         assert abs(val - 1.0 / 16.0) < 4 * se
         assert 0 < se < 1e-3
 

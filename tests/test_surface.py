@@ -39,7 +39,8 @@ REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "_phi_at_radii", "_phi_scaled_at",
            "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples",
            "_f21_series", "_NORM_BLOCK", "_Fill", "_fill_normal", "_cz_samples", "E2",
-           "BoundaryZonal", "_radius_aligned", "eta_j", "weight_omega", "psi_from_bracket")
+           "BoundaryZonal", "_radius_aligned", "eta_j", "weight_omega", "psi_from_bracket",
+           "_CZ_ROWS")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -101,12 +101,14 @@ def poisson_kernel_lambda(lam, x, omega) -> np.ndarray:
 def _poisson_power(lam, omr2, psi) -> np.ndarray:
     """(omr2/psi)^s, s = (i lam + rho)/2: the kernel P_lam(x, omega) at
     1 - |x|^2 = omr2 and Psi(x, omega) = psi."""
-    return np.exp(_spectral_s(lam) * np.log(omr2 / psi))
+    z = _spectral_s(lam) * np.log(omr2 / psi)
+    return np.exp(z, out=z if z.ndim else None)   # in place, unless a single point gave a scalar
 
 
 def _szego_power(lam, psi) -> np.ndarray:
     """psi^{(-i lam - rho)/2}: the Szego kernel value at Psi(r theta, omega) = psi."""
-    return np.exp(-_spectral_s(lam) * np.log(psi))
+    z = -_spectral_s(lam) * np.log(psi)
+    return np.exp(z, out=z if z.ndim else None)
 
 
 def szego_kernel(lam, r, theta, omega) -> np.ndarray:
@@ -451,7 +453,7 @@ class CZReport:
     hormander_per_r: dict = field(default_factory=dict)     # measured only
 
 
-def _cz_pairs(n: int, seeds: Sequence[int], pool):
+def _cz_pairs(n: int, seeds: Sequence[int]):
     """cz_suite's n sample rows (theta, omega, theta') from seeds
     = (s1, s2, s3, s4), yielded in consecutive blocks of at most _PASS_ROWS.
 
@@ -462,15 +464,13 @@ def _cz_pairs(n: int, seeds: Sequence[int], pool):
     s3 before its Gaussians, and every generator draws its rows in stream
     order, so the stacked blocks equal sample_sphere(n, s1),
     sample_sphere(n, s2) and the whole-array partners bit for bit, for any
-    block size.  The one worker of pool draws the next block while the
-    caller evaluates this one; it calls only _to_sphere and generator
-    methods, and a draw that raises re-raises here.
+    block size.  Each block is drawn when the caller asks for it.
     """
     rng1, rng2, rng3, rng4 = (np.random.default_rng(s) for s in seeds)
     half = n // 2
     eps = 10.0 ** rng3.uniform(-3.0, 0.3, size=n - half)
-
-    def draw(lo: int, hi: int):
+    for lo in range(0, n, _PASS_ROWS):
+        hi = min(n, lo + _PASS_ROWS)
         theta = _to_sphere(rng1.standard_normal((hi - lo, 16)))
         omega = _to_sphere(rng2.standard_normal((hi - lo, 16)))
         cut = min(max(half, lo), hi)   # rows from here take perturbed partners
@@ -479,33 +479,84 @@ def _cz_pairs(n: int, seeds: Sequence[int], pool):
         partners = rng3.standard_normal(out=theta_p[cut - lo:])
         partners *= eps[cut - half:hi - half, None]
         partners += theta[cut - lo:]
-        return theta, omega, _to_sphere(theta_p)
+        yield theta, omega, _to_sphere(theta_p)
 
-    ahead = pool.submit(draw, 0, min(n, _PASS_ROWS))
-    for lo in range(0, n, _PASS_ROWS):
-        block = ahead.result()
-        if lo + _PASS_ROWS < n:
-            ahead = pool.submit(draw, lo + _PASS_ROWS, min(n, lo + 2 * _PASS_ROWS))
-        yield block
+
+def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
+    """Fill rep's size ratios (i), smoothness maxima (ii), violation counts
+    and admissible count in one pass over _cz_pairs(rep.n_samples, seeds).
+
+    Each block's forms, distances, bracket and admissible triples are
+    formed once for every lambda, and (ii) is evaluated on the admissible
+    rows alone: its quotients are >= 0 or NaN, and a NaN row is never
+    admissible, so np.max(..., initial=0.0) over them equals the maximum
+    over all rows with 0 elsewhere.  The maxima fold with np.maximum from
+    -inf, so each equals one np.max over all rows, NaN included, whatever
+    the block size.  The last block's arrays are freed on return.
+    """
+    size = dict.fromkeys(rep.r_grid, -np.inf)
+    smooth = {lam: dict.fromkeys(rep.r_grid, -np.inf) for lam in rep.lams}
+    for theta, omega, theta_p in _cz_pairs(rep.n_samples, seeds):
+        f_t, f_o, f_p = _forms(theta), _forms(omega), _forms(theta_p)
+        dot_to, dot_po = _row_dot(theta, omega), _row_dot(theta_p, omega)
+        phi_to, phi_po = _phi(f_t, f_o), _phi(f_p, f_o)
+        psi1 = _psi_r(1.0, dot_to, phi_to)
+        d_to = np.maximum(psi1, 0.0) ** 0.25
+        d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
+        # the bracket-difference inequality and the admissible triples of (ii)
+        lhs47 = oct_norm(bracket(theta - theta_p, omega))
+        rep.violations_difference += int(
+            np.count_nonzero(lhs47 > d_tt * (d_tt + 2.0 * d_to) + 1e-12))
+        nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
+        rep.n_admissible += int(np.count_nonzero(nz))
+        dot_to_a, phi_to_a, dot_po_a, phi_po_a = dot_to[nz], phi_to[nz], dot_po[nz], phi_po[nz]
+        d_tt_a, pow_to_a = d_tt[nz], d_to[nz] ** (2 * RHO + 1)
+        for r in rep.r_grid:
+            # (i) as (Psi_1/Psi_r)^{rho/2} = |Psi_r| d^{2 rho}, and the shift inequality
+            psir = _psi_r(r, dot_to, phi_to)
+            size[r] = np.maximum(size[r], np.max((psi1 / psir) ** (RHO / 2.0)))
+            rep.violations_shift += int(
+                np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12))
+            # (ii) on the admissible pairs
+            psir_a, psir_pa = _psi_r(r, dot_to_a, phi_to_a), _psi_r(r, dot_po_a, phi_po_a)
+            for lam in rep.lams:
+                num = np.abs(_szego_power(lam, psir_a) - _szego_power(lam, psir_pa)) * pow_to_a
+                smooth[lam][r] = np.maximum(
+                    smooth[lam][r], np.max(num / (d_tt_a * (1.0 + abs(lam))), initial=0.0))
+    rep.size_per_r = {r: float(v) for r, v in size.items()}
+    rep.smooth_per_r = {lam: {r: float(v) for r, v in per.items()} for lam, per in smooth.items()}
 
 
 def _hormander_probes(n: int, seed: int):
     """cz_suite's Hormander tail forms on om = sample_sphere(min(n, 100_000),
     seed): (probes, <om, e1>, Phi(om, e1)), a probe (mask, <om, th>, Phi(om,
     th)) for each theta at a dyadic distance from e1 whose mask d(om, e1) >
-    2 d(th, e1) holds somewhere.  Only these r-independent forms leave, so
-    om and its invariants are freed on return."""
-    om = sample_sphere(min(n, 100_000), seed)
-    f_om = _forms(om)
-    d_om = dist_to_e1(om)
-    probes = []
-    for k in range(0, 4):
-        th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
-        th = th[None, :] / np.linalg.norm(th)
-        mask = d_om > 2.0 * float(dist_to_e1(th)[0])
-        if mask.any():
-            probes.append((mask, _row_dot(om, th), _phi(f_om, _forms(th))))
-    return probes, _row_dot(om, E1[None, :]), _phi(f_om, _forms(E1[None, :]))
+    2 d(th, e1) holds somewhere.
+
+    om is drawn in blocks of _PASS_ROWS rows in stream order, as
+    geometry.ball_volume_est draws its sample, and each block's forms are
+    written into preallocated rows (the last row of dots and phis is e1's),
+    so every value equals that of the whole-array construction bit for bit.
+    Only these r-independent arrays leave; the last block and its
+    invariants are freed on return."""
+    m = min(n, 100_000)
+    shift = np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
+    ths = [E1 + 2.0 ** (-k) * shift for k in range(0, 4)]
+    points = [th[None, :] / np.linalg.norm(th) for th in ths] + [E1[None, :]]
+    f_points = [_forms(x) for x in points]
+    cuts = np.array([[2.0 * float(dist_to_e1(th)[0])] for th in points[:4]])
+    masks = np.empty((4, m), dtype=bool)
+    dots, phis = np.empty((5, m)), np.empty((5, m))
+    rng = np.random.default_rng(seed)
+    for lo in range(0, m, _PASS_ROWS):
+        hi = min(m, lo + _PASS_ROWS)
+        om = _to_sphere(rng.standard_normal((hi - lo, 16)))
+        f_om = _forms(om)
+        masks[:, lo:hi] = dist_to_e1(om) > cuts
+        for k, (x, f_x) in enumerate(zip(points, f_points)):
+            dots[k, lo:hi], phis[k, lo:hi] = _row_dot(om, x), _phi(f_om, f_x)
+    probes = [probe for probe in zip(masks, dots[:4], phis[:4]) if probe[0].any()]
+    return probes, dots[4], phis[4]
 
 
 def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
@@ -527,19 +578,13 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     place theta' at log-spaced distances from theta so the sup is probed
     across separation scales, not just at typical ones.
 
-    The sample rows stream once through one pass in blocks (_cz_pairs),
-    drawn by a single worker thread that this call joins on every exit.
-    Each block's forms, distances, bracket and admissible pairs are formed
-    once for every lambda; (i), (ii) and the counts are running maxima
-    and sums over the blocks.  The maxima fold with np.maximum from -inf,
-    so each equals one np.max over all rows, NaN included, whatever the
-    block size.  (iii) and the tail are evaluated per lambda after the
-    pass, on the zonal rule and on the probes of _hormander_probes(n, s4 + 1).
-    Estimates other than (i) and the counts are keyed {lam: {r: value}}.
+    Everything runs on the caller's thread.  The sample rows stream once
+    through _cz_pass in blocks drawn by _cz_pairs; (i), (ii) and the counts
+    are running maxima and sums over the blocks.  (iii) and the tail are
+    evaluated per lambda after the pass, on the zonal rule and on the probes
+    of _hormander_probes(n, s4 + 1), the only arrays held whole.  Estimates
+    other than (i) and the counts are keyed {lam: {r: value}}.
     """
-    # imported here: a module-level import loads logging into every run
-    from concurrent.futures import ThreadPoolExecutor
-
     lams = tuple(float(lam) for lam in lams)
     if not lams:
         raise ValueError("empty lambda grid")
@@ -552,38 +597,7 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     rep = CZReport(lams=lams, r_grid=rs, n_samples=n)
 
     seeds = spawn_seeds(spec.seed, 4)
-    size = dict.fromkeys(rs, -np.inf)
-    smooth = {lam: dict.fromkeys(rs, -np.inf) for lam in lams}
-    with ThreadPoolExecutor(1) as pool:
-        for theta, omega, theta_p in _cz_pairs(n, seeds, pool):
-            f_t, f_o, f_p = _forms(theta), _forms(omega), _forms(theta_p)
-            dot_to, dot_po = _row_dot(theta, omega), _row_dot(theta_p, omega)
-            phi_to, phi_po = _phi(f_t, f_o), _phi(f_p, f_o)
-            psi1 = _psi_r(1.0, dot_to, phi_to)
-            d_to = np.maximum(psi1, 0.0) ** 0.25
-            d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
-            # the bracket-difference inequality and the admissible triples of (ii)
-            lhs47 = oct_norm(bracket(theta - theta_p, omega))
-            rep.violations_difference += int(
-                np.count_nonzero(lhs47 > d_tt * (d_tt + 2.0 * d_to) + 1e-12))
-            nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
-            rep.n_admissible += int(np.count_nonzero(nz))
-            pow_to = d_to ** (2 * RHO + 1)
-            for r in rs:
-                # (i) as (Psi_1/Psi_r)^{rho/2} = |Psi_r| d^{2 rho}, and the shift inequality
-                psir = _psi_r(r, dot_to, phi_to)
-                size[r] = np.maximum(size[r], np.max((psi1 / psir) ** (RHO / 2.0)))
-                rep.violations_shift += int(
-                    np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12))
-                # (ii) on the admissible pairs
-                psir_p = _psi_r(r, dot_po, phi_po)
-                for lam in lams:
-                    num = np.abs(_szego_power(lam, psir) - _szego_power(lam, psir_p)) * pow_to
-                    den = d_tt * (1.0 + abs(lam))
-                    smooth[lam][r] = np.maximum(
-                        smooth[lam][r], np.max(np.where(nz, num / np.where(nz, den, 1.0), 0.0)))
-    rep.size_per_r = {r: float(v) for r, v in size.items()}
-
+    _cz_pass(rep, seeds)
     probes, dot_e1, phi_e1 = _hormander_probes(n, seeds[3] + 1)
     for lam in lams:
         la = abs(lam)
@@ -605,7 +619,6 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
                 vals = np.abs(_szego_power(lam, _psi_r(r, dot, phi)) - k_e1)
                 worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
             tail[r] = worst
-        rep.smooth_per_r[lam] = {r: float(v) for r, v in smooth[lam].items()}
         rep.truncated_per_r[lam] = truncated
         rep.hormander_per_r[lam] = tail
     return rep

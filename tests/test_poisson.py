@@ -5,9 +5,7 @@ import inspect
 import math
 import sys
 import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -818,8 +816,7 @@ class TestCZSuite:
         eps = 10.0 ** rng.uniform(-3.0, 0.3, size=n - half)
         tp = theta[half:] + eps[:, None] * rng.standard_normal((n - half, 16))
         theta_p[half:] = tp / np.linalg.norm(tp, axis=1, keepdims=True)
-        with ThreadPoolExecutor(1) as pool:
-            blocks = list(poisson._cz_pairs(n, seeds, pool))
+        blocks = list(poisson._cz_pairs(n, seeds))
         assert [len(b[0]) for b in blocks[:-1]] == [poisson._PASS_ROWS] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1][0]) <= poisson._PASS_ROWS
         for parts, want in zip(zip(*blocks), (theta, omega, theta_p)):
@@ -849,9 +846,9 @@ class TestCZSuite:
         # by 1e30 makes an admissible (ii) quotient 0 * inf at r = 0.9, 0.99
         pairs = poisson._cz_pairs
 
-        def poisoned(n, seeds, pool):
+        def poisoned(n, seeds):
             lo = 0
-            for theta, omega, theta_p in pairs(n, seeds, pool):
+            for theta, omega, theta_p in pairs(n, seeds):
                 for row, arr, factor in ((30, theta, np.nan), (40, omega, 1e30)):
                     if lo <= row < lo + len(theta):
                         arr[row - lo] *= factor
@@ -869,68 +866,71 @@ class TestCZSuite:
         assert all(math.isnan(v) for v in reports[0].size_per_r.values())
         assert [math.isnan(v) for v in reports[0].smooth_per_r[1.0].values()] == [False, True, True]
 
+    @pytest.mark.parametrize("m, rows", [(7, None), (poisson._PASS_ROWS, None),
+                                         (poisson._PASS_ROWS + 1, None), (7, 3), (2_001, 500)])
+    def test_hormander_probes_match_whole_array_construction(self, monkeypatch, m, rows):
+        # reference: the whole sample from sample_sphere, formed at once
+        if rows is not None:
+            monkeypatch.setattr(poisson, "_PASS_ROWS", rows)
+        om = sample_sphere(m, 13)
+        f_om, d_om = geometry._forms(om), dist_to_e1(om)
+        want = []
+        for k in range(4):
+            th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
+            th = th[None, :] / np.linalg.norm(th)
+            mask = d_om > 2.0 * float(dist_to_e1(th)[0])
+            if mask.any():
+                phi = geometry._phi(f_om, geometry._forms(th))
+                want.append((mask, octonion._row_dot(om, th), phi))
+        e1 = E1[None, :]
+        want_e1 = (octonion._row_dot(om, e1), geometry._phi(f_om, geometry._forms(e1)))
+        probes, dot_e1, phi_e1 = poisson._hormander_probes(m, 13)
+
+        def bits(arrays):
+            return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+        assert [bits(p) for p in probes] == [bits(p) for p in want]
+        assert bits((dot_e1, phi_e1)) == bits(want_e1)
+
     def test_cz_suite_tracemalloc_peak(self):
         # one block of pairs at a time, and through the lambda loop only the
-        # Hormander probe forms, not their sample (33.2 MiB; 39.4 with it)
+        # Hormander probe forms, whose sample is drawn in blocks too (15.2
+        # MiB; 33.2 with the probe sample and its forms whole)
         tracemalloc.start()
         try:
             cz_suite((1.0,), QuadratureSpec(n_mc=200_000, n_gauss=200, seed=7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2 ** 20
+        assert peak < 20 * 2 ** 20
 
-    def test_helpers_are_joined_on_return(self):
+    def test_leaves_no_thread_running(self):
         before = threading.enumerate()
         cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert threading.enumerate() == before
 
-    def test_helper_error_reraises_after_every_helper_is_joined(self, monkeypatch):
-        # the worker's first draw raises; a worker left running past
-        # cz_suite shows in threading.enumerate()
+    def test_draw_error_becomes_a_cz_error_record(self, monkeypatch):
+        # the first draw raises; any thread left running past the suite
+        # shows in threading.enumerate()
         to_sphere, calls = poisson._to_sphere, []
 
         def first_fails(x):
-            assert threading.current_thread() is not threading.main_thread()
             calls.append(x.shape)
             if len(calls) == 1:
-                raise NumericsError("draw failed on the worker")
+                raise NumericsError("draw failed")
             return to_sphere(x)
 
         monkeypatch.setattr(poisson, "_to_sphere", first_fails)
         before = threading.enumerate()
-        with pytest.raises(NumericsError, match="draw failed on the worker"):
-            cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
-        assert threading.enumerate() == before
-        calls.clear()
         checks = run_suite(SuiteConfig(suite="cz", n_mc=2_000, seed=7)).checks
         assert [(c.check_id, c.status, c.anchor) for c in checks] == [
-            ("cz-error", "error", "draw failed on the worker")]
-        assert threading.enumerate() == before
-
-    def test_error_in_a_block_joins_the_drawing_worker(self, monkeypatch):
-        # bracket fails on the first block while the worker draws the next
-        to_sphere = poisson._to_sphere
-
-        def slow(x):
-            time.sleep(0.05)
-            return to_sphere(x)
-
-        def fail(*args):
-            raise RuntimeError("block failed")
-
-        monkeypatch.setattr(poisson, "_to_sphere", slow)
-        monkeypatch.setattr(poisson, "bracket", fail)
-        monkeypatch.setattr(poisson, "_PASS_ROWS", 500)
-        before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="block failed"):
-            cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
+            ("cz-error", "error", "draw failed")]
         assert threading.enumerate() == before
 
     def test_public_functions_run_on_the_main_thread(self, monkeypatch):
-        # perfbench's tracer keeps one span stack, so the helpers may call no
-        # public function of the layers: each asserts that it runs on the
-        # main thread, through every module attribute that refers to it
+        # perfbench's tracer keeps one span stack, so every public function
+        # of the layers must run on the main thread: each asserts it, through
+        # every module attribute that refers to it
         calls = []
 
         def on_main_thread(name, fn):

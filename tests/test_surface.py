@@ -123,6 +123,17 @@ def test_module_imports_are_read(name):
     assert unread_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_module_starts_no_threads(name):
+    # every suite runs on the caller's thread, with no extra malloc arena;
+    # a thread needs its own measurement first (ROADMAP item 5)
+    tree = ast.parse((Path(octoplane.__file__).parent / f"{name}.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {"threading", "concurrent.futures", "multiprocessing"} & imported
+
+
 def test_gauss_2f1_path_keywords():
     # perfbench's tracer reads the z_switch default to classify 2F1 paths
     params = inspect.signature(gauss_2f1).parameters

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["NumericsError"]
+
 
 class NumericsError(ArithmeticError):
     """A numerical routine failed to reach its accuracy/convergence target.

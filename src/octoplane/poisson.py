@@ -38,6 +38,7 @@ from .quadrature import (
     sample_sphere,
     spawn_seeds,
     sphere_average,
+    zonal_grid,
     zonal_integrate,
 )
 from .special import (
@@ -116,7 +117,7 @@ def szego_kernel(lam, r, theta, omega) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     omega = np.asarray(omega, dtype=float)
     psi = _psi_r(r, _row_dot(theta, omega), phi_form(theta, omega))
-    return _szego_power(complex(lam), psi)
+    return _szego_power(lam, psi)
 
 
 def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -128,7 +129,7 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     two matrix multiplications.
     """
     ft, fo = _forms(thetas), _forms(omegas)
-    return _szego_power(complex(lam), _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
+    return _szego_power(lam, _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +187,6 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec):
     value is sphere_average of P_lam(x, .) f.
     Refuses |x| > r_cap = 0.999, where the kernel peak outruns the quadrature.
     """
-    lv = complex(lam)
     x = np.asarray(x, dtype=float)
     radius = float(np.linalg.norm(x))
     if radius > _R_CAP:
@@ -196,12 +196,12 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec):
         omr2 = 1.0 - radius * radius
 
         def g(u, v):
-            return _poisson_power(lv, omr2, _zonal_psi(radius, u, v))
+            return _poisson_power(lam, omr2, _zonal_psi(radius, u, v))
 
         return f.value * zonal_integrate(g, spec)
 
     def integrand(omega):
-        return poisson_kernel_lambda(lv, x, omega) * np.asarray(f(omega))
+        return poisson_kernel_lambda(lam, x, omega) * np.asarray(f(omega))
 
     return sphere_average(integrand, spec)
 
@@ -354,8 +354,7 @@ def _mc_recover_gt(lam, F, ts: Sequence[float], spec: QuadratureSpec,
     kernel P_{-lam}(r theta, omega_j) is assembled elementwise from the
     invariants.
     """
-    lv = complex(lam)
-    c2 = abs(hc_c_function(lv)) ** 2
+    c2 = abs(hc_c_function(lam)) ** 2
     pts = _sphere_sample(spec)
     n2 = _row_dot(pts, pts)
     forms = [(_row_dot(pts, omega), phi_form(pts, omega)) for omega in omegas]
@@ -363,7 +362,7 @@ def _mc_recover_gt(lam, F, ts: Sequence[float], spec: QuadratureSpec,
     def mean_at(r):
         vals = np.asarray(F(r * pts))
         omr2 = 1.0 - (r * r) * n2
-        return [np.mean(_poisson_power(-lv, omr2, _psi_r(r, dot, phi)) * vals)
+        return [np.mean(_poisson_power(-lam, omr2, _psi_r(r, dot, phi)) * vals)
                 for dot, phi in forms]
 
     per_t = [ball_integrate(mean_at, t) for t in ts]
@@ -559,6 +558,20 @@ def _hormander_probes(n: int, seed: int):
     return probes, dots[4], phis[4]
 
 
+def _truncated_means(lams, rs, spec: QuadratureSpec) -> dict:
+    """cz_suite's (iii), keyed {lam: {r: value}}, through the zonal rule.  The
+    three delta masks are formed once and the kernel once per (lam, r); none
+    of them outlives the call, so none is held beside the Hormander probes."""
+    U, V = zonal_grid(spec.n_gauss)[:2]
+    cuts = [_zonal_psi(1.0, U, V) <= dta ** 4 for dta in (0.2, 0.5, 1.0)]
+
+    def best(lam, r):
+        kern = _szego_power(lam, _zonal_psi(r, U, V))
+        return max(abs(zonal_integrate(lambda u, v: kern * cut, spec)) for cut in cuts)
+
+    return {lam: {r: best(lam, r) / (1.0 + 1.0 / abs(lam)) for r in rs} for lam in lams}
+
+
 def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
              r_grid: Sequence[float] = (0.5, 0.9, 0.99)) -> CZReport:
     """Evaluate the kernel-family estimates on spec.n_mc sample pairs:
@@ -580,10 +593,10 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
 
     Everything runs on the caller's thread.  The sample rows stream once
     through _cz_pass in blocks drawn by _cz_pairs; (i), (ii) and the counts
-    are running maxima and sums over the blocks.  (iii) and the tail are
-    evaluated per lambda after the pass, on the zonal rule and on the probes
-    of _hormander_probes(n, s4 + 1), the only arrays held whole.  Estimates
-    other than (i) and the counts are keyed {lam: {r: value}}.
+    are running maxima and sums over the blocks.  After the pass, (iii) is
+    evaluated on the zonal rule by _truncated_means, and the tail per lambda
+    on the probes of _hormander_probes(n, s4 + 1), the only arrays held
+    whole.  Estimates other than (i) and the counts are keyed {lam: {r: value}}.
     """
     lams = tuple(float(lam) for lam in lams)
     if not lams:
@@ -598,20 +611,12 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
 
     seeds = spawn_seeds(spec.seed, 4)
     _cz_pass(rep, seeds)
+    rep.truncated_per_r = _truncated_means(lams, rs, spec)
     probes, dot_e1, phi_e1 = _hormander_probes(n, seeds[3] + 1)
     for lam in lams:
         la = abs(lam)
-        truncated, tail = {}, {}
+        tail = {}
         for r in rs:
-            # (iii) truncated means through the zonal rule
-            best = 0.0
-            for dta in (0.2, 0.5, 1.0):
-                def g(u, v):
-                    return _szego_power(lam, _zonal_psi(r, u, v)) * (_zonal_psi(1.0, u, v) <= dta ** 4)
-
-                best = max(best, abs(zonal_integrate(g, spec)) / (1.0 + 1.0 / la))
-            truncated[r] = best
-
             # the Hormander tail
             k_e1 = _szego_power(lam, _psi_r(r, dot_e1, phi_e1))
             worst = 0.0
@@ -619,6 +624,5 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
                 vals = np.abs(_szego_power(lam, _psi_r(r, dot, phi)) - k_e1)
                 worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
             tail[r] = worst
-        rep.truncated_per_r[lam] = truncated
         rep.hormander_per_r[lam] = tail
     return rep

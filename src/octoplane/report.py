@@ -10,9 +10,12 @@ tolerance; 'measured' records never fail (they report constants the
 estimates leave unnamed); an 'error' record stands for a suite that stopped
 on a NumericsError, carries the message as its anchor, and fails the report.
 
-JSON output is a single object {"meta": ..., "checks": [...]} with frozen
-field names; CSV has one row per check under a fixed header.  Reruns with
-identical config produce identical bytes apart from wall-time fields.
+JSON output is a single object {"meta": ..., "checks": [...]}; CSV has one
+row per check.  The record fields come from CheckResult alone: its fields,
+in order, are the JSON record keys and the CSV header.  'meta' holds the
+SuiteConfig settings except tolerances, out and fmt, in declaration order,
+then format_version, total_wall_time and provenance.  Reruns with identical
+config produce identical bytes apart from wall-time fields.
 """
 
 from __future__ import annotations
@@ -20,20 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["CheckResult", "VerificationReport", "render_json", "render_csv", "CSV_HEADER"]
-
-CSV_HEADER = (
-    "check_id",
-    "anchor",
-    "status",
-    "measured",
-    "tolerance",
-    "n_samples",
-    "seed",
-    "wall_time",
-)
 
 
 @dataclass
@@ -48,16 +40,10 @@ class CheckResult:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "measured": {k: self.measured[k] for k in sorted(self.measured)},
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "measured": dict(sorted(self.measured.items()))}
+
+
+CSV_HEADER = tuple(f.name for f in fields(CheckResult))
 
 
 @dataclass
@@ -81,27 +67,21 @@ def render_json(report: VerificationReport) -> str:
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
-def _measured_cell(measured: dict) -> str:
-    return ";".join(f"{k}={measured[k]!r}" for k in sorted(measured))
+def _csv_cell(value) -> str:
+    """One CSV cell: text as is, None empty, floats by repr, other numbers by
+    str, and the measured dict as k=repr(v) pairs joined by ';'."""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v!r}" for k, v in value.items())
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_csv(report: VerificationReport) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for c in report.checks:
-        w.writerow(
-            [
-                c.check_id,
-                c.anchor,
-                c.status,
-                _measured_cell(c.measured),
-                "" if c.tolerance is None else repr(c.tolerance),
-                c.n_samples,
-                c.seed,
-                repr(c.wall_time),
-            ]
-        )
+    w.writerows([_csv_cell(v) for v in c.to_dict().values()] for c in report.checks)
     return buf.getvalue()
 
 

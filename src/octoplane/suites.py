@@ -18,7 +18,7 @@ import os
 import platform
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -678,9 +678,7 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
 
     spec_small = _spec(config, "inv-omega", n_mc=20_000)
     lam0 = config.lambdas[0]
-    prof = po.EigenProfile(lam0)
-    radial_callable = lambda pts: prof(pts)  # force the Monte Carlo route
-    (g_a,), (g_b,) = po._mc_recover_gt(lam0, radial_callable, [1.0], spec_small,
+    (g_a,), (g_b,) = po._mc_recover_gt(lam0, po.EigenProfile(lam0), [1.0], spec_small,
                                        np.stack([geo.E1, -geo.E1]))
     rec.measured("inv-omega-mc-noise",
                  "antipodal-omega gap of the Monte Carlo g_t route "
@@ -748,17 +746,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         except NumericsError as exc:
             rec.add(f"{name}-error", str(exc), "error", {})
         checks.extend(rec.checks)
-    meta = {
-        "suite": config.suite,
-        "lambdas": list(config.lambdas),
-        "l_max": config.l_max,
-        "r_grid": list(config.r_grid),
-        "t_grid": list(config.t_grid),
-        "n_mc": config.n_mc,
-        "n_gauss": config.n_gauss,
-        "seed": config.seed,
-        "format_version": 3,
-        "total_wall_time": round(time.perf_counter() - total0, 6),
-        "provenance": _provenance(),
-    }
+    meta = {f.name: getattr(config, f.name) for f in fields(config)
+            if f.name not in ("tolerances", "out", "fmt")}
+    meta.update(format_version=3, total_wall_time=round(time.perf_counter() - total0, 6),
+                provenance=_provenance())
     return VerificationReport(meta=meta, checks=checks)

@@ -1,6 +1,7 @@
 """Batch CLI: flags, config files, report formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from octoplane import suites
 from octoplane.cli import build_config, main
 from octoplane.errors import NumericsError
 from octoplane.report import (
+    CSV_HEADER,
     CheckResult,
     VerificationReport,
     render_csv,
@@ -166,9 +168,10 @@ class TestReportContents:
         run_cli(["--suite", "special", "--seed", "3", "--quiet", "--out", str(out)])
         rep = json.loads(out.read_text())
         assert set(rep) == {"meta", "overall_status", "checks"}
-        for key in ("suite", "lambdas", "l_max", "r_grid", "t_grid",
-                    "n_mc", "n_gauss", "seed", "format_version"):
-            assert key in rep["meta"]
+        # the SuiteConfig settings in declaration order, less tolerances, out and fmt
+        assert list(rep["meta"]) == ["suite", "lambdas", "l_max", "r_grid", "t_grid",
+                                     "n_mc", "n_gauss", "seed", "format_version",
+                                     "total_wall_time", "provenance"]
         for c in rep["checks"]:
             assert set(c) == {"check_id", "anchor", "status", "measured",
                               "tolerance", "n_samples", "seed", "wall_time"}
@@ -244,6 +247,67 @@ class TestReportContents:
         assert len(rows) == n_checks + 1
         assert rows[0] == ["check_id", "anchor", "status", "measured",
                            "tolerance", "n_samples", "seed", "wall_time"]
+
+    SCHEMA_REPORT = VerificationReport(
+        meta={"suite": "none", "lambdas": (0.5, 1.0)},
+        checks=[
+            CheckResult("x-pass", 'anchor, with "quotes"', "pass",
+                        {"zeta": 0.1, "alpha": 2, "mid": -1.5e-300}, 0.03, 1000, 7, 0.25),
+            CheckResult("x-error", "stopped: lam=(0.5+0j)", "error", {}, None, 0, 7, 1.0),
+        ],
+    )
+
+    def test_render_json_text(self):
+        assert render_json(self.SCHEMA_REPORT) == """\
+{
+  "meta": {
+    "suite": "none",
+    "lambdas": [
+      0.5,
+      1.0
+    ]
+  },
+  "overall_status": "fail",
+  "checks": [
+    {
+      "check_id": "x-pass",
+      "anchor": "anchor, with \\"quotes\\"",
+      "status": "pass",
+      "measured": {
+        "alpha": 2,
+        "mid": -1.5e-300,
+        "zeta": 0.1
+      },
+      "tolerance": 0.03,
+      "n_samples": 1000,
+      "seed": 7,
+      "wall_time": 0.25
+    },
+    {
+      "check_id": "x-error",
+      "anchor": "stopped: lam=(0.5+0j)",
+      "status": "error",
+      "measured": {},
+      "tolerance": null,
+      "n_samples": 0,
+      "seed": 7,
+      "wall_time": 1.0
+    }
+  ]
+}
+"""
+
+    def test_render_csv_text(self):
+        assert render_csv(self.SCHEMA_REPORT) == (
+            "check_id,anchor,status,measured,tolerance,n_samples,seed,wall_time\n"
+            'x-pass,"anchor, with ""quotes""",pass,alpha=2;mid=-1.5e-300;zeta=0.1,0.03,1000,7,0.25\n'
+            "x-error,stopped: lam=(0.5+0j),error,,,0,7,1.0\n"
+        )
+
+    def test_csv_header_and_json_keys_are_the_record_fields(self):
+        names = [f.name for f in dataclasses.fields(CheckResult)]
+        keys = [list(c) for c in json.loads(render_json(self.SCHEMA_REPORT))["checks"]]
+        assert list(CSV_HEADER) == keys[0] == keys[1] == names
 
     def test_empty_report_is_valid(self):
         rep = VerificationReport(meta={"suite": "none"}, checks=[])

@@ -381,51 +381,51 @@ class OperatorNormResult:
 
 
 def operator_norm_est(lam, r: float, n: int, seed: int) -> OperatorNormResult:
-    """Largest singular value of the sampled kernel matrix
-    [Psi_r(lam, theta_i, omega_j)/n] by power iteration on the Gram operator
-    (at most 500 steps, stopped at a relative change of 1e-10).
+    """Largest singular value of K/n, K = [Psi_r(lam, theta_i, omega_j)], on
+    independent uniform samples theta, omega; as r -> 1 the closest pair
+    dominates K, so large-r values measure that spike, not the operator.
 
-    theta and omega are independent uniform sample sets.  The kernel has an
-    integrable singularity at theta = omega as r -> 1; the closest sampled
-    pair then dominates the matrix, so estimates at large r measure that
-    spike rather than the integral operator.
+    Lanczos on K^H K with full reorthogonalization (Golub & Kahan 1965): from
+    a seeded v_1, step j takes the top singular value sigma of
+    [K v_1 ... K v_j] and orthogonalizes w = K^H K v_j twice against v_1..v_j
+    into v_{j+1} = w/|w|.  It stops when sigma changes by <= 1e-12 relative
+    or |w| <= 1e-13 sigma^2 (an invariant subspace: at r = 0, K has rank
+    one), and raises NumericsError with the last Ritz values after 100
+    steps.  K^H is never formed.  With x the unit K^H K image of the top
+    Ritz vector, ``value`` is sqrt(x^H K^H K x)/n, ``residual`` is
+    |K^H K x - sigma^2 x|/sigma^2 and ``iterations`` counts Lanczos steps.
     """
     if n < 16:
         raise ValueError("n must be >= 16")
     if not (0.0 <= r <= _R_CAP):
         raise ValueError(f"r must lie in [0, r_cap = {_R_CAP}]")
-    lv = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     s_theta, s_omega, s_start = spawn_seeds(seed, 3)
-    thetas = sample_sphere(n, s_theta)
-    omegas = sample_sphere(n, s_omega)
-    K = szego_matrix(lv, r, thetas, omegas)
-    KH = K.conj().T
+    K = szego_matrix(lam, r, sample_sphere(n, s_theta), sample_sphere(n, s_omega))
     v = np.random.default_rng(s_start).standard_normal(n).astype(complex)
-    v /= np.linalg.norm(v)
-    sigma_prev = 0.0
-    for it in range(1, 501):
-        w = K @ v
-        u = KH @ w
-        nu = np.linalg.norm(u)
-        sigma = math.sqrt(np.linalg.norm(w) ** 2)  # = ||K v||, v unit
-        if nu == 0.0:
+    V, KV, tops = (v / np.linalg.norm(v))[None], [], [0.0]
+    for it in range(1, 101):
+        KV.append(K @ V[-1])
+        y, s, _ = np.linalg.svd(np.array(KV), full_matrices=False)
+        tops.append(float(s[0]))
+        w = (KV[-1].conj() @ K).conj()
+        for _ in range(2):
+            w -= (V.conj() @ w) @ V
+        nw = np.linalg.norm(w)
+        if abs(tops[-1] - tops[-2]) <= 1e-12 * tops[-1] or nw <= 1e-13 * tops[-1] ** 2:
             break
-        v = u / nu
-        if abs(sigma - sigma_prev) <= 1e-10 * max(sigma, 1e-300):
-            break
-        sigma_prev = sigma
+        V = np.vstack([V, w / nw])
     else:
-        raise NumericsError(
-            f"power iteration did not converge in 500 steps "
-            f"(lam={lv}, r={r}, n={n})"
-        )
-    w = K @ v
-    u = KH @ w
-    sigma_sq = float(np.real(np.vdot(v, u)))
-    residual = float(np.linalg.norm(u - sigma_sq * v) / max(sigma_sq, 1e-300))
+        raise NumericsError(f"Lanczos did not converge in 100 steps (lam={complex(lam)}, r={r}, "
+                            f"n={n}); last top Ritz values {tops[-3:]}")
+    x = (np.conj(K @ (y[:, 0].conj() @ V)) @ K).conj()   # K^H K times the top Ritz vector
+    x /= np.linalg.norm(x)
+    u = (np.conj(K @ x) @ K).conj()
+    sigma_sq = float(np.real(np.vdot(x, u)))
     return OperatorNormResult(
         value=math.sqrt(max(sigma_sq, 0.0)) / n,
-        residual=residual,
+        residual=float(np.linalg.norm(u - sigma_sq * x) / max(sigma_sq, 1e-300)),
         iterations=it,
     )
 

@@ -133,15 +133,29 @@ def test_module_imports_are_read(name):
     assert unread_imports(path.read_text()) == []
 
 
+def imported_modules(name: str) -> set[str]:
+    """Dotted names of the modules that octoplane.<name> imports anywhere."""
+    tree = ast.parse((Path(octoplane.__file__).parent / f"{name}.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    return imported
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_starts_no_threads(name):
     # every suite runs on the caller's thread, with no extra malloc arena;
     # a thread needs its own measurement first (ROADMAP item 5)
-    tree = ast.parse((Path(octoplane.__file__).parent / f"{name}.py").read_text())
-    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for a in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert not {"threading", "concurrent.futures", "multiprocessing"} & imported
+    assert not {"threading", "concurrent.futures", "multiprocessing"} & imported_modules(name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_no_test_extra(name):
+    # the package depends on numpy alone; scipy, mpmath and hypothesis are
+    # the `test` extras of pyproject.toml and serve only as test references
+    roots = {m.partition(".")[0] for m in imported_modules(name)}
+    assert not {"scipy", "mpmath", "hypothesis"} & roots
 
 
 def test_gauss_2f1_path_keywords():

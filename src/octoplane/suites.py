@@ -28,7 +28,8 @@ from . import geometry as geo
 from . import poisson as po
 from .errors import NumericsError
 from .octonion import basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import _PASS_ROWS, QuadratureSpec, _to_sphere, sample_sphere, zonal_integrate
+from .quadrature import (_PASS_ROWS, QuadratureSpec, _positioned_copies, _to_sphere,
+                         sample_sphere, zonal_integrate)
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
@@ -138,17 +139,62 @@ class _Recorder:
 # algebra
 # --------------------------------------------------------------------------
 
-def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
-    n = min(config.n_mc, 100_000)
-    rng = np.random.default_rng(rec.seed)
-    a = rng.standard_normal((n, 8))
-    b = rng.standard_normal((n, 8))
-    c = rng.standard_normal((n, 8))
-    e = np.eye(8)
+def _fold_max(acc: dict, key: str, values) -> None:
+    """Raise acc[key] to the maximum of values.  Folded with np.maximum from
+    -inf, the running maximum equals one np.max over every folded value, NaN
+    included, for any split into blocks."""
+    acc[key] = np.maximum(acc[key], np.max(values, initial=-np.inf))
 
-    rec.exact("alg-identity", "e0 x = x = x e0",
-              int(np.count_nonzero(oct_mul(e[0][None, :], a) != a)) +
-              int(np.count_nonzero(oct_mul(a, e[0][None, :]) != a)), n)
+
+def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
+    """The product identities on a, b and c, the rows of three whole (n, 8)
+    draws from one generator, in one pass over blocks of _PASS_ROWS rows
+    drawn from copies placed at each draw's start.  A check of two defects
+    keeps a running maximum of each and takes the larger at its record, as
+    it took the larger of two whole-array maxima.  alg-identity carries the
+    pass's wall time."""
+    n = min(config.n_mc, 100_000)
+    streams = _positioned_copies(np.random.default_rng(rec.seed), [(n, 8)] * 3)
+    e = np.eye(8)
+    one = e[0][None, :]
+    acc = dict.fromkeys(("norm-mult", "max-ab", "conj-antihom", "alternative-a",
+                         "alternative-b", "moufang", "artin-ab", "artin-apb", "inverse-right",
+                         "inverse-left"), -np.inf)
+    identity = 0
+    fold = functools.partial(_fold_max, acc)
+    for lo in range(0, n, _PASS_ROWS):
+        a, b, c = (g.standard_normal((min(_PASS_ROWS, n - lo), 8)) for g in streams)
+        identity += (int(np.count_nonzero(oct_mul(one, a) != a))
+                     + int(np.count_nonzero(oct_mul(a, one) != a)))
+
+        norm_a, norm_b = oct_norm(a), oct_norm(b)
+        ab = oct_mul(a, b)
+        norm_ab = oct_norm(ab)
+        na = norm_a * norm_b
+        fold("norm-mult", np.abs(norm_ab - na) / na)
+        fold("max-ab", na)
+        fold("conj-antihom", np.abs(oct_mul(oct_conj(a), oct_conj(b)) - oct_conj(oct_mul(b, a))))
+
+        s = np.maximum(norm_a ** 2 * norm_b, 1e-300)
+        fold("alternative-a", oct_norm(oct_mul(a, ab) - oct_mul(oct_mul(a, a), b)) / s)
+        fold("alternative-b", oct_norm(oct_mul(ab, b) - oct_mul(a, oct_mul(b, b)))
+             / np.maximum(norm_a * norm_b ** 2, 1e-300))
+
+        sm = np.maximum(norm_a ** 2 * norm_b * oct_norm(c), 1e-300)
+        fold("moufang", oct_norm(oct_mul(ab, oct_mul(c, a))
+                                 - oct_mul(a, oct_mul(oct_mul(b, c), a))) / sm)
+
+        fold("artin-ab", oct_norm(oct_mul(ab, ab) - oct_mul(a, oct_mul(b, ab)))
+             / np.maximum(na * norm_ab, 1e-300))
+        apb = a + b
+        fold("artin-apb", oct_norm(oct_mul(ab, apb) - oct_mul(a, oct_mul(b, apb)))
+             / np.maximum(na * oct_norm(apb), 1e-300))
+
+        inv = oct_inv(a)
+        fold("inverse-right", oct_norm(oct_mul(a, inv) - one))
+        fold("inverse-left", oct_norm(oct_mul(inv, a) - one))
+
+    rec.exact("alg-identity", "e0 x = x = x e0", identity, n)
 
     table = oct_mul(e[1:, None], e[None, 1:])  # table[i-1, j-1] = e_i e_j
     sq_viol = sum(int(np.any(table[m, m] != -e[0])) for m in range(7))
@@ -158,40 +204,16 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
                   if i != j and np.any(table[i, j] != -table[j, i]))
     rec.exact("alg-anticommute", "e_i e_j = -e_j e_i (i != j)", ac_viol, 42)
 
-    norm_a, norm_b = oct_norm(a), oct_norm(b)
-    ab = oct_mul(a, b)
-    norm_ab = oct_norm(ab)
-    na = norm_a * norm_b
-    d = np.max(np.abs(norm_ab - na) / na)
-    rec.tol("alg-norm-mult", "|ab| = |a| |b|", d, 1e-13, n)
-
-    d = np.max(np.abs(oct_mul(oct_conj(a), oct_conj(b)) - oct_conj(oct_mul(b, a))))
-    rec.tol("alg-conj-antihom", "conj(ab) = conj(b) conj(a)", d / np.max(na), 1e-13, n)
-
-    s = np.maximum(norm_a ** 2 * norm_b, 1e-300)
-    d1 = np.max(oct_norm(oct_mul(a, ab) - oct_mul(oct_mul(a, a), b)) / s)
-    d2 = np.max(oct_norm(oct_mul(ab, b) - oct_mul(a, oct_mul(b, b)))
-                / np.maximum(norm_a * norm_b ** 2, 1e-300))
-    rec.tol("alg-alternative", "a(ab) = (aa)b and (ab)b = a(bb)", max(d1, d2), 1e-12, n)
-
-    sm = np.maximum(norm_a ** 2 * norm_b * oct_norm(c), 1e-300)
-    d = np.max(oct_norm(oct_mul(ab, oct_mul(c, a))
-                        - oct_mul(a, oct_mul(oct_mul(b, c), a))) / sm)
-    rec.tol("alg-moufang", "(ab)(ca) = a((bc)a)", d, 1e-12, n)
-
-    d1 = np.max(oct_norm(oct_mul(ab, ab) - oct_mul(a, oct_mul(b, ab)))
-                / np.maximum(na * norm_ab, 1e-300))
-    apb = a + b
-    d2 = np.max(oct_norm(oct_mul(ab, apb) - oct_mul(a, oct_mul(b, apb)))
-                / np.maximum(na * oct_norm(apb), 1e-300))
-    rec.tol("alg-artin", "(ab)c = a(bc) for c in alg(a, b)", max(d1, d2), 1e-12, n)
-
-    inv = oct_inv(a)
-    d = max(
-        np.max(oct_norm(oct_mul(a, inv) - e[0][None, :])),
-        np.max(oct_norm(oct_mul(inv, a) - e[0][None, :])),
-    )
-    rec.tol("alg-inverse", "a a^{-1} = a^{-1} a = 1 (a != 0)", d, 1e-12, n)
+    rec.tol("alg-norm-mult", "|ab| = |a| |b|", acc["norm-mult"], 1e-13, n)
+    rec.tol("alg-conj-antihom", "conj(ab) = conj(b) conj(a)",
+            acc["conj-antihom"] / acc["max-ab"], 1e-13, n)
+    rec.tol("alg-alternative", "a(ab) = (aa)b and (ab)b = a(bb)",
+            max(acc["alternative-a"], acc["alternative-b"]), 1e-12, n)
+    rec.tol("alg-moufang", "(ab)(ca) = a((bc)a)", acc["moufang"], 1e-12, n)
+    rec.tol("alg-artin", "(ab)c = a(bc) for c in alg(a, b)",
+            max(acc["artin-ab"], acc["artin-apb"]), 1e-12, n)
+    rec.tol("alg-inverse", "a a^{-1} = a^{-1} a = 1 (a != 0)",
+            max(acc["inverse-right"], acc["inverse-left"]), 1e-12, n)
 
     i, j, k = np.array([(1, 2, 4), (1, 4, 2), (2, 3, 4)]).T
     lhs = oct_mul(oct_mul(e[i], e[j]), e[k])
@@ -205,10 +227,14 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
 # geometry
 # --------------------------------------------------------------------------
 
-def _random_ball_points(n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_ball_points(n: int, rng: np.random.Generator,
+                        radius_rng: np.random.Generator) -> np.ndarray:
+    """n points of the unit ball, uniform for Lebesgue measure: directions
+    from n rows of rng's normals, radii from n of radius_rng's uniforms."""
     x = _to_sphere(rng.standard_normal((n, 16)))
-    radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / 16.0)
-    return x * radii[:, None]
+    radii = radius_rng.uniform(0.0, 1.0, size=n) ** (1.0 / 16.0)
+    x *= radii[:, None]
+    return x
 
 
 # _geometry_form_checks' records in order: (id, anchor, tolerance or None for a count).
@@ -228,36 +254,38 @@ _GEO_FORM_CHECKS = (
 
 def _geometry_form_checks(rec: _Recorder, rng: np.random.Generator) -> None:
     """The form, bracket and metric checks, in one pass over blocks of
-    _PASS_ROWS rows.  x, y, the radii, z and u are drawn whole from rng
-    first, in the order the checks have always read them; the sphere sets
-    om, th and th' (sample_sphere at rec.seed + 2, + 1, + 3) have their own
-    generators, so the pass draws them per block with the same bits.  Each
-    block forms its invariants, brackets and distances once for every check.
-    The running maxima fold with np.maximum from -inf, so each equals one
-    np.max over all rows, NaN included, for any block size.  The records
-    follow the pass, so geo-phi-product-form carries the pass's wall time."""
+    _PASS_ROWS rows.  The ball sets x, y and z and the radii r keep the bits
+    of their whole draws from rng, in the order the checks have always read
+    them (x, y, r, z): each block takes its rows from seven copies of rng
+    placed at the start of x's normals, x's uniforms, y's, y's, r's, z's and
+    z's.  rng is left past them and draws u.  The sphere sets om, th and th'
+    (sample_sphere at rec.seed + 2, + 1, + 3) have their own generators, so
+    the pass draws them per block with the same bits.  Each block forms its
+    invariants, brackets and distances once for every check.  The running
+    maxima fold with _fold_max, so each equals one np.max over all rows, NaN
+    included, for any block size.  The records follow the pass, so
+    geo-phi-product-form carries the pass's wall time."""
     n = min(rec.config.n_mc, 100_000)
-    x = _random_ball_points(n, rng)
-    y = _random_ball_points(n, rng)
-    rvals = rng.uniform(0, 1, size=n)
-    z = _random_ball_points(n, rng)
+    gx, gxr, gy, gyr, gr, gz, gzr = _positioned_copies(
+        rng, [(n, 16), n, (n, 16), n, n, (n, 16), n])
     u = rng.standard_normal(8)
     act = geo.unit_rotation(u / np.linalg.norm(u))
     sphere_rngs = [np.random.default_rng(rec.seed + k) for k in (2, 1, 3)]
     acc = {check_id: (0 if tol is None else -np.inf) for check_id, _, tol in _GEO_FORM_CHECKS}
     n_phi = 0
-
-    def fold(check_id, values):
-        acc[check_id] = np.maximum(acc[check_id], np.max(values, initial=-np.inf))
+    fold = functools.partial(_fold_max, acc)
 
     def count(check_id, violated):
         acc[check_id] += int(np.count_nonzero(violated))
 
     for lo in range(0, n, _PASS_ROWS):
-        blk = slice(lo, min(n, lo + _PASS_ROWS))
-        xb, yb, r = x[blk], y[blk], rvals[blk, None]
-        om, th, thp = (_to_sphere(g.standard_normal((len(xb), 16))) for g in sphere_rngs)
-        fx, fy, fz, fth = geo._forms(xb), geo._forms(yb), geo._forms(z[blk]), geo._forms(th)
+        m = min(_PASS_ROWS, n - lo)
+        # x first: test_geometry_running_maxima_keep_nan_from_a_later_block counts on it
+        xb, yb = _random_ball_points(m, gx, gxr), _random_ball_points(m, gy, gyr)
+        r = gr.uniform(0, 1, size=m)[:, None]
+        zb = _random_ball_points(m, gz, gzr)
+        om, th, thp = (_to_sphere(g.standard_normal((m, 16))) for g in sphere_rngs)
+        fx, fy, fz, fth = geo._forms(xb), geo._forms(yb), geo._forms(zb), geo._forms(th)
 
         # one bracket [x, y] for the product form of Phi, the two forms of Psi and the bound
         b = geo.bracket(xb, yb)
@@ -295,10 +323,10 @@ def _geometry_form_checks(rec: _Recorder, rng: np.random.Generator) -> None:
 
 def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
     rng = np.random.default_rng(rec.seed)
-    # the point sets are released when this returns, before the volume draw
+    # the form checks leave rng past x, y, r, z and u, where the Jordan points start
     _geometry_form_checks(rec, rng)
 
-    pts = _random_ball_points(64, rng)
+    pts = _random_ball_points(64, rng, rng)
     idem = trace_dev = herm = comm = jid = 0.0
     mats = [geo.jordan_embed(p) for p in pts[:16]]
     squares = [geo.jordan_product(X, X) for X in mats]

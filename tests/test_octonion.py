@@ -6,9 +6,11 @@ quaternions and that its tables are read-only.  The property suite here
 (norm multiplicativity, anti-commutation, alternativity, Moufang,
 two-generator associativity) is the gate that any admissible table must
 pass, so the frozen table is acceptable iff this module is green.
+TestAlgebraSuite pins the algebra suite's records bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from octoplane import suites
 from octoplane.octonion import (
     _BLOCK,
     _TERM_ROWS,
@@ -315,3 +318,64 @@ class TestScalarOps:
     def test_basis_range(self):
         with pytest.raises(ValueError):
             basis(8)
+
+
+# float.hex of every measured value of SuiteConfig(suite="algebra", seed=0),
+# recorded while a, b and c were drawn whole
+_ALGEBRA_GOLDEN = {
+    "alg-identity": ("pass", {"violations": "0x0.0p+0"}),
+    "alg-squares": ("pass", {"violations": "0x0.0p+0"}),
+    "alg-anticommute": ("pass", {"violations": "0x0.0p+0"}),
+    "alg-norm-mult": ("pass", {"defect": "0x1.5a98935f70fb8p-51"}),
+    "alg-conj-antihom": ("pass", {"defect": "0x1.e7003a1a91167p-53"}),
+    "alg-alternative": ("pass", {"defect": "0x1.b7fa3b5f71c14p-51"}),
+    "alg-moufang": ("pass", {"defect": "0x1.bd07818ddf841p-51"}),
+    "alg-artin": ("pass", {"defect": "0x1.87683eed0f16bp-51"}),
+    "alg-inverse": ("pass", {"defect": "0x1.419cfbe8153dep-51"}),
+    "alg-nonassoc-witness": ("pass", {"violations": "0x0.0p+0",
+                                      "witnesses": "0x1.8000000000000p+1"}),
+}
+
+
+def algebra_records(n_mc=200_000, seed=0):
+    config = suites.SuiteConfig(suite="algebra", n_mc=n_mc, seed=seed)
+    rec = suites._Recorder(config, "algebra")
+    suites._suite_algebra(config, rec)
+    return rec.checks
+
+
+def record_bits(checks):
+    """Every field of the check records but the wall time, floats as hex."""
+    return [(c.check_id, c.anchor, c.status, c.tolerance, c.n_samples, c.seed,
+             {k: float(v).hex() for k, v in c.measured.items()}) for c in checks]
+
+
+class TestAlgebraSuite:
+    def test_bitwise_golden_values(self):
+        checks = algebra_records()
+        assert [c.check_id for c in checks] == list(_ALGEBRA_GOLDEN)
+        for c in checks:
+            status, values = _ALGEBRA_GOLDEN[c.check_id]
+            assert c.status == status, c.check_id
+            assert {k: float(v).hex() for k, v in c.measured.items()} == values, c.check_id
+        assert [c.n_samples for c in checks] == [100_000, 7, 42] + [100_000] * 6 + [3]
+
+    def test_block_size_does_not_change_the_records(self, monkeypatch):
+        # 12,345 rows: one block, the whole-array draws; 7 and 1,000 do not divide it
+        reports = []
+        for rows in (7, 1_000, 12_345):
+            monkeypatch.setattr(suites, "_PASS_ROWS", rows)
+            reports.append(record_bits(algebra_records(12_345, seed=5)))
+        assert all(bits == reports[0] for bits in reports[1:])
+        assert len(reports[0]) == 10
+
+    def test_tracemalloc_peak(self):
+        # a, b and c and every product of them live one block of _PASS_ROWS
+        # rows at a time (5.6 MiB; 54.2 with a, b and c drawn whole)
+        tracemalloc.start()
+        try:
+            algebra_records()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20

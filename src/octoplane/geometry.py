@@ -27,7 +27,10 @@ several others forms it once.
 memory is bounded by the block, not by the input.  Their values equal
 those of whole-array ``oct_norm_sq``/``oct_mul`` calls on row-major points
 bit for bit.  ``ball_volume_est`` streams its sample in one pass over blocks
-of ``quadrature._PASS_ROWS`` rows, as the geometry suite's form checks do.
+of ``quadrature._PASS_ROWS`` (2,048) rows, as the geometry suite's form
+checks do.  ``_phi_gram`` pairs every point of one set with every point of
+another; ``poisson.szego_matrix`` calls it on one block of rows at a time,
+so its temporaries are bounded by the block.
 """
 
 from __future__ import annotations

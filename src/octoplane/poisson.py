@@ -73,6 +73,17 @@ __all__ = [
 # operator are evaluated: beyond it the kernel peak outruns the quadrature.
 _R_CAP = 0.999
 
+# Rows of thetas per block of szego_matrix; at m = 2,000 omegas a block's
+# float temporaries take 3 MB each and its complex values 6 MB.  On the
+# measured host (OpenBLAS 0.3.31, AVX-512) BLAS computes the last m mod 8
+# columns of a product with kernels that take its rows in groups of 12.
+# Blocks that start at multiples of 12 keep those groups, so with BLAS on
+# one thread K has the bits of the whole product for every m.  With more
+# threads BLAS also splits the rows among them, and K keeps those bits for
+# m a multiple of 8; for other m the whole product's own bits change with
+# the thread count.
+_SZEGO_ROWS = 192
+
 
 # --------------------------------------------------------------------------
 # Kernels
@@ -125,11 +136,27 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
 
     Psi(r theta, omega) expands into Gram products of the 16-vectors and of
     the per-point slot products x1 x2 (``geometry._phi_gram`` on the
-    invariants of ``geometry._forms``), so the whole matrix assembles from
-    two matrix multiplications.
+    invariants of ``geometry._forms``), so a block of rows assembles from
+    two matrix multiplications.  The omegas are formed once; the thetas are
+    formed and assembled in blocks of _SZEGO_ROWS rows, each written into
+    its rows of one complex K, so the temporaries are bounded by a block,
+    not by K.  A last block of one row joins the block before it: a one-row
+    product takes BLAS's matrix-vector path, whose bits can differ from the
+    same row of a matrix product.
     """
-    ft, fo = _forms(thetas), _forms(omegas)
-    return _szego_power(lam, _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise ValueError(f"thetas must have shape (n, 16), got {thetas.shape}")
+    fo = _forms(omegas)
+    n = len(thetas)
+    K = np.empty((n, len(fo.x)), dtype=complex)
+    edges = [*range(0, n, _SZEGO_ROWS), n]
+    if n > 1 and n % _SZEGO_ROWS == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        ft = _forms(thetas[lo:hi])
+        K[lo:hi] = _szego_power(lam, _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
+    return K
 
 
 # --------------------------------------------------------------------------
@@ -500,6 +527,7 @@ def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
         dot_to, dot_po = _row_dot(theta, omega), _row_dot(theta_p, omega)
         phi_to, phi_po = _phi(f_t, f_o), _phi(f_p, f_o)
         psi1 = _psi_r(1.0, dot_to, phi_to)
+        sqrt_psi1 = np.sqrt(psi1)
         d_to = np.maximum(psi1, 0.0) ** 0.25
         d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
         # the bracket-difference inequality and the admissible triples of (ii)
@@ -515,7 +543,7 @@ def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
             psir = _psi_r(r, dot_to, phi_to)
             size[r] = np.maximum(size[r], np.max((psi1 / psir) ** (RHO / 2.0)))
             rep.violations_shift += int(
-                np.count_nonzero(np.sqrt(psi1) > 2.0 * np.sqrt(psir) + 1e-12))
+                np.count_nonzero(sqrt_psi1 > 2.0 * np.sqrt(psir) + 1e-12))
             # (ii) on the admissible pairs
             psir_a, psir_pa = _psi_r(r, dot_to_a, phi_to_a), _psi_r(r, dot_po_a, phi_po_a)
             for lam in rep.lams:

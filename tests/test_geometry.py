@@ -521,7 +521,7 @@ class TestVolume:
 
     @pytest.mark.parametrize("n", [200_000, 1_500_000])
     def test_grid_equals_one_call_per_delta(self, n):
-        # one stream serves the grid; 1.5M samples take 184 blocks of _PASS_ROWS rows
+        # one stream serves the grid; 1.5M samples take 733 blocks of 2,048 rows
         deltas = (0.7, 0.9, 1.1, 1.5)
         grid = ball_volume_est(deltas, n, 123)
         assert grid == [ball_volume_est([d], n, 123)[0] for d in deltas]
@@ -538,8 +538,8 @@ class TestVolume:
         assert hits[0][-1] == 20_001
 
     def test_tracemalloc_peak(self):
-        # one block of sphere points at a time (2.3 MiB); batches of 1M
-        # rows peaked at 183.8 MiB
+        # one block of sphere points at a time (1.2 MiB at 2,048 rows, 2.3 at
+        # 8,192); batches of 1M rows peaked at 183.8 MiB
         tracemalloc.start()
         try:
             ball_volume_est((0.7, 0.9, 1.1), 1_500_000, 5)
@@ -657,12 +657,12 @@ def test_geometry_running_maxima_keep_nan_from_a_later_block(monkeypatch):
 def test_geometry_form_checks_tracemalloc_peak():
     # x, y, z and r are drawn one block of _PASS_ROWS rows at a time from
     # positioned generator copies, and every form, bracket and distance lives
-    # one block at a time too (18.3 MiB; 50.4 with x, y and z drawn whole,
-    # 97.8 with whole-array forms as well)
+    # one block at a time too (5.8 MiB at 2,048 rows, 18.3 at 8,192; 50.4
+    # with x, y and z drawn whole, 97.8 with whole-array forms as well)
     tracemalloc.start()
     try:
         _form_checks(SuiteConfig().n_mc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 8 * 2 ** 20

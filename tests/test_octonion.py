@@ -371,11 +371,37 @@ class TestAlgebraSuite:
 
     def test_tracemalloc_peak(self):
         # a, b and c and every product of them live one block of _PASS_ROWS
-        # rows at a time (5.6 MiB; 54.2 with a, b and c drawn whole)
+        # rows at a time (2.0 MiB at 2,048 rows, 5.6 at 8,192; 54.2 with a,
+        # b and c drawn whole)
         tracemalloc.start()
         try:
             algebra_records()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 4 * 2 ** 20
+
+    def test_nan_in_either_defect_fails_the_record(self, monkeypatch):
+        # one row of b at norm 1e160: (ab)b and a(bb) overflow, so the second
+        # alternative defect is inf - inf = NaN while the first stays finite
+        positioned = suites._positioned_copies
+
+        class ScaledB:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                rows = self.rng.standard_normal(size)
+                rows[3] *= 1e160 / np.linalg.norm(rows[3])
+                return rows
+
+        def copies(rng, segments):
+            a, b, c = positioned(rng, segments)
+            return [a, ScaledB(b), c]
+
+        monkeypatch.setattr(suites, "_positioned_copies", copies)
+        with np.errstate(all="ignore"):
+            checks = {c.check_id: c for c in algebra_records(100)}
+        alternative = checks["alg-alternative"]
+        assert math.isnan(alternative.measured["defect"])
+        assert alternative.status == "fail"

@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -162,6 +164,80 @@ class TestKernels:
         for i in (0, 13, 39):
             row = szego_kernel(1.5, 0.7, th[i][None, :], om)
             assert np.max(np.abs(K[i] - row)) < 1e-12
+
+
+def _whole_szego_matrix(lam, r, thetas, omegas):
+    """szego_matrix's formula on the whole point sets, in one pass."""
+    ft, fo = geometry._forms(thetas), geometry._forms(omegas)
+    return _szego_power(lam, geometry._psi_r(r, ft.x @ fo.x.T, geometry._phi_gram(ft, fo)))
+
+
+def _szego_blocks_match_whole(ns, m) -> bool:
+    """szego_matrix equals _whole_szego_matrix bit for bit for every n in ns,
+    at m omegas and three (lambda, r)."""
+    om = sample_sphere(m, 22)
+    for n in ns:
+        th = sample_sphere(n, 21)
+        for lam, r in ((1.0, 0.9), (0.5, 0.99), (2.0, 0.0)):
+            got, want = szego_matrix(lam, r, th, om), _whole_szego_matrix(lam, r, th, om)
+            if (got.dtype, got.shape, got.tobytes()) != (want.dtype, want.shape, want.tobytes()):
+                return False
+    return True
+
+
+_B = poisson._SZEGO_ROWS
+
+
+class TestSzegoMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 7, _B - 1, _B, _B + 1, 2 * _B + 1, 2_000])
+    def test_blocks_equal_the_whole_matrix(self, n):
+        # _B + 1 and 2 _B + 1 would end in a one-row block, which joins the
+        # block before it.  m = 1,000 is a multiple of 8, where BLAS computes
+        # each entry of a block as it does in the whole product for any
+        # number of BLAS threads
+        assert _szego_blocks_match_whole([n], 1_000)
+
+    def test_blocks_equal_the_whole_matrix_on_one_blas_thread(self):
+        # at m = 1,999 and 333 the last columns take BLAS's edge kernels,
+        # which group rows by 12 on the measured host; blocks that start at
+        # multiples of 12 rows keep those groups on one BLAS thread, as
+        # perfbench runs it.  BLAS reads its thread count at import, so the
+        # check runs in its own interpreter
+        src = os.path.dirname(os.path.dirname(poisson.__file__))
+        tests = os.path.dirname(__file__)
+        path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+        code = ("from test_poisson import _B, _szego_blocks_match_whole as ok; "
+                "print(ok([7, _B + 1, 2 * _B + 1, 5 * _B + 13], 1_999) and ok([2 * _B + 1], 333))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["True"]
+
+    def test_one_row_blocks_never_form(self, monkeypatch):
+        rows = []
+        forms_of = poisson._forms
+        monkeypatch.setattr(poisson, "_forms", lambda x: rows.append(len(x)) or forms_of(x))
+        for n in (1, 2, _B + 1, 3 * _B + 1, 3 * _B + 2):
+            rows.clear()
+            szego_matrix(1.0, 0.5, sample_sphere(n, 1), sample_sphere(9, 2))
+            assert sum(rows[1:]) == n and all(k >= min(n, 2) for k in rows[1:]), (n, rows)
+        assert rows[1:] == [_B] * 3 + [2]
+
+    def test_refuses_a_single_point(self):
+        with pytest.raises(ValueError, match="shape"):
+            szego_matrix(1.0, 0.5, sample_sphere(1, 1)[0], sample_sphere(9, 2))
+
+    def test_tracemalloc_peak(self):
+        # K takes 61.0 MiB and one block of _B rows ~12 MiB more (73.0 MiB
+        # measured); the whole-matrix assembly peaked at 122.5
+        th, om = sample_sphere(2_000, 1), sample_sphere(2_000, 2)
+        tracemalloc.start()
+        try:
+            szego_matrix(0.5, 0.9, th, om)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 78 * 2 ** 20
 
 
 class TestTransform:
@@ -889,8 +965,9 @@ class TestCZSuite:
 
     def test_cz_suite_tracemalloc_peak(self):
         # one block of pairs at a time, and through the lambda loop only the
-        # Hormander probe forms, whose sample is drawn in blocks too (15.2
-        # MiB; 33.2 with the probe sample and its forms whole)
+        # Hormander probe forms, whose sample is drawn in blocks too (14.5
+        # MiB at 2,048 rows, 15.2 at 8,192; 33.2 with the probe sample and
+        # its forms whole)
         tracemalloc.start()
         try:
             cz_suite((1.0,), QuadratureSpec(n_mc=200_000, n_gauss=200, seed=7))

@@ -871,14 +871,16 @@ class TestCZSuite:
         cz_suite((1.0,), QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7))
         assert [r for r in rows if r != (1,)] == [(2_000,)] * 4
 
-    @pytest.mark.parametrize("n", [2, 3, 2_001, poisson._PASS_ROWS - 1, poisson._PASS_ROWS,
-                                   poisson._PASS_ROWS + 1, 2 * poisson._PASS_ROWS + 5])
+    @pytest.mark.parametrize("n", sorted({2, 3, 2_001, 8_191, 8_192, 8_193, 16_389,
+                                          poisson._PASS_ROWS - 1, poisson._PASS_ROWS,
+                                          poisson._PASS_ROWS + 1, 2 * poisson._PASS_ROWS + 5}))
     def test_sample_set_matches_serial_construction(self, n):
         seeds = spawn_seeds(9, 4)
         s1, s2, s3, s4 = seeds
         # reference: the whole-array serial draws, with sample_sphere's
         # whole-array normalization; n // 2 falls inside a block at
-        # _PASS_ROWS + 1 and 2 _PASS_ROWS + 5
+        # _PASS_ROWS + 1 and 2 _PASS_ROWS + 5; the fixed sizes 8,191 to
+        # 16,389 span several blocks and end in blocks of every kind
         theta, omega = _serial_sphere(n, s1), _serial_sphere(n, s2)
         theta_p = theta.copy()
         half = n // 2
@@ -938,7 +940,8 @@ class TestCZSuite:
         assert [math.isnan(v) for v in reports[0].smooth_per_r[1.0].values()] == [False, True, True]
 
     @pytest.mark.parametrize("m, rows", [(7, None), (poisson._PASS_ROWS, None),
-                                         (poisson._PASS_ROWS + 1, None), (7, 3), (2_001, 500)])
+                                         (poisson._PASS_ROWS + 1, None), (8_192, None),
+                                         (8_193, None), (7, 3), (2_001, 500)])
     def test_hormander_probes_match_whole_array_construction(self, monkeypatch, m, rows):
         # reference: the whole sample from sample_sphere, formed at once
         if rows is not None:

@@ -74,7 +74,7 @@ class TestPositionedCopies:
             return rng.standard_normal(segment)
         return rng.uniform(0.0, 1.0, size=segment)
 
-    @pytest.mark.parametrize("n", [1, 7, _PASS_ROWS, _PASS_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("n", [1, 7, _PASS_ROWS, _PASS_ROWS + 1, 8_192, 8_193, 100_000])
     def test_copies_reproduce_the_whole_draws(self, n):
         segments = [(n, 16), n, (n, 8), n, n, (n, 16)]
         whole = np.random.default_rng(n)

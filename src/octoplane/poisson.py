@@ -14,6 +14,9 @@ logarithm is used throughout and there is no branch ambiguity.
 The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
 a sampled-operator norm estimator and the Calderon-Zygmund estimate harness.
+The harness streams its sample pairs and its Hormander tail in row blocks
+(quadrature._PASS_ROWS), so its working set is bounded by a block and the
+tail's probe forms; no value depends on the block size.
 """
 
 from __future__ import annotations
@@ -179,7 +182,8 @@ class EigenProfile:
     (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported: one spherical_fn call on the distinct radii.  |x|^2 comes
+    is supported: one spherical_fn call on the distinct radii, read back
+    through np.unique's inverse map.  |x|^2 comes
     from the row-blocked octonion._row_dot, so a large point set needs no
     temporary of its own size.
     """
@@ -198,8 +202,9 @@ class EigenProfile:
             )
         pts = np.asarray(pts, dtype=float)
         radii = np.sqrt(_row_dot(pts, pts))
-        distinct = np.unique(radii)
-        return spherical_fn(self.lam, self.l, self.m, distinct)[np.searchsorted(distinct, radii)]
+        distinct, where = np.unique(radii, return_inverse=True)
+        # numpy 1.x returns the inverse flattened
+        return spherical_fn(self.lam, self.l, self.m, distinct)[where.reshape(np.shape(radii))]
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +629,12 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     are running maxima and sums over the blocks.  After the pass, (iii) is
     evaluated on the zonal rule by _truncated_means, and the tail per lambda
     on the probes of _hormander_probes(n, s4 + 1), the only arrays held
-    whole.  Estimates other than (i) and the counts are keyed {lam: {r: value}}.
+    whole.  For each (lambda, r) and probe, the tail's masked kernel
+    differences are formed in blocks of _PASS_ROWS rows, the kernel at e1
+    beside them, and written into one buffer of the probe sample's length;
+    the mean runs over the whole buffer, so every value is independent of
+    the block size.  The maximum over the probes keeps a NaN mean.
+    Estimates other than (i) and the counts are keyed {lam: {r: value}}.
     """
     lams = tuple(float(lam) for lam in lams)
     if not lams:
@@ -641,16 +651,19 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     _cz_pass(rep, seeds)
     rep.truncated_per_r = _truncated_means(lams, rs, spec)
     probes, dot_e1, phi_e1 = _hormander_probes(n, seeds[3] + 1)
+    buf = np.empty(len(dot_e1))
     for lam in lams:
-        la = abs(lam)
         tail = {}
         for r in rs:
-            # the Hormander tail
-            k_e1 = _szego_power(lam, _psi_r(r, dot_e1, phi_e1))
-            worst = 0.0
+            # the Hormander tail; one mean over the whole of buf keeps the
+            # bits of any block size
+            means = [0.0]
             for mask, dot, phi in probes:
-                vals = np.abs(_szego_power(lam, _psi_r(r, dot, phi)) - k_e1)
-                worst = max(worst, float(np.mean(vals * mask)) / (1.0 + la))
-            tail[r] = worst
+                for lo in range(0, len(buf), _PASS_ROWS):
+                    b = slice(lo, lo + _PASS_ROWS)
+                    k_e1 = _szego_power(lam, _psi_r(r, dot_e1[b], phi_e1[b]))
+                    buf[b] = np.abs(_szego_power(lam, _psi_r(r, dot[b], phi[b])) - k_e1) * mask[b]
+                means.append(float(np.mean(buf)) / (1.0 + abs(lam)))
+            tail[r] = float(np.max(means))
         rep.hormander_per_r[lam] = tail
     return rep

@@ -635,10 +635,12 @@ def _suite_cz(config: SuiteConfig, rec: _Recorder) -> None:
     n, seed = rep.n_samples, spec.seed
 
     def per_r_record(check_id, anchor, per_r, measured_ok=True, **extra):
-        constant = max(per_r.values())
+        # np.max and np.min keep a NaN at any radius; float() keeps the CSV cells' repr
+        vals = list(per_r.values())
+        constant = float(np.max(vals))
         rec.add(check_id, anchor, "pass" if measured_ok and math.isfinite(constant) else "fail",
                 {"fitted_constant": constant,
-                 "r_spread": constant / max(min(per_r.values()), 1e-300),
+                 "r_spread": constant / max(float(np.min(vals)), 1e-300),
                  **{f"c_r{r}": v for r, v in per_r.items()}, **extra},
                 None, n, seed)
 

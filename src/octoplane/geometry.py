@@ -307,9 +307,9 @@ class JordanMatrix:
                                               oct_conj(self.imag).swapaxes(0, 1)))
 
     def max_abs_diff(self, other: "JordanMatrix") -> float:
-        return float(
-            max(np.max(np.abs(self.plain - other.plain)), np.max(np.abs(self.imag - other.imag)))
-        )
+        # np.maximum keeps a NaN of either part, where Python's max drops a later one
+        return float(np.maximum(np.max(np.abs(self.plain - other.plain)),
+                                np.max(np.abs(self.imag - other.imag))))
 
 
 def jordan_product(a: JordanMatrix, b: JordanMatrix) -> JordanMatrix:

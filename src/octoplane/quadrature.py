@@ -30,7 +30,6 @@ total node count per axis.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -59,10 +58,11 @@ S15 = 2.0 * math.pi ** 8 / math.factorial(7)
 
 # Rows per block of the package's streamed passes over sample sets
 # (poisson.cz_suite, the algebra suite, the geometry suite's form checks,
-# geometry.ball_volume_est) and of _positioned_copies' skipping draws; no
-# value depends on it.  The geometry suite at seed 7 through the CLI, which
-# sets the heap policy of cli._keep_freed_heap (2 vCPU x86-64, AVX-512,
-# numpy 2.4.6, BLAS on one thread, medians of 6 runs):
+# geometry.ball_volume_est); no value depends on it.  The geometry suite at
+# seed 7 through the CLI, which sets the heap policy of
+# cli._keep_freed_heap (2 vCPU x86-64, AVX-512, numpy 2.4.6, BLAS on one
+# thread, medians of 6 runs, before the form checks' sample sets had
+# generators of their own):
 #
 #     rows    form-pass tracemalloc peak    peak RSS    wall
 #     1,024          3.8 MiB                41.5 MB    0.815 s
@@ -104,29 +104,6 @@ def _to_sphere(x: np.ndarray) -> np.ndarray:
     the bits of x / np.linalg.norm(x, axis=1, keepdims=True)."""
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
-
-
-def _positioned_copies(rng: np.random.Generator, segments) -> list[np.random.Generator]:
-    """For the ordered segments of a whole-array draw from rng, a copy of rng
-    placed at the start of each; rng itself is left past the last segment.
-
-    A segment (n, w) stands for rng.standard_normal((n, w)), an integer n for
-    n uniforms, rng.uniform(0, 1, size=n).  A generator draws a segment in
-    consecutive blocks with the bits of the one whole draw, so each copy hands
-    out its segment block by block.  The ziggurat behind standard_normal takes
-    a data-dependent number of 64-bit words, so no segment is skipped by
-    arithmetic: rng draws each one in blocks of _PASS_ROWS rows into one
-    reused buffer."""
-    width = max((seg[1] for seg in segments if isinstance(seg, tuple)), default=1)
-    buf = np.empty(_PASS_ROWS * width)
-    copies = []
-    for seg in segments:
-        copies.append(copy.deepcopy(rng))
-        n, w = seg if isinstance(seg, tuple) else (seg, 1)
-        draw = rng.standard_normal if isinstance(seg, tuple) else rng.random
-        for lo in range(0, n, _PASS_ROWS):
-            draw(out=buf[:min(_PASS_ROWS, n - lo) * w])
-    return copies
 
 
 def spawn_seeds(seed: int, k: int) -> list[int]:

@@ -575,6 +575,24 @@ class TestInversion:
         assert sorted(calls) == [(0.5, 0, 0), (1.0, 0, 0), (1.0, 2, 0), (1.0, 2, 2), (2.0, 0, 0)]
         assert [c.status for c in rep.checks].count("error") == 0
 
+    def test_nan_ratio_fails_the_independence_record(self, monkeypatch):
+        # a NaN g_t at the last lambda: Python's max(0.5's, 1.0's, nan)
+        # returned a finite ratio spread, and the record passed
+        recover = poisson.boundary_recover_gt
+
+        def poisoned(lam, F, t_grid, spec, **kwargs):
+            gs = recover(lam, F, t_grid, spec, **kwargs)
+            return [complex(math.nan)] * len(gs) if lam == 2.0 else gs
+
+        monkeypatch.setattr(poisson, "boundary_recover_gt", poisoned)
+        by_id = {c.check_id: c for c in run_suite(SuiteConfig(suite="invert")).checks}
+        record = by_id["inv-lambda-independence"]
+        assert record.status == "fail"
+        assert math.isnan(record.measured["defect"]) and math.isnan(record.measured["ratio_2.0"])
+        assert all(type(v) is float for v in record.measured.values())
+        assert by_id["inv-lm-independence"].status == "pass"
+        assert math.isnan(by_id["inv-mean-square-drift"].measured["drift_2.0"])
+
     def test_invert_suite_evaluates_each_profile_in_one_call(self, monkeypatch):
         # the benchmark's special-layer metrics see the inversion work
         # through this one route

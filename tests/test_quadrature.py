@@ -21,8 +21,7 @@ from octoplane.quadrature import (
     zonal_grid,
     zonal_integrate,
 )
-from octoplane.quadrature import (_PASS_ROWS, _legendre_rule, _positioned_copies,
-                                  _to_sphere, _zonal_rule)
+from octoplane.quadrature import _legendre_rule, _to_sphere, _zonal_rule
 
 SPEC = QuadratureSpec(n_mc=1_000_000, n_gauss=200, seed=5)
 
@@ -65,33 +64,6 @@ class TestSampleSphere:
         x = rng.standard_normal((2053, 16)) * 10.0 ** rng.integers(-100, 100, (2053, 16))
         want = x / np.linalg.norm(x, axis=1, keepdims=True)
         assert np.array_equal(_to_sphere(x).view(np.uint64), want.view(np.uint64))
-
-
-class TestPositionedCopies:
-    @staticmethod
-    def draw(rng, segment):
-        if isinstance(segment, tuple):
-            return rng.standard_normal(segment)
-        return rng.uniform(0.0, 1.0, size=segment)
-
-    @pytest.mark.parametrize("n", [1, 7, _PASS_ROWS, _PASS_ROWS + 1, 8_192, 8_193, 100_000])
-    def test_copies_reproduce_the_whole_draws(self, n):
-        segments = [(n, 16), n, (n, 8), n, n, (n, 16)]
-        whole = np.random.default_rng(n)
-        want = [self.draw(whole, seg) for seg in segments]
-        rng = np.random.default_rng(n)
-        copies = _positioned_copies(rng, segments)
-        assert len(copies) == len(segments)
-        for g, seg, w in zip(copies, segments, want):
-            # in blocks of 4,099 rows, which divide none of the n
-            rows = [min(4_099, n - lo) for lo in range(0, n, 4_099)]
-            blocks = [self.draw(g, (m, seg[1]) if isinstance(seg, tuple) else m) for m in rows]
-            assert np.array_equal(np.concatenate(blocks).view(np.uint64), w.view(np.uint64))
-        # rng is left where the whole draws leave it: the geometry suite's u
-        # and Jordan points come next
-        for seg in (8, (64, 16), 64):
-            assert np.array_equal(self.draw(rng, seg).view(np.uint64),
-                                  self.draw(whole, seg).view(np.uint64))
 
 
 class TestZonal:

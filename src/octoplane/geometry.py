@@ -21,16 +21,16 @@ pairs of two sets) read them.  ``phi_form``, ``psi_form`` and ``ni_dist``
 form both arguments per call; a caller that pairs one point set with
 several others forms it once.
 
-``_forms`` and ``bracket`` make one pass over blocks of rows
-(``octonion._BLOCK``): each block is transposed once to coordinate-major
-(16, m) arrays and fed to the octonion block kernels, so their scratch
-memory is bounded by the block, not by the input.  Their values equal
-those of whole-array ``oct_norm_sq``/``oct_mul`` calls on row-major points
-bit for bit.  ``ball_volume_est`` streams its sample in one pass over blocks
-of ``quadrature._PASS_ROWS`` (2,048) rows, as the geometry suite's form
-checks do.  ``_phi_gram`` pairs every point of one set with every point of
-another; ``poisson.szego_matrix`` calls it on one block of rows at a time,
-so its temporaries are bounded by the block.
+``_forms`` and ``bracket`` make one pass over blocks of
+``octonion._PASS_ROWS`` (2,048) rows: each block is transposed once to
+coordinate-major (16, m) arrays and fed to the octonion block kernels, so
+their scratch memory is bounded by the block, not by the input.  Their
+values equal those of whole-array ``oct_norm_sq``/``oct_mul`` calls on
+row-major points bit for bit.  ``ball_volume_est`` streams its sample in
+blocks of the same size, as the geometry suite's form checks do.
+``_phi_gram`` pairs every point of one set with every point of another;
+``poisson.szego_matrix`` calls it on one block of rows at a time, so its
+temporaries are bounded by the block.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .octonion import (_mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis, oct_conj, oct_mul,
-                       oct_norm, oct_norm_sq)
-from .quadrature import _PASS_ROWS, C_ZONAL, _to_sphere, gauss_panels
+from .octonion import (_PASS_ROWS, _mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis,
+                       oct_conj, oct_mul, oct_norm, oct_norm_sq)
+from .quadrature import C_ZONAL, _to_sphere, gauss_panels
 
 __all__ = [
     "pair",

@@ -29,10 +29,11 @@ one vectorized multiply-add.  Each output is accumulated from +0.0 over i
 in ascending order, the order in which
 ``np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)`` sums, so on finite
 input the two agree bit for bit (down to the sign of zero).  ``oct_mul``
-transposes blocks of ``_BLOCK`` rows into and out of it, so the scratch
+transposes blocks of ``_PASS_ROWS`` rows into and out of it, so the scratch
 memory is bounded by the block, not by the input; ``geometry.bracket`` and
 ``geometry._forms`` call it on blocks they have transposed once, together
 with ``_norm_sq_cols``, which sums |a|^2 in the order of ``oct_norm_sq``.
+``_PASS_ROWS`` is the package's one row-block size.
 """
 
 from __future__ import annotations
@@ -95,9 +96,20 @@ def _term_rows() -> np.ndarray:
 _TERM_ROWS = _term_rows()
 _TERM_ROWS.setflags(write=False)
 
-# Rows per block of oct_mul, _row_dot, geometry.bracket and geometry._forms; oct_mul's
-# scratch is 88 * _BLOCK doubles (0.7 MB).
-_BLOCK = 1024
+# Rows per block of every row-blocked pass: the kernels that go through
+# _row_blocks (oct_mul, _row_dot, geometry.bracket, geometry._forms) and the
+# streamed passes over sample sets (the algebra suite, the geometry suite's
+# form checks, geometry.ball_volume_est, and poisson.cz_suite's pairs,
+# Hormander probes and tail); no value depends on it.  oct_mul's scratch is
+# 40 * _PASS_ROWS doubles (0.66 MB).  perfbench at seed 7 (2 vCPU x86-64,
+# AVX-512, numpy 2.4.6, BLAS on one thread), medians of three 8 s runs,
+# whose wall times spread by 10-30% between runs:
+#     rows    geometry_forms peak RSS, wall    cz_estimates peak RSS, wall
+#     1,024         40.5 MB, 0.87 s                  48.6 MB, 0.74 s
+#     2,048         43.3 MB, 0.88 s                  48.6 MB, 0.64 s
+#     4,096         49.4 MB, 0.79 s                  50.6 MB, 0.63 s
+# Below 2,048 rows the per-block overhead costs time; above it, memory.
+_PASS_ROWS = 2048
 
 
 def _as_coeffs(a) -> np.ndarray:
@@ -108,23 +120,23 @@ def _as_coeffs(a) -> np.ndarray:
 
 
 def _row_blocks(x: np.ndarray, shape: tuple[int, ...]):
-    """Consecutive blocks of at most _BLOCK rows of x broadcast to
+    """Consecutive blocks of at most _PASS_ROWS rows of x broadcast to
     ``shape + x.shape[-1:]``, each of shape (rows, x.shape[-1]).  A broadcast
     operand is gathered one block at a time, never expanded to full size; a
     single row is repeated by a read-only view."""
     n, w = math.prod(shape), x.shape[-1]
     if x.shape[:-1] == shape:
         rows = x.reshape(n, w)
-        for r0 in range(0, n, _BLOCK):
-            yield rows[r0:r0 + _BLOCK]
+        for r0 in range(0, n, _PASS_ROWS):
+            yield rows[r0:r0 + _PASS_ROWS]
     elif x.size == w:
         row = x.reshape(1, w)
-        for r0 in range(0, n, _BLOCK):
-            yield np.broadcast_to(row, (min(_BLOCK, n - r0), w))
+        for r0 in range(0, n, _PASS_ROWS):
+            yield np.broadcast_to(row, (min(_PASS_ROWS, n - r0), w))
     else:
         xb = np.broadcast_to(x, shape + (w,))
-        for r0 in range(0, n, _BLOCK):
-            yield xb[np.unravel_index(np.arange(r0, min(r0 + _BLOCK, n)), shape)]
+        for r0 in range(0, n, _PASS_ROWS):
+            yield xb[np.unravel_index(np.arange(r0, min(r0 + _PASS_ROWS, n)), shape)]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,16 +156,19 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Product of coordinate-major (8, m) blocks: column c of the result is
-    the octonion product of columns c of a_t and b_t."""
+    the octonion product of columns c of a_t and b_t.  Term i of every
+    output is gathered, multiplied and added as one (8, m) block, so the
+    scratch beside the fresh (8, m) result is 24 m doubles."""
     b_pm = np.empty((16, b_t.shape[1]))
     b_pm[:8] = b_t
     np.negative(b_pm[:8], out=b_pm[8:])
-    terms = b_pm[_TERM_ROWS]                  # terms[i, k] = +-b_j, shape (8, 8, m)
-    terms *= a_t[:, None, :]
-    acc = terms[0]
+    acc = b_pm[_TERM_ROWS[0]]                 # acc[k] = +-b_j, term 0 of output k
+    acc *= a_t[0]
     acc += 0.0                                # +0.0 first: a sum of -0.0 terms is +0.0
     for i in range(1, 8):
-        acc += terms[i]
+        term = b_pm[_TERM_ROWS[i]]
+        term *= a_t[i]
+        acc += term
     return acc
 
 

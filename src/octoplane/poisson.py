@@ -14,9 +14,11 @@ logarithm is used throughout and there is no branch ambiguity.
 The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
 a sampled-operator norm estimator and the Calderon-Zygmund estimate harness.
-The harness streams its sample pairs and its Hormander tail in row blocks
-(quadrature._PASS_ROWS), so its working set is bounded by a block and the
-tail's probe forms; no value depends on the block size.
+The harness streams its sample pairs and its Hormander tail in blocks of
+octonion._PASS_ROWS rows, the package's one row-block size, so its working
+set is bounded by a block and the tail's probe forms; no value depends on
+the block size.  szego_matrix alone takes its own, smaller blocks
+(_SZEGO_ROWS), which BLAS's row groups set.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ import numpy as np
 from .errors import NumericsError
 from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, bracket,
                        dist_to_e1, phi_form, psi_form)
-from .octonion import _row_dot, oct_norm
+from .octonion import _PASS_ROWS, _row_dot, oct_norm
 from .quadrature import (
-    _PASS_ROWS,
     S15,
     QuadratureSpec,
     _to_sphere,

@@ -56,25 +56,6 @@ __all__ = [
 C_ZONAL = 896.0 / math.pi
 S15 = 2.0 * math.pi ** 8 / math.factorial(7)
 
-# Rows per block of the package's streamed passes over sample sets
-# (poisson.cz_suite, the algebra suite, the geometry suite's form checks,
-# geometry.ball_volume_est); no value depends on it.  The geometry suite at
-# seed 7 through the CLI, which sets the heap policy of
-# cli._keep_freed_heap (2 vCPU x86-64, AVX-512, numpy 2.4.6, BLAS on one
-# thread, medians of 6 runs, before the form checks' sample sets had
-# generators of their own):
-#
-#     rows    form-pass tracemalloc peak    peak RSS    wall
-#     1,024          3.8 MiB                41.5 MB    0.815 s
-#     2,048          5.8                    44.3       0.796
-#     4,096          9.6                    48.2       0.792
-#     8,192         18.3                    56.6       0.794
-#
-# Below 2,048 rows the per-block overhead costs time; above it the blocks
-# cost memory.  Under glibc's default heap policy each block's temporaries
-# are faulted in again (86k page faults), and 2,048 rows took 0.927 s.
-_PASS_ROWS = 2048
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:

@@ -27,9 +27,8 @@ from . import __version__
 from . import geometry as geo
 from . import poisson as po
 from .errors import NumericsError
-from .octonion import basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import (_PASS_ROWS, QuadratureSpec, _to_sphere, sample_sphere, spawn_seeds,
-                         zonal_integrate)
+from .octonion import _PASS_ROWS, basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
+from .quadrature import QuadratureSpec, _to_sphere, sample_sphere, spawn_seeds, zonal_integrate
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
@@ -317,7 +316,7 @@ def _geometry_form_checks(rec: _Recorder) -> np.random.Generator:
               oct_norm(geo.bracket(th - thp, om)) > dtt * (dtt + 2.0 * dto) + 1e-12)
         fold("geo-invariance", np.abs(geo._dist(geo._forms(act(xb)), geo._forms(act(yb))) - dxy))
 
-    sizes = {"geo-phi-product-form": n_phi, "geo-metric-identity": 10_000}
+    sizes = {"geo-phi-product-form": n_phi, "geo-metric-identity": min(n, 10_000)}
     for check_id, anchor, tol in _GEO_FORM_CHECKS:
         if tol is None:
             rec.exact(check_id, anchor, acc[check_id], n)
@@ -457,7 +456,8 @@ def _suite_special(config: SuiteConfig, rec: _Recorder) -> None:
             res = z * (1 - z) * w2 + (c - (a + b + 1) * z) * w1 - a * b * w0
             scale = max(abs(a * b * w0), 1.0)
             worst = _max(worst, abs(res) / scale)
-    rec.tol("sp-2f1-ode", "z(1-z) w'' + (c - (a+b+1) z) w' - a b w = 0", worst, 1e-5, 6)
+    rec.tol("sp-2f1-ode", "z(1-z) w'' + (c - (a+b+1) z) w' - a b w = 0", worst, 1e-5,
+            3 * len(config.lambdas[:2]))
 
     worst = 0.0
     for lam in config.lambdas:
@@ -580,7 +580,8 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     def weight(pts):
         return (1.0 - np.sum(np.asarray(pts) ** 2, axis=-1)) ** (RHO / 2.0)
 
-    hn = po.hardy_norm(weight, 2.0, r_grid, spec)
+    # every sample reads 1, so 2,000 points (the first rows of spec's sample) do
+    hn = po.hardy_norm(weight, 2.0, r_grid, _spec(config, "poisson", n_mc=min(config.n_mc, 2_000)))
     rec.tol("po-hardy-weight-cancel", "hardy norm of (1-r^2)^{rho/2} equals 1",
             abs(hn.value - 1.0), 1e-6, len(r_grid))
 

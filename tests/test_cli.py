@@ -365,6 +365,22 @@ class TestDeterminism:
         assert strip_wall_times(a.read_text()) == strip_wall_times(b.read_text())
         assert a.read_text() != "" and b.read_text()
 
+    def test_block_size_changes_no_value(self, monkeypatch):
+        # Every module that holds a copy of the one row-block size takes another
+        # value: 1,000 rows (under the kernels' old 1,024) and 333 (which does
+        # not divide n_mc), so a pass or kernel that reads a stale copy differs.
+        from octoplane import geometry, octonion, poisson
+
+        def stripped():
+            report = suites.run_suite(suites.SuiteConfig(suite="all", n_mc=5_000))
+            return strip_wall_times(render_json(report))
+
+        want = stripped()
+        for rows in (1_000, 333):
+            for mod in (octonion, geometry, poisson, suites):
+                monkeypatch.setattr(mod, "_PASS_ROWS", rows)
+            assert stripped() == want, rows
+
     def test_provenance_recorded_and_stripped(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         run_cli(["--suite", "algebra", "--nmc", "1000", "--quiet", "--out", str(out)])

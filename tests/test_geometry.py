@@ -26,7 +26,7 @@ from octoplane.geometry import (
     psi_form,
     unit_rotation,
 )
-from octoplane.octonion import _BLOCK as BLOCK
+from octoplane.octonion import _PASS_ROWS
 from octoplane.octonion import basis, oct_conj, oct_mul, oct_norm, oct_norm_sq
 from octoplane.quadrature import sample_sphere
 from octoplane.suites import SuiteConfig, _check_seed, run_suite
@@ -259,55 +259,65 @@ def assert_blocked_equals_reference(x, y):
             assert bitwise_equal(np.asarray(a), np.asarray(b))
 
 
+# Row counts at the edges of the row blocks: those of _PASS_ROWS, and those of
+# the 1,024-row block the octonion kernels took before they shared it.
+BLOCKS = (1_024, _PASS_ROWS)
+SPANS = sorted({0, 1, 1_023, 1_024, 2_053, _PASS_ROWS - 1, _PASS_ROWS, 2 * _PASS_ROWS + 5})
+
+
 class TestBlockedKernels:
     """bracket and _forms run one pass per block of rows; they equal the
     whole-array references bit for bit."""
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_contiguous(self, n):
         assert_blocked_equals_reference(wide_points((n, 16), 1), wide_points((n, 16), 2))
         assert_blocked_equals_reference(ball_points(n, 3), sample_sphere(n + 1, 4)[:n])
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_broadcast_single_point(self, n):
         p, q = wide_points(16, 5), wide_points((n, 16), 6)
         assert_blocked_equals_reference(p, q)
         assert_blocked_equals_reference(q, p)
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_broadcast_grid(self, n):
         assert_blocked_equals_reference(wide_points((3, 1, 16), 7), wide_points((1, n, 16), 8))
         assert_blocked_equals_reference(wide_points((1, n, 16), 9), wide_points((3, 1, 16), 10))
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_step_sliced(self, n):
         big = wide_points((3 * n, 16), 11)
         assert_blocked_equals_reference(big[::3], big[1::3])
         assert_blocked_equals_reference(big[::-3], big[2::3])
 
     def test_degenerate_rows(self):
-        x, y = wide_points((2 * BLOCK + 5, 16), 12), wide_points((2 * BLOCK + 5, 16), 13)
-        y[:BLOCK, 8:] = 0.0          # a whole block takes the y2 = 0 branch
-        y[BLOCK::3, 8:] = -0.0       # mixed rows in the next blocks
-        assert_blocked_equals_reference(x, y)
-        assert bitwise_equal(bracket(x, y)[:BLOCK], oct_mul(oct_conj(x[:BLOCK, :8]), y[:BLOCK, :8]))
+        for block in BLOCKS:
+            x, y = wide_points((2 * block + 5, 16), 12), wide_points((2 * block + 5, 16), 13)
+            y[:block, 8:] = 0.0          # the first block rows take the y2 = 0 branch
+            y[block::3, 8:] = -0.0       # mixed rows after them
+            assert_blocked_equals_reference(x, y)
+            assert bitwise_equal(bracket(x, y)[:block],
+                                 oct_mul(oct_conj(x[:block, :8]), y[:block, :8]))
 
     def test_signed_zeros(self):
         rng = np.random.default_rng(14)
         vals = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
-        x = vals[rng.integers(0, 6, (BLOCK + 7, 16))]
-        y = vals[rng.integers(0, 6, (BLOCK + 7, 16))]
-        assert_blocked_equals_reference(x, y)
+        for block in BLOCKS:
+            x = vals[rng.integers(0, 6, (block + 7, 16))]
+            y = vals[rng.integers(0, 6, (block + 7, 16))]
+            assert_blocked_equals_reference(x, y)
         assert_blocked_equals_reference(np.zeros(16), -0.0 * y)
         zeros = -np.zeros((2, 16))
         assert_blocked_equals_reference(zeros, zeros)
 
     def test_layout_independent(self):
-        x, y = wide_points((BLOCK + 3, 16), 15), wide_points((BLOCK + 3, 16), 16)
-        xf, yf = np.asfortranarray(x), np.asfortranarray(y)
-        assert bitwise_equal(bracket(xf, yf), bracket(x, y))
-        for a, b in zip(geometry._forms(xf)[1:], geometry._forms(x)[1:]):
-            assert bitwise_equal(a, b)
+        for block in BLOCKS:
+            x, y = wide_points((block + 3, 16), 15), wide_points((block + 3, 16), 16)
+            xf, yf = np.asfortranarray(x), np.asfortranarray(y)
+            assert bitwise_equal(bracket(xf, yf), bracket(x, y))
+            for a, b in zip(geometry._forms(xf)[1:], geometry._forms(x)[1:]):
+                assert bitwise_equal(a, b)
 
     @pytest.mark.parametrize("width", [8, 15, 17, 32])
     def test_shape_errors_name_o2(self, width):
@@ -574,8 +584,8 @@ class TestVolume:
         assert hits[0][-1] == 20_001
 
     def test_tracemalloc_peak(self):
-        # one block of sphere points at a time (1.2 MiB at 2,048 rows, 2.3 at
-        # 8,192); batches of 1M rows peaked at 183.8 MiB
+        # one block of sphere points at a time (0.55 MiB at 2,048 rows, 2.3
+        # at 8,192); batches of 1M rows peaked at 183.8 MiB
         tracemalloc.start()
         try:
             ball_volume_est((0.7, 0.9, 1.1), 1_500_000, 5)
@@ -652,6 +662,13 @@ def _form_checks(n_mc, seed=0):
     return rec.checks
 
 
+@pytest.mark.parametrize("n_mc, points", [(500, 500), (12_345, 10_000)])
+def test_metric_identity_counts_the_points_it_reads(n_mc, points):
+    # d(a, a) = 0 is checked on the first min(n_mc, 10,000) sphere points
+    checks = {c.check_id: c for c in _form_checks(n_mc)}
+    assert checks["geo-metric-identity"].n_samples == points
+
+
 def test_geometry_block_size_does_not_change_the_report(monkeypatch):
     # 12,345 rows: geo-metric-identity's first 10,000 end inside a block
     reports = []
@@ -695,7 +712,7 @@ def test_geometry_running_maxima_keep_nan_from_a_later_block(monkeypatch):
 def test_geometry_form_checks_tracemalloc_peak():
     # x, y, z and r are drawn one block of _PASS_ROWS rows at a time from
     # generators of their own, and every form, bracket and distance lives
-    # one block at a time too (5.8 MiB at 2,048 rows, 18.3 at 8,192; 50.4
+    # one block at a time too (6.0 MiB at 2,048 rows, 18.3 at 8,192; 50.4
     # with x, y and z drawn whole, 97.8 with whole-array forms as well)
     tracemalloc.start()
     try:

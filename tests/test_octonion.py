@@ -20,8 +20,9 @@ from hypothesis.extra import numpy as hnp
 
 from octoplane import suites
 from octoplane.octonion import (
-    _BLOCK,
+    _PASS_ROWS,
     _TERM_ROWS,
+    _mul_cols,
     _norm_sq_cols,
     _row_dot,
     FANO_TRIPLES,
@@ -165,6 +166,12 @@ class TestProperties:
         assert np.max(d / (oct_norm(a) * oct_norm(b))) < 1e-13
 
 
+# Row counts at the edges of the row blocks: those of _PASS_ROWS, and those of
+# the 1,024-row block the octonion kernels took before they shared it.
+EDGES = sorted({0, 1, 1_023, 1_024, 1_025, _PASS_ROWS - 1, _PASS_ROWS, _PASS_ROWS + 1})
+SPANS = sorted({0, 1, 1_023, 1_024, 2_053, _PASS_ROWS - 1, _PASS_ROWS, 2 * _PASS_ROWS + 5})
+
+
 def wide_rand(shape, seed):
     """Normal draws scaled by 10^-8..10^8 per coordinate: sums that cancel
     are rounded differently by any other summation order."""
@@ -176,17 +183,17 @@ class TestSparseKernel:
     """oct_mul equals the dense einsum bit for bit on finite input; NaN and
     infinity are out of contract (the two spread them differently)."""
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("n", EDGES)
     def test_contiguous(self, n):
         assert_bitwise_dense(wide_rand((n, 8), 1), wide_rand((n, 8), 2))
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("n", EDGES)
     def test_strided_slices(self, n):
         x = wide_rand((n, 16), 3)
         assert_bitwise_dense(x[:, :8], x[:, 8:])
         assert_bitwise_dense(x[:, 8:], x[:, :8])
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("n", EDGES)
     def test_single_against_many(self, n):
         a, b = wide_rand(8, 4), wide_rand((n, 8), 5)
         assert_bitwise_dense(a, b)
@@ -194,7 +201,8 @@ class TestSparseKernel:
 
     def test_broadcast_grid(self):
         assert_bitwise_dense(wide_rand((3, 1, 8), 6), wide_rand((1, 3, 8), 7))
-        assert_bitwise_dense(wide_rand((2, 1, 3, 8), 8), wide_rand((1, _BLOCK + 1, 1, 8), 9))
+        for n in (1_025, _PASS_ROWS + 1):
+            assert_bitwise_dense(wide_rand((2, 1, 3, 8), 8), wide_rand((1, n, 1, 8), 9))
         assert_bitwise_dense(wide_rand(8, 10), wide_rand(8, 11))
 
     def test_signed_zeros_of_basis_products(self):
@@ -222,6 +230,15 @@ class TestSparseKernel:
         want = oct_norm_sq(np.ascontiguousarray(a_t.T))
         assert np.array_equal(_norm_sq_cols(a_t).view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("m", [1, 1_024, _PASS_ROWS])
+    def test_column_product_owns_its_memory(self, m):
+        """_mul_cols returns a fresh (8, m) array, not a view that keeps a
+        larger scratch buffer alive in the caller."""
+        a, b = wide_rand((m, 8), 17), wide_rand((m, 8), 18)
+        got = _mul_cols(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+        assert got.base is None and got.shape == (8, m)
+        assert np.array_equal(got.T.view(np.uint64), dense_mul(a, b).view(np.uint64))
+
     def test_no_dense_contraction(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("oct_mul called np.einsum")
@@ -239,27 +256,28 @@ class TestRowDot:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_contiguous(self, n):
         self.assert_bitwise_sum(wide_rand((n, 16), 21), wide_rand((n, 16), 22))
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_single_row_against_many(self, n):
         a, b = wide_rand(16, 23), wide_rand((n, 16), 24)
         self.assert_bitwise_sum(a, b)
         self.assert_bitwise_sum(b, a)
         self.assert_bitwise_sum(a[None, :], b)
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", SPANS)
     def test_broadcast_grid(self, n):
         a, b = wide_rand((3, 1, 16), 25), wide_rand((1, n, 16), 26)
         self.assert_bitwise_sum(a, b)
         self.assert_bitwise_sum(b, a)
 
     def test_strided_and_other_widths(self):
-        x = wide_rand((_BLOCK + 4, 32), 27)
-        self.assert_bitwise_sum(x[:, :16], x[:, 16:])
-        self.assert_bitwise_sum(x[::2, :8], x[1::2, 8:16])
+        for n in (1_028, _PASS_ROWS + 4):
+            x = wide_rand((n, 32), 27)
+            self.assert_bitwise_sum(x[:, :16], x[:, 16:])
+            self.assert_bitwise_sum(x[::2, :8], x[1::2, 8:16])
 
 
 def octonion_pairs():

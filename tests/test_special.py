@@ -511,3 +511,13 @@ class TestCoefficientPath:
         assert got == [spherical_fn(-1j * RHO, 0, 0, r) for r in radii]
         assert got[:2] == [1.0, 1.0]
         assert max(abs(v - 1.0) for v in got) < 1e-10
+
+
+@pytest.mark.parametrize("lambdas, points", [((1.0,), 3), ((0.5, 1.0, 2.0), 6)])
+def test_2f1_ode_record_counts_the_points_it_evaluates(lambdas, points):
+    # three z points for each of the first two lambdas
+    from octoplane.suites import SuiteConfig, run_suite
+
+    report = run_suite(SuiteConfig(suite="special", lambdas=lambdas))
+    checks = {c.check_id: c for c in report.checks}
+    assert checks["sp-2f1-ode"].n_samples == points

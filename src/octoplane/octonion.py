@@ -99,8 +99,9 @@ _TERM_ROWS.setflags(write=False)
 # Rows per block of every row-blocked pass: the kernels that go through
 # _row_blocks (oct_mul, _row_dot, geometry.bracket, geometry._forms) and the
 # streamed passes over sample sets (the algebra suite, the geometry suite's
-# form checks, geometry.ball_volume_est, and poisson.cz_suite's pairs,
-# Hormander probes and tail); no value depends on it.  oct_mul's scratch is
+# form checks, geometry.ball_volume_est, poisson.cz_suite's pairs, and its
+# Hormander tail, whose blocks are the runs of whole pairwise-sum leaves that
+# fit in _PASS_ROWS rows); no value depends on it.  oct_mul's scratch is
 # 40 * _PASS_ROWS doubles (0.66 MB).  perfbench at seed 7 (2 vCPU x86-64,
 # AVX-512, numpy 2.4.6, BLAS on one thread), medians of three 8 s runs,
 # whose wall times spread by 10-30% between runs:

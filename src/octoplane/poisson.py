@@ -15,14 +15,15 @@ The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
 a sampled-operator norm estimator and the Calderon-Zygmund estimate harness.
 The harness streams its sample pairs and its Hormander tail in blocks of
-octonion._PASS_ROWS rows, the package's one row-block size, so its working
-set is bounded by a block and the tail's probe forms; no value depends on
-the block size.  szego_matrix alone takes its own, smaller blocks
-(_SZEGO_ROWS), which BLAS's row groups set.
+at most octonion._PASS_ROWS rows, the package's one row-block size, so its
+working set is bounded by a block; no value depends on the block size.
+szego_matrix alone takes its own, smaller blocks (_SZEGO_ROWS), which
+BLAS's row groups set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -560,36 +561,110 @@ def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
     rep.smooth_per_r = {lam: {r: float(v) for r, v in per.items()} for lam, per in smooth.items()}
 
 
-def _hormander_probes(n: int, seed: int):
-    """cz_suite's Hormander tail forms on om = sample_sphere(min(n, 100_000),
-    seed): (probes, <om, e1>, Phi(om, e1)), a probe (mask, <om, th>, Phi(om,
-    th)) for each theta at a dyadic distance from e1 whose mask d(om, e1) >
-    2 d(th, e1) holds somewhere.
+# Leaf size of numpy's pairwise summation (pairwise_sum in numpy/_core/src/
+# umath/loops_utils.h.src), which np.add.reduce and np.mean run over a
+# contiguous float64 array.
+_PAIRWISE_LEAF = 128
 
-    om is drawn in blocks of _PASS_ROWS rows in stream order, as
-    geometry.ball_volume_est draws its sample, and each block's forms are
-    written into preallocated rows (the last row of dots and phis is e1's),
-    so every value equals that of the whole-array construction bit for bit.
-    Only these r-independent arrays leave; the last block and its
-    invariants are freed on return."""
-    m = min(n, 100_000)
+
+def _pairwise_leaves(n: int) -> list[int]:
+    """The lengths, in order, of the leaves of numpy's pairwise sum over n
+    elements: a run of at most _PAIRWISE_LEAF elements is one leaf (summed
+    by 8 interleaved accumulators); a longer one splits in two at half its
+    length rounded down to a multiple of 8."""
+    if n <= _PAIRWISE_LEAF:
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _pairwise_leaves(half) + _pairwise_leaves(n - half)
+
+
+def _pairwise_total(leaf_sums: np.ndarray, n: int) -> np.ndarray:
+    """np.add.reduce over n elements from the np.add.reduce of each of its
+    leaves (last axis of leaf_sums, in the order of _pairwise_leaves(n)),
+    added in numpy's tree, so it equals np.add.reduce of the whole run bit
+    for bit, NaN, infinities and signed zeros included.  This mirrors
+    numpy's pairwise summation (leaf size 128, 8-way unroll); a numpy that
+    sums otherwise fails the test that pins it."""
+    sums = iter(np.moveaxis(leaf_sums, -1, 0))
+
+    def total(k):
+        if k <= _PAIRWISE_LEAF:
+            return next(sums)
+        half = k // 2 - k // 2 % 8
+        left = total(half)
+        return left + total(k - half)
+
+    return total(n)
+
+
+def _hormander_blocks(m: int, seed: int):
+    """The Hormander tail's sample om = sample_sphere(m, seed) and its forms,
+    yielded as (leaves, masks, dots, phis) per block of rows.
+
+    A block is a run of whole leaves of numpy's pairwise sum over m
+    (_pairwise_leaves) of at most _PASS_ROWS rows, but at least one leaf;
+    ``leaves`` are their lengths.  For the four points th at dyadic
+    distances from e1, row k of masks is d(om, e1) > 2 d(th, e1), and rows
+    k of dots and phis are <om, th> and Phi(om, th); row 4 of dots and phis
+    is e1's.  om is drawn in stream order, as geometry.ball_volume_est draws
+    its sample, so the stacked blocks equal the whole-array construction
+    bit for bit.  Each block is drawn when the caller asks for it."""
     shift = np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
     ths = [E1 + 2.0 ** (-k) * shift for k in range(0, 4)]
     points = [th[None, :] / np.linalg.norm(th) for th in ths] + [E1[None, :]]
     f_points = [_forms(x) for x in points]
     cuts = np.array([[2.0 * float(dist_to_e1(th)[0])] for th in points[:4]])
-    masks = np.empty((4, m), dtype=bool)
-    dots, phis = np.empty((5, m)), np.empty((5, m))
     rng = np.random.default_rng(seed)
-    for lo in range(0, m, _PASS_ROWS):
-        hi = min(m, lo + _PASS_ROWS)
-        om = _to_sphere(rng.standard_normal((hi - lo, 16)))
+    leaves = _pairwise_leaves(m)
+    first = 0
+    while first < len(leaves):
+        last, rows = first + 1, leaves[first]
+        while last < len(leaves) and rows + leaves[last] <= _PASS_ROWS:
+            rows += leaves[last]
+            last += 1
+        om = _to_sphere(rng.standard_normal((rows, 16)))
         f_om = _forms(om)
-        masks[:, lo:hi] = dist_to_e1(om) > cuts
-        for k, (x, f_x) in enumerate(zip(points, f_points)):
-            dots[k, lo:hi], phis[k, lo:hi] = _row_dot(om, x), _phi(f_om, f_x)
-    probes = [probe for probe in zip(masks, dots[:4], phis[:4]) if probe[0].any()]
-    return probes, dots[4], phis[4]
+        yield (leaves[first:last], dist_to_e1(om) > cuts,
+               np.array([_row_dot(om, x) for x in points]),
+               np.array([_phi(f_om, f_x) for f_x in f_points]))
+        first = last
+
+
+def _hormander_tail(lams, rs, n: int, seed: int) -> dict:
+    """cz_suite's Hormander tail, keyed {lam: {r: value}}: the maximum over 0
+    and the probes th of mean(|Psi_r(lam, th, om) - Psi_r(lam, e1, om)| 1{d(om,
+    e1) > 2 d(th, e1)}) / (1 + |lam|) on the blocks of _hormander_blocks(
+    min(n, 100_000), seed).  A probe whose mask never holds is left out.
+
+    Per block and (lam, r), e1's kernel is formed once and each probe's
+    masked differences beside it; each leaf of the block is reduced with
+    np.add.reduce (one 2-D reduce per run of equal leaves), and after the
+    pass _pairwise_total adds the leaf sums in numpy's tree.  So every mean
+    equals np.mean over the whole sample bit for bit, NaN included, for any
+    block size, and only one block's arrays are alive at a time."""
+    m = min(n, 100_000)
+    sums = np.empty((len(lams), len(rs), 4, len(_pairwise_leaves(m))))
+    hit = np.zeros(4, dtype=bool)
+    done = 0
+    for leaves, masks, dots, phis in _hormander_blocks(m, seed):
+        hit |= masks.any(axis=1)
+        vals = np.empty(sums.shape[:-1] + (len(dots[0]),))
+        for a, lam in enumerate(lams):
+            for b, r in enumerate(rs):
+                k_e1 = _szego_power(lam, _psi_r(r, dots[4], phis[4]))
+                for k in range(4):
+                    vals[a, b, k] = np.abs(_szego_power(lam, _psi_r(r, dots[k], phis[k])) - k_e1)
+        vals *= masks
+        lo = 0
+        for size, run in itertools.groupby(leaves):
+            count = len(list(run))
+            run_vals = vals[..., lo:lo + count * size].reshape(sums.shape[:-1] + (count, size))
+            sums[..., done:done + count] = np.add.reduce(run_vals, axis=-1)
+            lo, done = lo + count * size, done + count
+    means = _pairwise_total(sums, m) / m
+    return {lam: {r: float(np.max(means[a, b, hit] / (1.0 + abs(lam)), initial=0.0))
+                  for b, r in enumerate(rs)}
+            for a, lam in enumerate(lams)}
 
 
 def _truncated_means(lams, rs, spec: QuadratureSpec) -> dict:
@@ -628,13 +703,12 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     Everything runs on the caller's thread.  The sample rows stream once
     through _cz_pass in blocks drawn by _cz_pairs; (i), (ii) and the counts
     are running maxima and sums over the blocks.  After the pass, (iii) is
-    evaluated on the zonal rule by _truncated_means, and the tail per lambda
-    on the probes of _hormander_probes(n, s4 + 1), the only arrays held
-    whole.  For each (lambda, r) and probe, the tail's masked kernel
-    differences are formed in blocks of _PASS_ROWS rows, the kernel at e1
-    beside them, and written into one buffer of the probe sample's length;
-    the mean runs over the whole buffer, so every value is independent of
-    the block size.  The maximum over the probes keeps a NaN mean.
+    evaluated on the zonal rule by _truncated_means, and the tail by
+    _hormander_tail in one more pass over the probe sample (seed s4 + 1),
+    in blocks of whole leaves of numpy's pairwise sum; no array is held
+    whole, and each mean equals np.mean over the whole sample bit for bit,
+    so every value is independent of the block size.  The maximum over the
+    probes keeps a NaN mean.
     Estimates other than (i) and the counts are keyed {lam: {r: value}}.
     """
     lams = tuple(float(lam) for lam in lams)
@@ -651,20 +725,5 @@ def cz_suite(lams: Sequence[float], spec: QuadratureSpec, *,
     seeds = spawn_seeds(spec.seed, 4)
     _cz_pass(rep, seeds)
     rep.truncated_per_r = _truncated_means(lams, rs, spec)
-    probes, dot_e1, phi_e1 = _hormander_probes(n, seeds[3] + 1)
-    buf = np.empty(len(dot_e1))
-    for lam in lams:
-        tail = {}
-        for r in rs:
-            # the Hormander tail; one mean over the whole of buf keeps the
-            # bits of any block size
-            means = [0.0]
-            for mask, dot, phi in probes:
-                for lo in range(0, len(buf), _PASS_ROWS):
-                    b = slice(lo, lo + _PASS_ROWS)
-                    k_e1 = _szego_power(lam, _psi_r(r, dot_e1[b], phi_e1[b]))
-                    buf[b] = np.abs(_szego_power(lam, _psi_r(r, dot[b], phi[b])) - k_e1) * mask[b]
-                means.append(float(np.mean(buf)) / (1.0 + abs(lam)))
-            tail[r] = float(np.max(means))
-        rep.hormander_per_r[lam] = tail
+    rep.hormander_per_r = _hormander_tail(lams, rs, n, seeds[3] + 1)
     return rep

@@ -157,8 +157,10 @@ def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def zonal_integrate(g: Callable, spec: QuadratureSpec) -> complex:
     """Integral over the boundary sphere of the zonal function
-    f(omega) = g(Re omega_1, |Im omega_1|), by the half-disk rule."""
-    U, V, W = zonal_grid(spec.n_gauss)
+    f(omega) = g(Re omega_1, |Im omega_1|), by the half-disk rule.  W is
+    read from the shared rule, not copied: nothing here writes it."""
+    R, cos_phi, sin_phi, W = _zonal_rule(spec.n_gauss)
+    U, V = np.multiply.outer(R, cos_phi), np.multiply.outer(R, sin_phi)
     vals = np.asarray(g(U, V))
     bad = ~np.isfinite(vals)
     if bad.any():

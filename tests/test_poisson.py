@@ -798,6 +798,33 @@ class TestOperatorNorm:
         assert report.overall_status == "pass"
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2_047, 2_048, 2_049, 4_097,
+                               20_000, 99_999, 100_000])
+def test_pairwise_total_matches_numpy_sum(n):
+    # the Hormander tail's means rest on this mirror of numpy's pairwise
+    # summation; rows: magnitudes 1e-8 to 1e8 of both signs, with -0.0 at
+    # random places, all -0.0, a NaN, +inf, and +inf beside -inf
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    rows = np.repeat(x[None, :], 6, axis=0)
+    rows[1, rng.random(n) < 0.3] = -0.0
+    rows[2] = -0.0
+    rows[3, rng.integers(n)] = np.nan
+    rows[4, rng.integers(n)] = np.inf
+    rows[5, rng.integers(n)], rows[5, rng.integers(n)] = np.inf, -np.inf
+    leaves = poisson._pairwise_leaves(n)
+    assert sum(leaves) == n and all(1 <= size <= 128 for size in leaves)
+    edges = np.cumsum([0, *leaves])
+    with np.errstate(invalid="ignore"):
+        leaf_sums = np.array([[np.add.reduce(row[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+                              for row in rows])
+        total = poisson._pairwise_total(leaf_sums, n)
+        want_sum = np.array([np.add.reduce(row) for row in rows])
+        want_mean = np.array([np.mean(row) for row in rows])
+    assert total.tobytes() == want_sum.tobytes()
+    assert (total / n).tobytes() == want_mean.tobytes()
+
+
 # float.hex values of cz_suite called with one lambda at a time (n_mc =
 # 20,000, n_gauss = 200, default r grid), which one call over the whole
 # lambda grid must reproduce bitwise.  Both violation counts are 0 at both
@@ -973,28 +1000,46 @@ class TestCZSuite:
                                          (poisson._PASS_ROWS + 1, None), (8_192, None),
                                          (8_193, None), (7, 3), (2_001, 500)])
     def test_hormander_probes_match_whole_array_construction(self, monkeypatch, m, rows):
-        # reference: the whole sample from sample_sphere, formed at once
+        # reference: the whole sample from sample_sphere, formed at once, and
+        # the tail's means as np.mean over its whole masked differences
         if rows is not None:
             monkeypatch.setattr(poisson, "_PASS_ROWS", rows)
         om = sample_sphere(m, 13)
         f_om, d_om = geometry._forms(om), dist_to_e1(om)
-        want = []
+        masks, dots, phis = [], [], []
         for k in range(4):
             th = E1 + 2.0 ** (-k) * np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
             th = th[None, :] / np.linalg.norm(th)
-            mask = d_om > 2.0 * float(dist_to_e1(th)[0])
-            if mask.any():
-                phi = geometry._phi(f_om, geometry._forms(th))
-                want.append((mask, octonion._row_dot(om, th), phi))
+            masks.append(d_om > 2.0 * float(dist_to_e1(th)[0]))
+            dots.append(octonion._row_dot(om, th))
+            phis.append(geometry._phi(f_om, geometry._forms(th)))
         e1 = E1[None, :]
-        want_e1 = (octonion._row_dot(om, e1), geometry._phi(f_om, geometry._forms(e1)))
-        probes, dot_e1, phi_e1 = poisson._hormander_probes(m, 13)
+        dots.append(octonion._row_dot(om, e1))
+        phis.append(geometry._phi(f_om, geometry._forms(e1)))
+        blocks = list(poisson._hormander_blocks(m, 13))
 
-        def bits(arrays):
-            return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+        def bits(a):
+            return a.dtype, a.shape, a.tobytes()
 
-        assert [bits(p) for p in probes] == [bits(p) for p in want]
-        assert bits((dot_e1, phi_e1)) == bits(want_e1)
+        # blocks are greedy runs of whole leaves of at most _PASS_ROWS rows,
+        # or a single leaf
+        leaves = [block[0] for block in blocks]
+        assert [n for run in leaves for n in run] == poisson._pairwise_leaves(m)
+        assert all(len(run) == 1 or sum(run) <= poisson._PASS_ROWS for run in leaves)
+        assert all(sum(run) + nxt[0] > poisson._PASS_ROWS for run, nxt in zip(leaves, leaves[1:]))
+        for got, want in zip(list(zip(*blocks))[1:], (masks, dots, phis)):
+            assert [len(a[0]) for a in got] == [sum(run) for run in leaves]
+            assert bits(np.concatenate(got, axis=1)) == bits(np.array(want))
+        lams, rs = (0.5, 2.0), (0.5, 0.99)
+        ref = {lam: {} for lam in lams}
+        for lam in lams:
+            for r in rs:
+                k_e1 = _szego_power(lam, geometry._psi_r(r, dots[4], phis[4]))
+                means = [float(np.mean(np.abs(_szego_power(lam, geometry._psi_r(r, dot, phi))
+                                              - k_e1) * mask)) / (1.0 + abs(lam))
+                         for mask, dot, phi in zip(masks, dots, phis) if mask.any()]
+                ref[lam][r] = float(np.max([0.0, *means]))
+        assert poisson._hormander_tail(lams, rs, m, 13) == ref
 
     @pytest.mark.parametrize("n", sorted({4_097, 2 * poisson._PASS_ROWS + 1}))
     def test_block_size_does_not_change_the_tail(self, monkeypatch, n):
@@ -1010,16 +1055,19 @@ class TestCZSuite:
         assert all(bits == tails[n] for bits in tails.values())
 
     def test_tail_keeps_a_nan_mean(self, monkeypatch):
-        # phi -> NaN at one row of the second probe makes its mean NaN at
+        # phi -> NaN at row 5 of the second probe makes its mean NaN at
         # every r, which the maximum over the probes must keep
-        probes = poisson._hormander_probes
+        blocks = poisson._hormander_blocks
 
-        def poisoned(n, seed):
-            found, dot_e1, phi_e1 = probes(n, seed)
-            found[1][2][5] = np.nan
-            return found, dot_e1, phi_e1
+        def poisoned(m, seed):
+            lo = 0
+            for leaves, masks, dots, phis in blocks(m, seed):
+                if lo <= 5 < lo + sum(leaves):
+                    phis[1, 5 - lo] = np.nan
+                lo += sum(leaves)
+                yield leaves, masks, dots, phis
 
-        monkeypatch.setattr(poisson, "_hormander_probes", poisoned)
+        monkeypatch.setattr(poisson, "_hormander_blocks", poisoned)
         spec = QuadratureSpec(n_mc=2_000, n_gauss=200, seed=7)
         reports = []
         for rows in (7, 2_000):
@@ -1027,6 +1075,24 @@ class TestCZSuite:
             reports.append(cz_suite((1.0,), spec))
         assert self._report_bits(reports[0]) == self._report_bits(reports[1])
         assert all(math.isnan(v) for v in reports[0].hormander_per_r[1.0].values())
+
+    def test_tail_forms_each_kernel_once_per_block(self, monkeypatch):
+        # per block and (lam, r), e1's kernel once beside the four probes':
+        # 5 _szego_power calls where forming it beside each probe took 8,
+        # each over the whole block
+        power, calls = poisson._szego_power, []
+
+        def counted(lam, psi):
+            calls.append(len(psi))
+            return power(lam, psi)
+
+        monkeypatch.setattr(poisson, "_szego_power", counted)
+        monkeypatch.setattr(poisson, "_PASS_ROWS", 1_000)
+        lams, rs = (0.5, 2.0), (0.5, 0.9, 0.99)
+        poisson._hormander_tail(lams, rs, 4_097, 3)
+        rows = [sum(block[0]) for block in poisson._hormander_blocks(4_097, 3)]
+        assert len(rows) == 5
+        assert calls == [n for n in rows for _ in range(5 * len(lams) * len(rs))]
 
     @pytest.mark.parametrize("r", [0.9, 0.99])
     def test_nan_at_a_later_radius_fails_the_record(self, monkeypatch, r):
@@ -1050,18 +1116,18 @@ class TestCZSuite:
         assert by_id["cz-smooth-1.0"].status == "pass"
 
     def test_cz_suite_tracemalloc_peak(self):
-        # one block of pairs at a time, and through the lambda loop only the
-        # Hormander probe forms beside one tail buffer of the probe sample's
-        # length; the probe construction sets the peak (11.4 MiB on a cold
-        # call, 9.7 warm; 15.2 with the tail formed over whole arrays, 33.2
-        # with the probe sample and its forms whole)
+        # one block of pairs at a time, then one block of the Hormander
+        # probe sample with its leaf sums; 5.4 MiB on a cold call, 4.5 warm,
+        # set by the pairs' pass and the zonal means (the tail alone 2.2;
+        # 11.4 with the probe forms held whole beside one tail buffer of the
+        # sample's length, 33.2 with the probe sample and its forms whole)
         tracemalloc.start()
         try:
             cz_suite((1.0,), QuadratureSpec(n_mc=200_000, n_gauss=200, seed=7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2 ** 20
+        assert peak < 7 * 2 ** 20
 
     def test_leaves_no_thread_running(self):
         before = threading.enumerate()

@@ -14,35 +14,37 @@ octonion slot, 8..15 the second.  The module implements
 * Monte Carlo and quadrature probes of the metric ball volume.
 
 All form/metric functions are vectorized over leading axes.  Phi, Psi and
-the metric are evaluated in one place, from per-point invariants:
-``_forms(x)`` holds the points with |x1|^2, |x2|^2 and the slot product
-x1 x2, and ``_phi``, ``_psi``, ``_dist`` (pairwise) and ``_phi_gram`` (all
-pairs of two sets) read them.  ``phi_form``, ``psi_form`` and ``ni_dist``
-form both arguments per call; a caller that pairs one point set with
-several others forms it once.
+the metric are evaluated in one place, from per-point invariants of
+coordinate-major blocks (one point per column, as in ``octonion``):
+``_forms(x)`` holds a (16, m) block x with |x1|^2, |x2|^2 and the slot
+product x1 x2 (8, m), and ``_phi``, ``_psi``, ``_dist`` (column by column,
+a one-column block broadcasting) and ``_phi_gram`` (all pairs of two
+blocks) read them; ``_bracket_cols`` is the bracket of two blocks.  The
+streamed passes (the geometry suite's form checks, ``ball_volume_est``
+and the cz suite) draw each sample set row by row, transpose it once and
+normalize its columns, so every later form reads the block as drawn.
 
-``_forms`` and ``bracket`` make one pass over blocks of
-``octonion._PASS_ROWS`` (2,048) rows: each block is transposed once to
-coordinate-major (16, m) arrays and fed to the octonion block kernels, so
-their scratch memory is bounded by the block, not by the input.  Their
-values equal those of whole-array ``oct_norm_sq``/``oct_mul`` calls on
-row-major points bit for bit.  ``ball_volume_est`` streams its sample in
-blocks of the same size, as the geometry suite's form checks do.
-``_phi_gram`` pairs every point of one set with every point of another;
-``poisson.szego_matrix`` calls it on one block of rows at a time, so its
-temporaries are bounded by the block.
+The public functions take row-major ``(..., 16)`` points and go through
+the same cores (``_rowwise``): one pass over blocks of
+``octonion._PASS_ROWS`` (2,048) rows, each transposed once, so their
+scratch memory is bounded by the block, not by the input, and a single
+point stays one broadcast column.  Their values equal those of
+whole-array ``oct_norm_sq``/``oct_mul`` calls on the row-major points bit
+for bit.  ``poisson.szego_matrix`` calls ``_phi_gram`` on one block of
+rows at a time, so its temporaries are bounded by the block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .octonion import (_PASS_ROWS, _mul_cols, _norm_sq_cols, _row_blocks, _row_dot, basis,
-                       oct_conj, oct_mul, oct_norm, oct_norm_sq)
-from .quadrature import C_ZONAL, _to_sphere, gauss_panels
+from .octonion import (_PASS_ROWS, _dot_cols, _mul_cols, _row_blocks, basis, oct_conj,
+                       oct_mul, oct_norm, oct_norm_sq)
+from .quadrature import C_ZONAL, _sphere_cols, gauss_panels
 
 __all__ = [
     "pair",
@@ -77,8 +79,8 @@ _CONJ = np.array([1.0] + [-1.0] * 7)[:, None]
 
 
 class _Forms(NamedTuple):
-    """A point set x with the per-point invariants Phi reads: |x1|^2, |x2|^2
-    and the slot product x1 x2."""
+    """A (16, m) block of points x with the per-point invariants Phi reads:
+    |x1|^2 and |x2|^2, shape (m,), and the slot product x1 x2, (8, m)."""
 
     x: np.ndarray
     n1: np.ndarray
@@ -86,8 +88,8 @@ class _Forms(NamedTuple):
     prod: np.ndarray
 
     def take(self, idx) -> "_Forms":
-        """The invariants of the points x[idx]."""
-        return _Forms(*(a[idx] for a in self))
+        """The invariants of the points x[:, idx]."""
+        return _Forms(*(a[..., idx] for a in self))
 
 
 def _as_points(x) -> np.ndarray:
@@ -97,32 +99,28 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
-def _forms(x) -> _Forms:
-    """The invariants of x, one coordinate-major copy per block of rows."""
-    x = _as_points(x)
-    shape = x.shape[:-1]
-    n1, n2, prod = np.empty(shape), np.empty(shape), np.empty(shape + (8,))
-    n1_r, n2_r, prod_r = n1.reshape(-1), n2.reshape(-1), prod.reshape(-1, 8)
-    r0 = 0
-    for blk in _row_blocks(x, shape):
-        t = np.ascontiguousarray(blk.T)
-        r1 = r0 + len(blk)
-        n1_r[r0:r1] = _norm_sq_cols(t[:8])
-        n2_r[r0:r1] = _norm_sq_cols(t[8:])
-        prod_r[r0:r1] = _mul_cols(t[:8], t[8:]).T
-        r0 = r1
-    return _Forms(x, n1, n2, prod)
+def _forms(x: np.ndarray) -> _Forms:
+    """The invariants of the points of a (16, m) block."""
+    if len(x) != 16:
+        raise ValueError(f"points of O^2 need 16 coordinates per column, got a block "
+                         f"of shape {x.shape}")
+    x1, x2 = x[:8], x[8:]
+    return _Forms(x, _dot_cols(x1, x1), _dot_cols(x2, x2), _mul_cols(x1, x2))
 
 
 def _phi(fx: _Forms, fy: _Forms) -> np.ndarray:
-    """Phi from formed invariants, pairwise over broadcast leading axes."""
-    return fx.n1 * fy.n1 + fx.n2 * fy.n2 + 2.0 * _row_dot(fx.prod, fy.prod)
+    """Phi from formed invariants, column by column."""
+    return fx.n1 * fy.n1 + fx.n2 * fy.n2 + 2.0 * _dot_cols(fx.prod, fy.prod)
 
 
 def _phi_gram(fx: _Forms, fy: _Forms) -> np.ndarray:
-    """Phi(x_i, y_j) for every pair of two (n, 16) and (m, 16) point sets,
-    shape (n, m): outer products of the norms and one Gram product."""
-    return np.outer(fx.n1, fy.n1) + np.outer(fx.n2, fy.n2) + 2.0 * (fx.prod @ fy.prod.T)
+    """Phi(x_i, y_j) for every pair of the n and m points of two blocks,
+    shape (n, m): outer products of the norms and one Gram product.  The
+    product takes the slot products row-major, (n, 8) times the transpose
+    of (m, 8), the layout for which BLAS gives a block of rows the bits of
+    the same rows of the whole product (see poisson._SZEGO_ROWS)."""
+    gram = np.ascontiguousarray(fx.prod.T) @ np.ascontiguousarray(fy.prod.T).T
+    return np.outer(fx.n1, fy.n1) + np.outer(fx.n2, fy.n2) + 2.0 * gram
 
 
 def _psi_r(r, dot, phi):
@@ -133,13 +131,76 @@ def _psi_r(r, dot, phi):
 
 def _psi(fx: _Forms, fy: _Forms) -> np.ndarray:
     """Psi(x, y) from formed invariants."""
-    return _psi_r(1.0, _row_dot(fx.x, fy.x), _phi(fx, fy))
+    return _psi_r(1.0, _dot_cols(fx.x, fy.x), _phi(fx, fy))
 
 
-def _dist(fx: _Forms, fy: _Forms) -> np.ndarray:
-    """d(x, y) = Psi(x, y)^{1/4} from formed invariants (see ni_dist)."""
-    d = np.maximum(_psi(fx, fy), 0.0) ** 0.25
-    return np.where(np.all(fx.x == fy.x, axis=-1), 0.0, d)
+def _dist(fx: _Forms, fy: _Forms, psi=None) -> np.ndarray:
+    """d(x, y) = Psi(x, y)^{1/4} from formed invariants, or from the Psi(x, y)
+    already formed (see ni_dist)."""
+    d = np.maximum(_psi(fx, fy) if psi is None else psi, 0.0) ** 0.25
+    return np.where(np.all(fx.x == fy.x, axis=0), 0.0, d)
+
+
+def _bracket_cols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The brackets [x, y] of the columns of two (16, m) blocks (see
+    bracket), an (8, m) block; a one-column block broadcasts."""
+    x, y = np.broadcast_arrays(x, y)
+    x1c, y2c = _CONJ * x[:8], _CONJ * y[8:]
+    n2 = _dot_cols(y[8:], y[8:])
+    degenerate = n2 == 0.0
+    y2inv = y2c / np.where(degenerate, 1.0, n2)
+    b = _mul_cols(_mul_cols(x1c, y[8:]), _mul_cols(y2inv, y[:8]))
+    b += _mul_cols(x[8:], y2c)
+    if np.any(degenerate):
+        b[:, degenerate] = _mul_cols(x1c[:, degenerate], y[:8, degenerate])
+    return b
+
+
+def _abs_one_minus_sq(b: np.ndarray) -> np.ndarray:
+    """|1 - b|^2 for the columns of an (8, m) block of octonions, e.g.
+    brackets already formed."""
+    one_minus = -b
+    one_minus[0] += 1.0
+    return _dot_cols(one_minus, one_minus)
+
+
+def _dist_to_e1_cols(theta: np.ndarray) -> np.ndarray:
+    """d(theta, (1, 0)) for the columns of a (16, m) block (see dist_to_e1);
+    |Im theta_1|^2 is summed in ascending order, as np.sum does over seven."""
+    v2 = theta[1] * theta[1]
+    for k in range(2, 8):
+        v2 += theta[k] * theta[k]
+    return ((1.0 - theta[0]) ** 2 + v2) ** 0.25
+
+
+def _rotate_cols(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(u x1, x2 u) for the columns of a (16, m) block x and an (8, 1) column u."""
+    return np.concatenate([_mul_cols(u, x[:8]), _mul_cols(x[8:], u)])
+
+
+def _col_blocks(x: np.ndarray, shape: tuple[int, ...]):
+    """x's blocks of rows broadcast to shape (octonion._row_blocks), each
+    transposed once to a (16, m) block; a single point is one (16, 1)
+    column, repeated for every block."""
+    if x.size == 16:
+        return itertools.repeat(x.reshape(16, 1))
+    return (np.ascontiguousarray(blk.T) for blk in _row_blocks(x, shape))
+
+
+def _rowwise(core: Callable, width: tuple[int, ...], *points) -> np.ndarray:
+    """core on the rows of the points (arrays of shape (..., 16)) broadcast
+    together, one (16, m) block of each per block of _PASS_ROWS rows; its
+    (m,) or (*width, m) results are laid out row-major, shape
+    (*broadcast shape, *width).  A single row gives a numpy scalar or an
+    array of shape width."""
+    points = [_as_points(p) for p in points]
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
+    out = np.empty(shape + width)
+    rows = out.reshape((-1,) + width)
+    blocks = [_col_blocks(p, shape) for p in points]
+    for r0 in range(0, len(rows), _PASS_ROWS):
+        rows[r0:r0 + _PASS_ROWS] = core(*(next(b) for b in blocks)).T
+    return out if out.ndim else out[()]
 
 
 def phi_form(x, y) -> np.ndarray:
@@ -150,7 +211,7 @@ def phi_form(x, y) -> np.ndarray:
     Callers that pair one point set with several others form its invariants
     once with ``_forms`` and call ``_phi``.
     """
-    return _phi(_forms(x), _forms(y))
+    return _rowwise(lambda xt, yt: _phi(_forms(xt), _forms(yt)), (), x, y)
 
 
 def bracket(x, y) -> np.ndarray:
@@ -160,29 +221,10 @@ def bracket(x, y) -> np.ndarray:
         conj(x1) y1                               if y2 == 0
 
     Linear in x for fixed y; |[x,y]| <= |x||y|.  Evaluated in one pass over
-    blocks of rows: each block is transposed once to coordinate-major
-    arrays, so the scratch memory is bounded by the block, not the input.
+    blocks of rows (``_bracket_cols``), so the scratch memory is bounded by
+    the block, not the input.
     """
-    x = _as_points(x)
-    y = _as_points(y)
-    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    out = np.empty(shape + (8,))
-    rows = out.reshape(-1, 8)
-    r0 = 0
-    for x_blk, y_blk in zip(_row_blocks(x, shape), _row_blocks(y, shape)):
-        xt, yt = np.ascontiguousarray(x_blk.T), np.ascontiguousarray(y_blk.T)
-        x1c, y2c = _CONJ * xt[:8], _CONJ * yt[8:]
-        n2 = _norm_sq_cols(yt[8:])
-        degenerate = n2 == 0.0
-        y2inv = y2c / np.where(degenerate, 1.0, n2)
-        b = _mul_cols(_mul_cols(x1c, yt[8:]), _mul_cols(y2inv, yt[:8]))
-        b += _mul_cols(xt[8:], y2c)
-        if np.any(degenerate):
-            b[:, degenerate] = _mul_cols(x1c[:, degenerate], yt[:8, degenerate])
-        r1 = r0 + len(x_blk)
-        rows[r0:r1] = b.T
-        r0 = r1
-    return out
+    return _rowwise(_bracket_cols, (8,), x, y)
 
 
 def _zonal_psi(r, u, v):
@@ -194,14 +236,7 @@ def _zonal_psi(r, u, v):
 def psi_form(x, y) -> np.ndarray:
     """Psi(x,y) = 1 - 2<x,y>_R + Phi(x,y); strictly positive when one
     argument is in the open ball and the other in the closed ball."""
-    return _psi(_forms(x), _forms(y))
-
-
-def _abs_one_minus_sq(b) -> np.ndarray:
-    """|1 - b|^2 for octonions b, e.g. a bracket already formed."""
-    one_minus = -b
-    one_minus[..., 0] += 1.0
-    return oct_norm_sq(one_minus)
+    return _rowwise(lambda xt, yt: _psi(_forms(xt), _forms(yt)), (), x, y)
 
 
 def ni_dist(a, b) -> np.ndarray:
@@ -214,15 +249,12 @@ def ni_dist(a, b) -> np.ndarray:
     arguments (eps^{1/4} is 1e-4), so identical inputs short-circuit to
     exact zero and the result is clipped at zero against sub-ulp negatives.
     """
-    return _dist(_forms(a), _forms(b))
+    return _rowwise(lambda at, bt: _dist(_forms(at), _forms(bt)), (), a, b)
 
 
 def dist_to_e1(theta) -> np.ndarray:
     """d(theta, (1,0)) = |1 - conj(theta_1)|^{1/2}, cheap special case."""
-    theta = _as_points(theta)
-    u = theta[..., 0]
-    v2 = np.sum(theta[..., 1:8] ** 2, axis=-1)
-    return ((1.0 - u) ** 2 + v2) ** 0.25
+    return _rowwise(_dist_to_e1_cols, (), theta)
 
 
 def unit_rotation(u) -> Callable[[np.ndarray], np.ndarray]:
@@ -236,10 +268,10 @@ def unit_rotation(u) -> Callable[[np.ndarray], np.ndarray]:
     n = oct_norm(u)
     if abs(n - 1.0) > 1e-12:
         raise ValueError("rotation parameter must be a unit octonion")
+    u = u.reshape(8, 1)
 
     def act(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return pair(oct_mul(u, x[..., :8]), oct_mul(x[..., 8:], u))
+        return _rowwise(lambda xt: _rotate_cols(u, xt), (16,), x)
 
     return act
 
@@ -282,21 +314,8 @@ class JordanMatrix:
         return cls(p)
 
     def mat_mul(self, other: "JordanMatrix") -> "JordanMatrix":
-        """Associative 3x3 matrix product with (p + iq)(p' + iq') entries.
-
-        All 27 entry products of one kind are one broadcast oct_mul, indexed
-        [r, k, c]; the sum over k runs 0, 1, 2 from +0.0.
-        """
-        ap, aq = self.plain[:, :, None], self.imag[:, :, None]
-        bp, bq = other.plain[None], other.imag[None]
-        terms_p = oct_mul(ap, bp) - oct_mul(aq, bq)
-        terms_q = oct_mul(ap, bq) + oct_mul(aq, bp)
-        rp = np.zeros((3, 3, 8))
-        rq = np.zeros((3, 3, 8))
-        for k in range(3):
-            rp += terms_p[:, k]
-            rq += terms_q[:, k]
-        return JordanMatrix(rp, rq)
+        """Associative 3x3 matrix product with (p + iq)(p' + iq') entries."""
+        return _mat_muls([(self, other)])[0]
 
     def trace(self) -> float:
         return float(self.plain[0, 0, 0] + self.plain[1, 1, 0] + self.plain[2, 2, 0])
@@ -312,10 +331,25 @@ class JordanMatrix:
                                 np.max(np.abs(self.imag - other.imag))))
 
 
+def _mat_muls(pairs) -> list[JordanMatrix]:
+    """The matrix products A B of the pairs (A, B).  The entry products of
+    all of them, p p', q q', p q' and q p' for (p + iq)(p' + iq'), are one
+    broadcast oct_mul, indexed [pair, part, r, k, c]; the sum over k runs
+    0, 1, 2 from +0.0."""
+    left = np.array([(a.plain, a.imag, a.plain, a.imag) for a, _ in pairs])
+    right = np.array([(b.plain, b.imag, b.imag, b.plain) for _, b in pairs])
+    t = oct_mul(left[:, :, :, :, None], right[:, :, None])
+    terms = np.stack([t[:, 0] - t[:, 1], t[:, 2] + t[:, 3]], axis=1)
+    sums = np.zeros(terms.shape[:3] + (3, 8))
+    for k in range(3):
+        sums += terms[:, :, :, k]
+    return [JordanMatrix(p, q) for p, q in sums]
+
+
 def jordan_product(a: JordanMatrix, b: JordanMatrix) -> JordanMatrix:
-    """A o B = (AB + BA)/2; commutative, E1 o E1 = E1."""
-    ab = a.mat_mul(b)
-    ba = b.mat_mul(a)
+    """A o B = (AB + BA)/2; commutative, E1 o E1 = E1.  AB and BA come from
+    one oct_mul (_mat_muls)."""
+    ab, ba = _mat_muls([(a, b), (b, a)])
     return JordanMatrix(0.5 * (ab.plain + ba.plain), 0.5 * (ab.imag + ba.imag))
 
 
@@ -385,7 +419,8 @@ def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[
     measure of {theta : d(theta, (1,0)) < delta}, one per delta of the grid.
 
     Uniform sphere points come from normalized 16-dim Gaussians, drawn in
-    one pass over blocks of _PASS_ROWS rows from one generator; hits are
+    one pass over blocks of _PASS_ROWS rows from one generator and
+    transposed to coordinate-major blocks (quadrature._sphere_cols); hits are
     integer counts per point, so the estimates do not depend on the block
     size.  Every delta counts its hits on the same points, so each
     estimate equals that of a one-delta grid with the same seed.
@@ -403,7 +438,7 @@ def ball_volume_est(deltas: Sequence[float], n_samples: int, seed: int) -> list[
     rng = np.random.default_rng(seed)
     hits = [0] * len(deltas)
     for lo in range(0, n_samples, _PASS_ROWS):
-        d = dist_to_e1(_to_sphere(rng.standard_normal((min(_PASS_ROWS, n_samples - lo), 16))))
+        d = _dist_to_e1_cols(_sphere_cols(rng, min(_PASS_ROWS, n_samples - lo)))
         hits = [h + int(np.count_nonzero(d < delta)) for h, delta in zip(hits, deltas)]
     out = []
     for h in hits:

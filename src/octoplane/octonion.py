@@ -23,17 +23,27 @@ array-likes of shape ``(..., 8)``.  They are pure and thread-safe.
 
 The product does not contract the dense 8x8x8 tensor, whose 512 entries are
 zero but for 64.  Each output coordinate k is the sum of 8 signed terms
-``+-a_i b_j`` with ``j = j(i, k)``, tabulated once at import.  The kernel
-``_mul_cols`` multiplies coordinate-major (8, m) blocks, so every term is
-one vectorized multiply-add.  Each output is accumulated from +0.0 over i
-in ascending order, the order in which
+``+-a_i b_j`` with ``j = j(i, k)``, tabulated once at import.
+
+Blocks of points are coordinate-major: an (8, m) block holds m octonions
+and a (16, m) block m points of O^2, one point per column, so every term
+and every partial sum is one vectorized operation over the m columns.
+``_mul_cols`` multiplies such blocks, and an (8, 1) column broadcasts
+against m columns.  Each output is accumulated from +0.0 over i in
+ascending order, the order in which
 ``np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)`` sums, so on finite
-input the two agree bit for bit (down to the sign of zero).  ``oct_mul``
-transposes blocks of ``_PASS_ROWS`` rows into and out of it, so the scratch
-memory is bounded by the block, not by the input; ``geometry.bracket`` and
-``geometry._forms`` call it on blocks they have transposed once, together
-with ``_norm_sq_cols``, which sums |a|^2 in the order of ``oct_norm_sq``.
-``_PASS_ROWS`` is the package's one row-block size.
+input the two agree bit for bit (down to the sign of zero).
+``_dot_cols`` is the column dot product: it adds the coordinates of a * b
+in the fixed pairwise tree that ``np.sum`` takes over a contiguous last
+axis of 8 or 16, and then adds +0.0, as numpy's reduction starts from +0.0
+(so a sum of -0.0 terms is +0.0).  It equals ``np.sum(a * b, axis=-1)`` on
+the row-major points bit for bit, infinities and signed zeros included,
+and is NaN where that is; which NaN operand's sign and payload an addition
+passes on is not fixed by numpy itself, not even within one ``np.add``.
+The public functions take row-major ``(..., 8)`` arrays:
+``oct_mul`` transposes blocks of ``_PASS_ROWS`` rows into and out of
+``_mul_cols``, so the scratch memory is bounded by the block, not by the
+input.  ``_PASS_ROWS`` is the package's one row-block size.
 """
 
 from __future__ import annotations
@@ -96,19 +106,20 @@ def _term_rows() -> np.ndarray:
 _TERM_ROWS = _term_rows()
 _TERM_ROWS.setflags(write=False)
 
-# Rows per block of every row-blocked pass: the kernels that go through
-# _row_blocks (oct_mul, _row_dot, geometry.bracket, geometry._forms) and the
+# Rows per block of every row-blocked pass: the public functions that go
+# through _row_blocks (oct_mul, _row_dot, geometry.bracket, phi_form, ...) and the
 # streamed passes over sample sets (the algebra suite, the geometry suite's
 # form checks, geometry.ball_volume_est, poisson.cz_suite's pairs, and its
 # Hormander tail, whose blocks are the runs of whole pairwise-sum leaves that
 # fit in _PASS_ROWS rows); no value depends on it.  oct_mul's scratch is
 # 40 * _PASS_ROWS doubles (0.66 MB).  perfbench at seed 7 (2 vCPU x86-64,
-# AVX-512, numpy 2.4.6, BLAS on one thread), medians of three 8 s runs,
-# whose wall times spread by 10-30% between runs:
+# AVX-512, numpy 2.4.6, BLAS on one thread), medians of three 8 s runs
+# with the passes on coordinate-major blocks, whose wall times spread by up
+# to 10% between runs:
 #     rows    geometry_forms peak RSS, wall    cz_estimates peak RSS, wall
-#     1,024         40.5 MB, 0.87 s                  48.6 MB, 0.74 s
-#     2,048         43.3 MB, 0.88 s                  48.6 MB, 0.64 s
-#     4,096         49.4 MB, 0.79 s                  50.6 MB, 0.63 s
+#     1,024         39.9 MB, 0.60 s                  42.3 MB, 0.52 s
+#     2,048         42.3 MB, 0.55 s                  42.3 MB, 0.45 s
+#     4,096         47.1 MB, 0.53 s                  44.5 MB, 0.44 s
 # Below 2,048 rows the per-block overhead costs time; above it, memory.
 _PASS_ROWS = 2048
 
@@ -157,10 +168,11 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Product of coordinate-major (8, m) blocks: column c of the result is
-    the octonion product of columns c of a_t and b_t.  Term i of every
-    output is gathered, multiplied and added as one (8, m) block, so the
-    scratch beside the fresh (8, m) result is 24 m doubles."""
-    b_pm = np.empty((16, b_t.shape[1]))
+    the octonion product of columns c of a_t and b_t; an (8, 1) operand
+    broadcasts.  Term i of every output is gathered, multiplied and added as
+    one (8, m) block, so the scratch beside the fresh (8, m) result is 24 m
+    doubles."""
+    b_pm = np.empty((16, max(a_t.shape[1], b_t.shape[1])))
     b_pm[:8] = b_t
     np.negative(b_pm[:8], out=b_pm[8:])
     acc = b_pm[_TERM_ROWS[0]]                 # acc[k] = +-b_j, term 0 of output k
@@ -173,16 +185,22 @@ def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _norm_sq_cols(a_t: np.ndarray) -> np.ndarray:
-    """|a|^2 of each column of an (8, m) block, summed by the tree
-    ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)): the order np.sum takes over a
-    contiguous last axis of 8, so it equals oct_norm_sq of the row-major
-    rows bit for bit."""
-    s = a_t * a_t
-    s[0::2] += s[1::2]
-    s[0::4] += s[2::4]
+def _dot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the columns of two (8, m) or (16, m) blocks
+    (either may be one broadcast column): np.sum(a * b, axis=-1) of the
+    row-major points, bit for bit but for the sign and payload of a NaN.
+    Over 16 coordinates np.sum first adds
+    the upper eight onto the lower; the eight are then added in the tree
+    ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)) and the total onto +0.0."""
+    s = a * b
+    if len(s) == 16:
+        s[:8] += s[8:]
+    s[0:8:2] += s[1:8:2]
+    s[0:8:4] += s[2:8:4]
     s[0] += s[4]
-    return s[0]
+    # +0.0 last, as numpy's reduction starts from it: a sum of -0.0 terms is
+    # +0.0.  The sum is a fresh (m,) array, not a view that keeps s alive.
+    return s[0] + 0.0
 
 
 def oct_mul(a, b) -> np.ndarray:

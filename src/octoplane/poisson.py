@@ -14,9 +14,10 @@ logarithm is used throughout and there is no branch ambiguity.
 The module also provides the Poisson transform against boundary data, the
 Hardy-type norm, the L^2-weighted ball norm, the inversion functional g_t,
 a sampled-operator norm estimator and the Calderon-Zygmund estimate harness.
-The harness streams its sample pairs and its Hormander tail in blocks of
-at most octonion._PASS_ROWS rows, the package's one row-block size, so its
-working set is bounded by a block; no value depends on the block size.
+The harness streams its sample pairs and its Hormander tail in
+coordinate-major (16, m) blocks of at most octonion._PASS_ROWS points, the
+package's one row-block size, so its working set is bounded by a block; no
+value depends on the block size.
 szego_matrix alone takes its own, smaller blocks (_SZEGO_ROWS), which
 BLAS's row groups set.
 """
@@ -31,19 +32,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import (E1, _forms, _phi, _phi_gram, _psi, _psi_r, _zonal_psi, bracket,
-                       dist_to_e1, phi_form, psi_form)
-from .octonion import _PASS_ROWS, _row_dot, oct_norm
+from .geometry import (E1, _bracket_cols, _dist_to_e1_cols, _forms, _phi, _phi_gram, _psi,
+                       _psi_r, _zonal_psi, phi_form, psi_form)
+from .octonion import _PASS_ROWS, _dot_cols, _row_dot
 from .quadrature import (
     S15,
     QuadratureSpec,
-    _to_sphere,
+    _sphere_cols,
+    _unit_cols,
+    _zonal_nodes,
     ball_integrate,
     gauss_panels,
     sample_sphere,
     spawn_seeds,
     sphere_average,
-    zonal_grid,
     zonal_integrate,
 )
 from .special import (
@@ -150,17 +152,18 @@ def szego_matrix(lam, r, thetas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     same row of a matrix product.
     """
     thetas = np.asarray(thetas, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
     if thetas.ndim != 2:
         raise ValueError(f"thetas must have shape (n, 16), got {thetas.shape}")
-    fo = _forms(omegas)
+    fo = _forms(np.ascontiguousarray(omegas.T))
     n = len(thetas)
-    K = np.empty((n, len(fo.x)), dtype=complex)
+    K = np.empty((n, len(omegas)), dtype=complex)
     edges = [*range(0, n, _SZEGO_ROWS), n]
     if n > 1 and n % _SZEGO_ROWS == 1:
         del edges[-2]
     for lo, hi in zip(edges, edges[1:]):
-        ft = _forms(thetas[lo:hi])
-        K[lo:hi] = _szego_power(lam, _psi_r(r, ft.x @ fo.x.T, _phi_gram(ft, fo)))
+        ft = _forms(np.ascontiguousarray(thetas[lo:hi].T))
+        K[lo:hi] = _szego_power(lam, _psi_r(r, thetas[lo:hi] @ omegas.T, _phi_gram(ft, fo)))
     return K
 
 
@@ -184,8 +187,9 @@ class EigenProfile:
     (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported: one spherical_fn call on the distinct radii, read back
-    through np.unique's inverse map.  |x|^2 comes
+    is supported: one spherical_fn call on the distinct radii (sorted, NaN
+    collapsed to one, as np.unique makes them), read back through
+    np.searchsorted.  |x|^2 comes
     from the row-blocked octonion._row_dot, so a large point set needs no
     temporary of its own size.
     """
@@ -204,9 +208,12 @@ class EigenProfile:
             )
         pts = np.asarray(pts, dtype=float)
         radii = np.sqrt(_row_dot(pts, pts))
-        distinct, where = np.unique(radii, return_inverse=True)
-        # numpy 1.x returns the inverse flattened
-        return spherical_fn(self.lam, self.l, self.m, distinct)[where.reshape(np.shape(radii))]
+        distinct = np.sort(radii, axis=None)
+        keep = np.ones(distinct.shape, dtype=bool)
+        np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+        keep[np.searchsorted(distinct, np.nan) + 1:] = False     # NaN sorts last
+        distinct = distinct[keep]
+        return spherical_fn(self.lam, self.l, self.m, distinct)[np.searchsorted(distinct, radii)]
 
 
 # --------------------------------------------------------------------------
@@ -488,31 +495,36 @@ class CZReport:
 
 def _cz_pairs(n: int, seeds: Sequence[int]):
     """cz_suite's n sample rows (theta, omega, theta') from seeds
-    = (s1, s2, s3, s4), yielded in consecutive blocks of at most _PASS_ROWS.
+    = (s1, s2, s3, s4), yielded as coordinate-major (16, m) blocks of at
+    most _PASS_ROWS points each.
 
     theta and omega are uniform on the sphere from s1 and s2.  The first
     n // 2 partners are uniform from s4; the others are theta perturbed by
     10^U(-3, 0.3) times a Gaussian from s3 and normalized, so they cover
     separations from O(1) down to ~1e-3.  All n - n // 2 factors come from
     s3 before its Gaussians, and every generator draws its rows in stream
-    order, so the stacked blocks equal sample_sphere(n, s1),
-    sample_sphere(n, s2) and the whole-array partners bit for bit, for any
-    block size.  Each block is drawn when the caller asks for it.
+    order, so the stacked blocks equal sample_sphere(n, s1).T,
+    sample_sphere(n, s2).T and the whole-array partners' transpose bit for
+    bit, for any block size.  Each block is drawn when the caller asks for
+    it, and no reference to it is kept here after it is yielded.
     """
     rng1, rng2, rng3, rng4 = (np.random.default_rng(s) for s in seeds)
     half = n // 2
     eps = 10.0 ** rng3.uniform(-3.0, 0.3, size=n - half)
+
+    def block(lo, hi):
+        theta, omega = _sphere_cols(rng1, hi - lo), _sphere_cols(rng2, hi - lo)
+        cut = min(max(half, lo), hi) - lo   # columns from here take perturbed partners
+        theta_p = np.empty((hi - lo, 16))
+        rng4.standard_normal(out=theta_p[:cut])
+        rng3.standard_normal(out=theta_p[cut:])
+        theta_p = theta_p.T.copy()
+        theta_p[:, cut:] *= eps[lo + cut - half:hi - half]
+        theta_p[:, cut:] += theta[:, cut:]
+        return theta, omega, _unit_cols(theta_p)
+
     for lo in range(0, n, _PASS_ROWS):
-        hi = min(n, lo + _PASS_ROWS)
-        theta = _to_sphere(rng1.standard_normal((hi - lo, 16)))
-        omega = _to_sphere(rng2.standard_normal((hi - lo, 16)))
-        cut = min(max(half, lo), hi)   # rows from here take perturbed partners
-        theta_p = np.empty_like(theta)
-        rng4.standard_normal(out=theta_p[:cut - lo])
-        partners = rng3.standard_normal(out=theta_p[cut - lo:])
-        partners *= eps[cut - half:hi - half, None]
-        partners += theta[cut - lo:]
-        yield theta, omega, _to_sphere(theta_p)
+        yield block(lo, min(n, lo + _PASS_ROWS))
 
 
 def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
@@ -525,22 +537,24 @@ def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
     admissible, so np.max(..., initial=0.0) over them equals the maximum
     over all rows with 0 elsewhere.  The maxima fold with np.maximum from
     -inf, so each equals one np.max over all rows, NaN included, whatever
-    the block size.  The last block's arrays are freed on return.
+    the block size.  Each block's arrays are freed before the next block
+    is drawn.
     """
     size = dict.fromkeys(rep.r_grid, -np.inf)
     smooth = {lam: dict.fromkeys(rep.r_grid, -np.inf) for lam in rep.lams}
-    for theta, omega, theta_p in _cz_pairs(rep.n_samples, seeds):
+
+    def pass_block(theta, omega, theta_p):
         f_t, f_o, f_p = _forms(theta), _forms(omega), _forms(theta_p)
-        dot_to, dot_po = _row_dot(theta, omega), _row_dot(theta_p, omega)
+        dot_to, dot_po = _dot_cols(theta, omega), _dot_cols(theta_p, omega)
         phi_to, phi_po = _phi(f_t, f_o), _phi(f_p, f_o)
         psi1 = _psi_r(1.0, dot_to, phi_to)
         sqrt_psi1 = np.sqrt(psi1)
         d_to = np.maximum(psi1, 0.0) ** 0.25
         d_tt = np.maximum(_psi(f_t, f_p), 0.0) ** 0.25
         # the bracket-difference inequality and the admissible triples of (ii)
-        lhs47 = oct_norm(bracket(theta - theta_p, omega))
+        b = _bracket_cols(theta - theta_p, omega)
         rep.violations_difference += int(
-            np.count_nonzero(lhs47 > d_tt * (d_tt + 2.0 * d_to) + 1e-12))
+            np.count_nonzero(np.sqrt(_dot_cols(b, b)) > d_tt * (d_tt + 2.0 * d_to) + 1e-12))
         nz = (d_to >= 2.0 * d_tt) & (d_tt > 0)
         rep.n_admissible += int(np.count_nonzero(nz))
         dot_to_a, phi_to_a, dot_po_a, phi_po_a = dot_to[nz], phi_to[nz], dot_po[nz], phi_po[nz]
@@ -557,6 +571,10 @@ def _cz_pass(rep: CZReport, seeds: Sequence[int]) -> None:
                 num = np.abs(_szego_power(lam, psir_a) - _szego_power(lam, psir_pa)) * pow_to_a
                 smooth[lam][r] = np.maximum(
                     smooth[lam][r], np.max(num / (d_tt_a * (1.0 + abs(lam))), initial=0.0))
+
+    for block in _cz_pairs(rep.n_samples, seeds):
+        pass_block(*block)
+        del block
     rep.size_per_r = {r: float(v) for r, v in size.items()}
     rep.smooth_per_r = {lam: {r: float(v) for r, v in per.items()} for lam, per in smooth.items()}
 
@@ -599,22 +617,30 @@ def _pairwise_total(leaf_sums: np.ndarray, n: int) -> np.ndarray:
 
 def _hormander_blocks(m: int, seed: int):
     """The Hormander tail's sample om = sample_sphere(m, seed) and its forms,
-    yielded as (leaves, masks, dots, phis) per block of rows.
+    yielded as (leaves, masks, dots, phis) per block of points.
 
     A block is a run of whole leaves of numpy's pairwise sum over m
-    (_pairwise_leaves) of at most _PASS_ROWS rows, but at least one leaf;
+    (_pairwise_leaves) of at most _PASS_ROWS points, but at least one leaf;
     ``leaves`` are their lengths.  For the four points th at dyadic
     distances from e1, row k of masks is d(om, e1) > 2 d(th, e1), and rows
     k of dots and phis are <om, th> and Phi(om, th); row 4 of dots and phis
-    is e1's.  om is drawn in stream order, as geometry.ball_volume_est draws
-    its sample, so the stacked blocks equal the whole-array construction
-    bit for bit.  Each block is drawn when the caller asks for it."""
+    is e1's.  om is drawn in stream order as coordinate-major blocks, as
+    geometry.ball_volume_est draws its sample, so the stacked blocks equal
+    the whole-array construction bit for bit.  Each block is drawn when the
+    caller asks for it, and no reference to its sample is kept here."""
     shift = np.concatenate([np.zeros(8), np.ones(8) / math.sqrt(8.0)])
     ths = [E1 + 2.0 ** (-k) * shift for k in range(0, 4)]
-    points = [th[None, :] / np.linalg.norm(th) for th in ths] + [E1[None, :]]
+    points = [(th / np.linalg.norm(th))[:, None] for th in ths] + [E1[:, None]]
     f_points = [_forms(x) for x in points]
-    cuts = np.array([[2.0 * float(dist_to_e1(th)[0])] for th in points[:4]])
+    cuts = np.array([2.0 * _dist_to_e1_cols(th) for th in points[:4]])
     rng = np.random.default_rng(seed)
+
+    def block(rows):
+        om = _sphere_cols(rng, rows)
+        f_om = _forms(om)
+        return (_dist_to_e1_cols(om) > cuts, np.array([_dot_cols(om, x) for x in points]),
+                np.array([_phi(f_om, f_x) for f_x in f_points]))
+
     leaves = _pairwise_leaves(m)
     first = 0
     while first < len(leaves):
@@ -622,11 +648,7 @@ def _hormander_blocks(m: int, seed: int):
         while last < len(leaves) and rows + leaves[last] <= _PASS_ROWS:
             rows += leaves[last]
             last += 1
-        om = _to_sphere(rng.standard_normal((rows, 16)))
-        f_om = _forms(om)
-        yield (leaves[first:last], dist_to_e1(om) > cuts,
-               np.array([_row_dot(om, x) for x in points]),
-               np.array([_phi(f_om, f_x) for f_x in f_points]))
+        yield (leaves[first:last], *block(rows))
         first = last
 
 
@@ -641,7 +663,7 @@ def _hormander_tail(lams, rs, n: int, seed: int) -> dict:
     np.add.reduce (one 2-D reduce per run of equal leaves), and after the
     pass _pairwise_total adds the leaf sums in numpy's tree.  So every mean
     equals np.mean over the whole sample bit for bit, NaN included, for any
-    block size, and only one block's arrays are alive at a time."""
+    block size, and one block's arrays are freed before the next is drawn."""
     m = min(n, 100_000)
     sums = np.empty((len(lams), len(rs), 4, len(_pairwise_leaves(m))))
     hit = np.zeros(4, dtype=bool)
@@ -661,6 +683,7 @@ def _hormander_tail(lams, rs, n: int, seed: int) -> dict:
             run_vals = vals[..., lo:lo + count * size].reshape(sums.shape[:-1] + (count, size))
             sums[..., done:done + count] = np.add.reduce(run_vals, axis=-1)
             lo, done = lo + count * size, done + count
+        del masks, dots, phis, vals, run_vals
     means = _pairwise_total(sums, m) / m
     return {lam: {r: float(np.max(means[a, b, hit] / (1.0 + abs(lam)), initial=0.0))
                   for b, r in enumerate(rs)}
@@ -671,7 +694,7 @@ def _truncated_means(lams, rs, spec: QuadratureSpec) -> dict:
     """cz_suite's (iii), keyed {lam: {r: value}}, through the zonal rule.  The
     three delta masks are formed once and the kernel once per (lam, r); none
     of them outlives the call, so none is held beside the Hormander probes."""
-    U, V = zonal_grid(spec.n_gauss)[:2]
+    U, V = _zonal_nodes(spec.n_gauss)
     cuts = [_zonal_psi(1.0, U, V) <= dta ** 4 for dta in (0.2, 0.5, 1.0)]
 
     def best(lam, r):

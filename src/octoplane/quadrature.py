@@ -20,7 +20,9 @@ S15 = 2 pi^8 / 7! the area of S^15.  Geodesic balls of radius t are
 Euclidean balls of radius tanh(t).
 
 Sphere samples are one seeded Gaussian draw per call, its rows normalized
-in place (``_to_sphere``); every routine here runs on its caller's thread.
+in place (``_to_sphere``).  The streamed passes draw theirs block by block
+as coordinate-major (16, m) blocks of unit columns (``_sphere_cols``), with
+the same bits.  Every routine here runs on its caller's thread.
 
 The zonal rule uses tensor Gauss-Legendre panels on polar coordinates of
 the half disk, graded geometrically toward the corner (u,v) = (1,0) where
@@ -38,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .octonion import _row_dot
+from .octonion import _dot_cols, _row_dot
 
 __all__ = [
     "C_ZONAL",
@@ -85,6 +87,20 @@ def _to_sphere(x: np.ndarray) -> np.ndarray:
     the bits of x / np.linalg.norm(x, axis=1, keepdims=True)."""
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
+
+
+def _unit_cols(t: np.ndarray) -> np.ndarray:
+    """Each column of the (16, m) block t scaled in place to unit length, with
+    the bits of _to_sphere on the rows of t.T."""
+    t /= np.sqrt(_dot_cols(t, t))
+    return t
+
+
+def _sphere_cols(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m uniform points of the sphere as a (16, m) block: the next m rows of
+    rng's normals, transposed, with unit columns; the bits of
+    _to_sphere(rng.standard_normal((m, 16))).T."""
+    return _unit_cols(rng.standard_normal((m, 16)).T.copy())
 
 
 def spawn_seeds(seed: int, k: int) -> list[int]:
@@ -151,16 +167,21 @@ def zonal_grid(n_gauss: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in 1 - u.  Weight (1-R^2)^3 (R sin phi)^6 R >= 0 everywhere.  Each call
     returns fresh arrays from the rule shared per n_gauss (_zonal_rule).
     """
-    R, cos_phi, sin_phi, W = _zonal_rule(n_gauss)
-    return np.multiply.outer(R, cos_phi), np.multiply.outer(R, sin_phi), W.copy()
+    return (*_zonal_nodes(n_gauss), _zonal_rule(n_gauss)[3].copy())
+
+
+def _zonal_nodes(n_gauss: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh nodes (U, V) of zonal_grid(n_gauss), without its weights."""
+    R, cos_phi, sin_phi, _ = _zonal_rule(n_gauss)
+    return np.multiply.outer(R, cos_phi), np.multiply.outer(R, sin_phi)
 
 
 def zonal_integrate(g: Callable, spec: QuadratureSpec) -> complex:
     """Integral over the boundary sphere of the zonal function
     f(omega) = g(Re omega_1, |Im omega_1|), by the half-disk rule.  W is
     read from the shared rule, not copied: nothing here writes it."""
-    R, cos_phi, sin_phi, W = _zonal_rule(spec.n_gauss)
-    U, V = np.multiply.outer(R, cos_phi), np.multiply.outer(R, sin_phi)
+    U, V = _zonal_nodes(spec.n_gauss)
+    W = _zonal_rule(spec.n_gauss)[3]
     vals = np.asarray(g(U, V))
     bad = ~np.isfinite(vals)
     if bad.any():

@@ -27,8 +27,8 @@ from . import __version__
 from . import geometry as geo
 from . import poisson as po
 from .errors import NumericsError
-from .octonion import _PASS_ROWS, basis, oct_conj, oct_inv, oct_mul, oct_norm, oct_norm_sq
-from .quadrature import QuadratureSpec, _to_sphere, sample_sphere, spawn_seeds, zonal_integrate
+from .octonion import _PASS_ROWS, _dot_cols, basis, oct_conj, oct_inv, oct_mul, oct_norm
+from .quadrature import QuadratureSpec, _sphere_cols, sample_sphere, spawn_seeds, zonal_integrate
 from .report import CheckResult, VerificationReport
 from .special import (
     RHO,
@@ -236,12 +236,18 @@ def _suite_algebra(config: SuiteConfig, rec: _Recorder) -> None:
 
 def _random_ball_points(n: int, rng: np.random.Generator,
                         radius_rng: np.random.Generator) -> np.ndarray:
-    """n points of the unit ball, uniform for Lebesgue measure: directions
-    from n rows of rng's normals, radii from n of radius_rng's uniforms."""
-    x = _to_sphere(rng.standard_normal((n, 16)))
-    radii = radius_rng.uniform(0.0, 1.0, size=n) ** (1.0 / 16.0)
-    x *= radii[:, None]
+    """n points of the unit ball, uniform for Lebesgue measure, as a (16, n)
+    block: directions from n rows of rng's normals, radii from n of
+    radius_rng's uniforms."""
+    x = _sphere_cols(rng, n)
+    x *= radius_rng.uniform(0.0, 1.0, size=n) ** (1.0 / 16.0)
     return x
+
+
+def _norm_cols(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the columns of a block: oct_norm and
+    np.linalg.norm(axis=-1) of its rows, bit for bit."""
+    return np.sqrt(_dot_cols(a, a))
 
 
 # _geometry_form_checks' records in order: (id, anchor, tolerance or None for a count).
@@ -264,58 +270,63 @@ def _geometry_form_checks(rec: _Recorder) -> np.random.Generator:
     _PASS_ROWS rows.  Each sample set has a generator of its own, from
     _streams(rec.seed, 11) in this order: x's normals and radii, y's, r,
     z's normals and radii, the sphere sets om, th and th', and last the
-    rotation u.  Each block takes its rows of every set in stream order and
-    forms its invariants, brackets and distances once for every check.  The
-    running maxima fold with _fold_max, so each equals one _max over all
-    rows, NaN included, for any block size.  The records follow the pass, so
-    geo-phi-product-form carries the pass's wall time.  Returns u's
-    generator, which draws the Jordan points next."""
+    rotation u.  Each block takes its rows of every set in stream order as
+    coordinate-major (16, m) blocks and forms its invariants, brackets and
+    distances once for every check; its arrays are freed before the next
+    block is drawn.  The running maxima fold with _fold_max, so each equals
+    one _max over all rows, NaN included, for any block size.  The records
+    follow the pass, so geo-phi-product-form carries the pass's wall time.
+    Returns u's generator, which draws the Jordan points next."""
     n = min(rec.config.n_mc, 100_000)
     gx, gxr, gy, gyr, gr, gz, gzr, *sphere_rngs, gu = _streams(rec.seed, 11)
     u = gu.standard_normal(8)
-    act = geo.unit_rotation(u / np.linalg.norm(u))
+    u = (u / np.linalg.norm(u))[:, None]
     acc = {check_id: (0 if tol is None else -np.inf) for check_id, _, tol in _GEO_FORM_CHECKS}
-    n_phi = 0
     fold = functools.partial(_fold_max, acc)
 
     def count(check_id, violated):
         acc[check_id] += int(np.count_nonzero(violated))
 
-    for lo in range(0, n, _PASS_ROWS):
-        m = min(_PASS_ROWS, n - lo)
+    def check_block(lo: int, m: int) -> int:
+        """The checks on rows lo..lo+m-1; returns the rows of
+        geo-phi-product-form."""
         # x first: test_geometry_running_maxima_keep_nan_from_a_later_block counts on it
         xb, yb = _random_ball_points(m, gx, gxr), _random_ball_points(m, gy, gyr)
-        r = gr.uniform(0, 1, size=m)[:, None]
+        r = gr.uniform(0, 1, size=m)
         zb = _random_ball_points(m, gz, gzr)
-        om, th, thp = (_to_sphere(g.standard_normal((m, 16))) for g in sphere_rngs)
+        om, th, thp = (_sphere_cols(g, m) for g in sphere_rngs)
         fx, fy, fz, fth = geo._forms(xb), geo._forms(yb), geo._forms(zb), geo._forms(th)
 
         # one bracket [x, y] for the product form of Phi, the two forms of Psi and the bound
-        b = geo.bracket(xb, yb)
+        b = geo._bracket_cols(xb, yb)
         mask = fy.n2 > 1e-8
-        n_phi += int(mask.sum())
-        phi = geo._phi(fx, fy)[mask]
-        fold("geo-phi-product-form", np.abs(phi - oct_norm_sq(b[mask])) / np.maximum(phi, 1e-12))
+        phi, b_phi = geo._phi(fx, fy)[mask], b[:, mask]
+        fold("geo-phi-product-form",
+             np.abs(phi - _dot_cols(b_phi, b_phi)) / np.maximum(phi, 1e-12))
         psi = geo._psi(fx, fy)
         fold("geo-psi-two-forms", np.abs(psi - geo._abs_one_minus_sq(b)) / np.maximum(psi, 1e-12))
-        count("geo-bracket-bound",
-              oct_norm(b) > np.linalg.norm(xb, axis=1) * np.linalg.norm(yb, axis=1) + 1e-12)
+        count("geo-bracket-bound", _norm_cols(b) > _norm_cols(xb) * _norm_cols(yb) + 1e-12)
 
-        fold("geo-bracket-scaling", oct_norm(geo.bracket(r * geo.E1[None, :], om) - r * om[:, :8]))
-        fold("geo-bracket-diagonal", oct_norm(geo.bracket(th, th) - basis(0)[None, :]))
+        r_e1 = np.zeros((16, m))      # r e1: r * 0.0 is +0.0 for r >= 0
+        r_e1[0] = r
+        fold("geo-bracket-scaling", _norm_cols(geo._bracket_cols(r_e1, om) - r * om[:8]))
+        fold("geo-bracket-diagonal", _norm_cols(geo._bracket_cols(th, th) - basis(0)[:, None]))
         if lo < 10_000:
             first = fth.take(slice(10_000 - lo))
             fold("geo-metric-identity", geo._dist(first, first))
 
-        dxy = geo._dist(fx, fy)
+        dxy = geo._dist(fx, fy, psi)
         fold("geo-metric-symmetry", np.abs(dxy - geo._dist(fy, fx)))
         count("geo-triangle", geo._dist(fx, fz) > dxy + geo._dist(fy, fz) + 1e-12)
         dtt = geo._dist(fth, geo._forms(thp))
         dto = geo._dist(fth, geo._forms(om))
         count("geo-difference-ineq",
-              oct_norm(geo.bracket(th - thp, om)) > dtt * (dtt + 2.0 * dto) + 1e-12)
-        fold("geo-invariance", np.abs(geo._dist(geo._forms(act(xb)), geo._forms(act(yb))) - dxy))
+              _norm_cols(geo._bracket_cols(th - thp, om)) > dtt * (dtt + 2.0 * dto) + 1e-12)
+        fx_u, fy_u = geo._forms(geo._rotate_cols(u, xb)), geo._forms(geo._rotate_cols(u, yb))
+        fold("geo-invariance", np.abs(geo._dist(fx_u, fy_u) - dxy))
+        return int(mask.sum())
 
+    n_phi = sum(check_block(lo, min(_PASS_ROWS, n - lo)) for lo in range(0, n, _PASS_ROWS))
     sizes = {"geo-phi-product-form": n_phi, "geo-metric-identity": min(n, 10_000)}
     for check_id, anchor, tol in _GEO_FORM_CHECKS:
         if tol is None:
@@ -352,7 +363,7 @@ def _jordan_checks(rec: _Recorder, pts: np.ndarray) -> None:
 
 def _suite_geometry(config: SuiteConfig, rec: _Recorder) -> None:
     rng = _geometry_form_checks(rec)
-    _jordan_checks(rec, _random_ball_points(16, rng, rng))
+    _jordan_checks(rec, _random_ball_points(16, rng, rng).T)
 
     F21 = geo.JordanMatrix.corner_unit()
     yb = geo.boundary_embed(basis(0), np.zeros(8))

@@ -91,6 +91,17 @@ def reference_phi(x, y):
     return oct_norm_sq(x1) * oct_norm_sq(y1) + oct_norm_sq(x2) * oct_norm_sq(y2) + 2.0 * cross
 
 
+def cols(x):
+    """Row-major points or octonions as one coordinate-major block."""
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+
+
+def col_forms(x):
+    """geometry._forms of row-major points, one block of all their rows."""
+    return geometry._forms(cols(x))
+
+
 class TestFormInvariants:
     """The private helpers on invariants formed once equal the public forms
     on raw points bit for bit."""
@@ -105,25 +116,27 @@ class TestFormInvariants:
 
     def test_pairwise(self):
         x, y = self.point_sets()
-        fx, fy = geometry._forms(x), geometry._forms(y)
+        fx, fy = col_forms(x), col_forms(y)
         assert np.array_equal(phi_form(x, y), reference_phi(x, y))
         assert np.array_equal(geometry._phi(fx, fy), phi_form(x, y))
         assert np.array_equal(geometry._psi(fx, fy), psi_form(x, y))
         assert np.array_equal(geometry._dist(fx, fy), ni_dist(x, y))
+        assert np.array_equal(geometry._dist(fx, fy, geometry._psi(fx, fy)), ni_dist(x, y))
         assert np.all(geometry._dist(fx, fy)[50:60] == 0.0)
 
     def test_swapped_arguments(self):
         x, y = self.point_sets()
-        fx, fy = geometry._forms(x), geometry._forms(y)
+        fx, fy = col_forms(x), col_forms(y)
         assert np.array_equal(geometry._phi(fy, fx), phi_form(x, y))
         assert np.array_equal(geometry._psi(fy, fx), psi_form(y, x))
         assert np.array_equal(geometry._dist(fy, fx), ni_dist(x, y))
 
     def test_single_point_against_many(self):
         x, _ = self.point_sets()
-        fx = geometry._forms(x)
+        fx = col_forms(x)
         for p in (E1, E2, x[7], E1[None, :]):
-            fp = geometry._forms(p)
+            fp = col_forms(p)
+            assert fp.x.shape == (16, 1)
             assert np.array_equal(geometry._phi(fx, fp), reference_phi(x, p))
             assert np.array_equal(geometry._phi(fp, fx), phi_form(p, x))
             assert np.array_equal(geometry._psi(fx, fp), psi_form(x, p))
@@ -131,10 +144,10 @@ class TestFormInvariants:
 
     def test_masked_subsets(self):
         x, y = self.point_sets()
-        fx, fy = geometry._forms(x), geometry._forms(y)
+        fx, fy = col_forms(x), col_forms(y)
         mask = fy.n2 > 1e-8
         fxm, fym = fx.take(mask), fy.take(mask)
-        assert np.array_equal(fxm.x, x[mask])
+        assert np.array_equal(fxm.x, cols(x[mask]))
         assert np.array_equal(geometry._phi(fxm, fym), phi_form(x[mask], y[mask]))
         assert np.array_equal(geometry._phi(fx, fy)[mask], phi_form(x[mask], y[mask]))
         head = fx.take(slice(1_000))
@@ -144,7 +157,7 @@ class TestFormInvariants:
     def test_bracket_form_of_psi(self):
         x, y = self.point_sets()
         b = bracket(x, y)
-        assert np.array_equal(geometry._abs_one_minus_sq(b), oct_norm_sq(basis(0) - b))
+        assert np.array_equal(geometry._abs_one_minus_sq(cols(b)), oct_norm_sq(basis(0) - b))
 
 
 def closed_ball_points():
@@ -222,6 +235,57 @@ class TestBracket:
         assert np.max(lhs - rhs) < 1e-12
 
 
+class TestColumnCores:
+    """The public bracket, phi_form, psi_form and ni_dist loop over blocks of
+    rows and call the column cores; they equal the cores on one block of all
+    the broadcast rows bit for bit."""
+
+    @staticmethod
+    def core_values(x, y):
+        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = xb.shape[:-1]
+        fx, fy = col_forms(xb), col_forms(yb)
+        return {bracket: geometry._bracket_cols(cols(xb), cols(yb)).T.reshape(shape + (8,)),
+                phi_form: geometry._phi(fx, fy).reshape(shape),
+                psi_form: geometry._psi(fx, fy).reshape(shape),
+                ni_dist: geometry._dist(fx, fy).reshape(shape)}
+
+    @pytest.mark.parametrize("n", [1, _PASS_ROWS - 1, _PASS_ROWS, _PASS_ROWS + 1,
+                                   2 * _PASS_ROWS + 1])
+    def test_public_equals_core(self, n):
+        x, y = ball_points(n, 50), sample_sphere(n, 51)
+        y[::5, 8:] = 0.0      # degenerate bracket rows
+        y[1::7] = x[1::7]     # coincident points
+        p, q = ball_points(1, 52)[0], sample_sphere(3, 53)[:, None, :]
+        for a, b in ((x, y), (y, x), (p, y), (x, p), (p[None, :], y), (p, p),
+                     (q, x[None, :min(n, 100)]), (x[None, :min(n, 100)], q)):
+            for fn, want in self.core_values(a, b).items():
+                got = fn(a, b)
+                assert bitwise_equal(np.asarray(got), want), (fn.__name__, np.shape(a))
+
+    def test_single_rows_give_scalars(self):
+        p, q = ball_points(2, 54)
+        for fn in (phi_form, psi_form, ni_dist, lambda a, b: dist_to_e1(a)):
+            assert np.ndim(fn(p, q)) == 0 and np.shape(fn(p[None], q)) == (1,)
+        assert bracket(p, q).shape == (8,)
+
+    def test_form_pass_makes_28_column_products_per_block(self, monkeypatch):
+        # per block: 8 forms, 4 brackets of 4 products each, and the rotation
+        # of x and y; no y2 of a drawn ball point is exactly 0
+        calls = []
+
+        def counted(a_t, b_t):
+            calls.append(max(a_t.shape[1], b_t.shape[1]))
+            return mul_cols(a_t, b_t)
+
+        mul_cols = geometry._mul_cols
+        monkeypatch.setattr(geometry, "_mul_cols", counted)
+        n = 2 * _PASS_ROWS + 5
+        _form_checks(n)
+        assert len(calls) == 3 * 28
+        assert sorted(set(calls)) == [5, _PASS_ROWS]
+
+
 def reference_bracket(x, y):
     """The bracket as four full-size oct_mul products, with the y2 = 0 rows
     overwritten (the formula before the one-pass block kernel)."""
@@ -254,9 +318,9 @@ def assert_blocked_equals_reference(x, y):
     assert got.flags.c_contiguous
     assert bitwise_equal(got, reference_bracket(x, y))
     for p in (x, y):
-        fp = geometry._forms(p)
-        for a, b in zip(fp[1:], reference_forms(p)):
-            assert bitwise_equal(np.asarray(a), np.asarray(b))
+        n1, n2, prod = reference_forms(p)
+        for a, b in zip(col_forms(p)[1:], (np.reshape(n1, -1), np.reshape(n2, -1), cols(prod))):
+            assert bitwise_equal(a, b)
 
 
 # Row counts at the edges of the row blocks: those of _PASS_ROWS, and those of
@@ -316,19 +380,23 @@ class TestBlockedKernels:
             x, y = wide_points((block + 3, 16), 15), wide_points((block + 3, 16), 16)
             xf, yf = np.asfortranarray(x), np.asfortranarray(y)
             assert bitwise_equal(bracket(xf, yf), bracket(x, y))
-            for a, b in zip(geometry._forms(xf)[1:], geometry._forms(x)[1:]):
+            # a strided block (x.T of a C-ordered x) forms as its contiguous copy
+            for a, b in zip(geometry._forms(x.T)[1:], col_forms(x)[1:]):
                 assert bitwise_equal(a, b)
 
     @pytest.mark.parametrize("width", [8, 15, 17, 32])
     def test_shape_errors_name_o2(self, width):
         bad, good = np.ones((5, width)), np.ones((5, 16))
         for call in (lambda: bracket(bad, good), lambda: bracket(good, bad),
-                     lambda: geometry._forms(bad), lambda: phi_form(bad, good),
+                     lambda: phi_form(bad, good), lambda: unit_rotation(basis(0))(bad),
                      lambda: psi_form(good, bad), lambda: ni_dist(bad, good),
                      lambda: dist_to_e1(bad)):
             with pytest.raises(ValueError, match=rf"points of O\^2 need last axis 16, "
                                                  rf"got shape \(5, {width}\)"):
                 call()
+        with pytest.raises(ValueError, match=rf"points of O\^2 need 16 coordinates per "
+                                             rf"column, got a block of shape \({width}, 5\)"):
+            geometry._forms(bad.T)
 
 
 class TestMetric:
@@ -429,6 +497,24 @@ class TestJordan:
         monkeypatch.setattr(geometry, "oct_mul", counted)
         interior[0].mat_mul(interior[1])
         assert len(calls) <= 4
+
+    def test_jordan_product_is_one_oct_mul(self, monkeypatch):
+        # AB and BA from one oct_mul over the stacked entry pairs, with the
+        # bits of two mat_mul calls
+        mats = [jordan_embed(p) for p in ball_points(8, 34, rmax=0.9)]
+        mats += [boundary_embed(w[:8], w[8:]) for w in sample_sphere(2, 35)]
+        pairs = list(zip(mats[:5], mats[5:]))
+        want = []
+        for A, B in pairs:
+            (abp, abq), (bap, baq) = entry_loop_mat_mul(A, B), entry_loop_mat_mul(B, A)
+            want.append((0.5 * (abp + bap), 0.5 * (abq + baq)))
+        calls = []
+        monkeypatch.setattr(geometry, "oct_mul", lambda a, b: calls.append(1) or oct_mul(a, b))
+        for (A, B), (p, q) in zip(pairs, want):
+            calls.clear()
+            AB = jordan_product(A, B)
+            assert len(calls) == 1
+            assert bitwise_equal(AB.plain, p) and bitwise_equal(AB.imag, q)
 
     def test_hermitian_defect_equals_entry_loop(self):
         mats = [jordan_embed(p) for p in ball_points(10, 32, rmax=0.99)]
@@ -691,7 +777,7 @@ def test_geometry_running_maxima_keep_nan_from_a_later_block(monkeypatch):
         if len(calls) % 3 == 0:
             lo = sum(calls[0::3])
             if lo <= 30 < lo + n:
-                pts[30 - lo] = np.nan
+                pts[:, 30 - lo] = np.nan
         calls.append(n)
         return pts
 

@@ -22,8 +22,8 @@ from octoplane import suites
 from octoplane.octonion import (
     _PASS_ROWS,
     _TERM_ROWS,
+    _dot_cols,
     _mul_cols,
-    _norm_sq_cols,
     _row_dot,
     FANO_TRIPLES,
     MUL_INDEX,
@@ -223,12 +223,12 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 1024])
     def test_column_norm_tree_is_np_sum_order(self, m):
-        """_norm_sq_cols sums by the pairwise tree that np.sum takes over a
+        """_dot_cols(a, a) sums by the pairwise tree that np.sum takes over a
         contiguous last axis of 8; a numpy that changes that order fails here."""
         rng = np.random.default_rng(m)
         a_t = rng.standard_normal((8, m)) * 10.0 ** rng.uniform(-30, 30, (8, m))
         want = oct_norm_sq(np.ascontiguousarray(a_t.T))
-        assert np.array_equal(_norm_sq_cols(a_t).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(_dot_cols(a_t, a_t).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("m", [1, 1_024, _PASS_ROWS])
     def test_column_product_owns_its_memory(self, m):
@@ -238,6 +238,14 @@ class TestSparseKernel:
         got = _mul_cols(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
         assert got.base is None and got.shape == (8, m)
         assert np.array_equal(got.T.view(np.uint64), dense_mul(a, b).view(np.uint64))
+
+    @pytest.mark.parametrize("m", [1, 7, 1_024])
+    def test_column_product_broadcasts_one_column(self, m):
+        """An (8, 1) operand on either side equals its m-fold copy."""
+        a, u = wide_rand((8, m), 19), wide_rand((8, 1), 20)
+        for got, want in ((_mul_cols(u, a), _mul_cols(np.repeat(u, m, axis=1), a)),
+                          (_mul_cols(a, u), _mul_cols(a, np.repeat(u, m, axis=1)))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_no_dense_contraction(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -278,6 +286,63 @@ class TestRowDot:
             x = wide_rand((n, 32), 27)
             self.assert_bitwise_sum(x[:, :16], x[:, 16:])
             self.assert_bitwise_sum(x[::2, :8], x[1::2, 8:16])
+
+
+# coordinates whose products include +-0.0, +-inf, NaN, overflow and underflow
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 3.5, -2.25, np.inf, -np.inf, np.nan,
+                    1e300, -1e300, 1e-300, -1e-200])
+
+
+def special_rows(shape, seed):
+    """Rows drawn from SPECIAL; every third row is wide and finite, and of
+    the others one in two has no infinity or NaN and one in four is +-0.0."""
+    rng = np.random.default_rng(seed)
+    rows = SPECIAL[rng.integers(0, len(SPECIAL), shape)]
+    rows[1::3] = SPECIAL[rng.integers(0, 6, rows[1::3].shape)]
+    rows[1::6] = SPECIAL[rng.integers(0, 2, rows[1::6].shape)]
+    rows[::3] = wide_rand(rows[::3].shape, seed + 1)
+    return rows
+
+
+def same_bits_or_both_nan(got, want):
+    """Equal bits, but any NaN only against a NaN: numpy does not fix which
+    of two NaN operands' sign and payload an addition passes on (one np.add
+    over two NaN arrays passes on either, depending on the position)."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+            and np.array_equal(got[~both_nan].view(np.uint64), want[~both_nan].view(np.uint64)))
+
+
+class TestDotCols:
+    """_dot_cols on (8, m) and (16, m) blocks equals np.sum(a * b, axis=-1) on
+    the row-major points bit for bit."""
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("m", [1, 7, 8, 1_024, _PASS_ROWS + 3])
+    def test_special_values(self, width, m):
+        a, b = special_rows((m, width), 31), special_rows((m, width), 33)
+        with np.errstate(all="ignore"):
+            want = np.sum(a * b, axis=-1)
+            got = _dot_cols(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+        assert same_bits_or_both_nan(got, want)
+        if m >= 1_024:
+            assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_negative_zero_terms_sum_to_positive_zero(self, width):
+        # without the final += 0.0 a row of -0.0 products would keep its sign
+        a = np.where(np.arange(width) % 2 == 0, -0.0, 0.0)[:, None] * np.ones((1, 5))
+        b = np.where(np.arange(width) % 2 == 0, 1.0, -1.0)[:, None] * np.ones((1, 5))
+        got = _dot_cols(a, b)
+        assert np.array_equal(got.view(np.uint64), np.sum(a.T * b.T, axis=-1).view(np.uint64))
+        assert not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_wide_values_and_one_broadcast_column(self, width):
+        a, u = wide_rand((2_053, width), 35), wide_rand((1, width), 36)
+        want = np.sum(a * u, axis=-1)
+        for got in (_dot_cols(np.ascontiguousarray(a.T), u.T), _dot_cols(u.T, a.T.copy())):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def octonion_pairs():

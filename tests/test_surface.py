@@ -40,7 +40,7 @@ REMOVED = ("Octonion", "OctPair", "SpherePoint", "slot1", "slot2", "plam_one",
            "_quaternion_products", "_cayley_dickson_structure", "_oriented_fano_triples",
            "_f21_series", "_NORM_BLOCK", "_Fill", "_fill_normal", "_cz_samples", "E2",
            "BoundaryZonal", "_radius_aligned", "eta_j", "weight_omega", "psi_from_bracket",
-           "_CZ_ROWS", "_positioned_copies", "_BLOCK")
+           "_CZ_ROWS", "_positioned_copies", "_BLOCK", "_norm_sq_cols")
 
 
 @pytest.mark.parametrize("name", MODULES)

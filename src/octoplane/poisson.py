@@ -187,11 +187,11 @@ class EigenProfile:
     (1-r^2)^{-rho/2} Phi(r) stays finite arbitrarily close to the boundary.
 
     For (l, m) = (0, 0) this is P_lam 1 itself and evaluation at ball points
-    is supported: one spherical_fn call on the distinct radii (sorted, NaN
-    collapsed to one, as np.unique makes them), read back through
-    np.searchsorted.  |x|^2 comes
-    from the row-blocked octonion._row_dot, so a large point set needs no
-    temporary of its own size.
+    is supported: one spherical_fn call on the distinct radii of _distinct,
+    read back through its inverse map.  |x|^2 comes from the row-blocked
+    octonion._row_dot, so a large point set needs no temporary of its own
+    size.  The Monte Carlo g_t route evaluates the profile on r times the
+    distinct norms of its sphere sample (_at_radii) without forming r theta.
     """
 
     def __init__(self, lam, l: int = 0, m: int = 0):
@@ -201,19 +201,28 @@ class EigenProfile:
         self.m = int(m)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return self._at_radii(1.0, *_distinct(np.sqrt(_row_dot(pts, pts))))
+
+    def _at_radii(self, r: float, distinct: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+        """Phi(r rho) for rho = distinct[inverse], one spherical_fn call on r * distinct."""
         if (self.l, self.m) != (0, 0):
             raise ValueError(
                 "pointwise evaluation needs the explicit boundary harmonic; "
                 "only (l, m) = (0, 0) is supported"
             )
-        pts = np.asarray(pts, dtype=float)
-        radii = np.sqrt(_row_dot(pts, pts))
-        distinct = np.sort(radii, axis=None)
-        keep = np.ones(distinct.shape, dtype=bool)
-        np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
-        keep[np.searchsorted(distinct, np.nan) + 1:] = False     # NaN sorts last
-        distinct = distinct[keep]
-        return spherical_fn(self.lam, self.l, self.m, distinct)[np.searchsorted(distinct, radii)]
+        return spherical_fn(self.lam, self.l, self.m, r * distinct)[inverse]
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, sorted with NaN collapsed to one (as np.unique
+    makes them), and the inverse map: each value's index among them."""
+    distinct = np.sort(values, axis=None)
+    keep = np.ones(distinct.shape, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+    keep[np.searchsorted(distinct, np.nan) + 1:] = False     # NaN sorts last
+    distinct = distinct[keep]
+    return distinct, np.searchsorted(distinct, values)
 
 
 # --------------------------------------------------------------------------
@@ -393,15 +402,18 @@ def _mc_recover_gt(lam, F, ts: Sequence[float], spec: QuadratureSpec,
     once on it, and <theta, omega_j> and Phi(theta, omega_j) once per
     point.  Each radial node evaluates F once on r theta, and each point's
     kernel P_{-lam}(r theta, omega_j) is assembled elementwise from the
-    invariants.
+    invariants.  An EigenProfile is radial: the distinct norms |theta| are
+    found once, and each node evaluates the profile on r times them (a few
+    lanes), so no r theta is formed.
     """
     c2 = abs(hc_c_function(lam)) ** 2
     pts = _sphere_sample(spec)
     n2 = _row_dot(pts, pts)
     forms = [(_row_dot(pts, omega), phi_form(pts, omega)) for omega in omegas]
+    norms = _distinct(np.sqrt(n2)) if isinstance(F, EigenProfile) else None
 
     def mean_at(r):
-        vals = np.asarray(F(r * pts))
+        vals = np.asarray(F(r * pts)) if norms is None else F._at_radii(r, *norms)
         omr2 = 1.0 - (r * r) * n2
         return [np.mean(_poisson_power(-lam, omr2, _psi_r(r, dot, phi)) * vals)
                 for dot, phi in forms]

@@ -584,7 +584,7 @@ def _suite_poisson(config: SuiteConfig, rec: _Recorder) -> None:
     vb = (2.0 * po.poisson_transform(lam0, f1, xpt, spec_lin)
           + 3.0 * po.poisson_transform(lam0, f2, xpt, spec_lin))
     rec.tol("po-transform-linearity", "P_lambda(2f + 3g) = 2 P_lambda f + 3 P_lambda g",
-            abs(va - vb) / abs(va), 1e-10, spec_lin.n_mc)
+            abs(va - vb) / abs(va), 1e-10, spec_lin.n_mc, spec_lin.seed)
 
     r_grid = [0.0] + [1 - 2.0 ** (-k) for k in range(1, 10)]
 
@@ -734,7 +734,7 @@ def _suite_invert(config: SuiteConfig, rec: _Recorder) -> None:
     rec.measured("inv-omega-mc-noise",
                  "antipodal-omega gap of the Monte Carlo g_t route "
                  "(sampling noise, not a property violation)",
-                 spec_small.n_mc, gap=abs(g_a - g_b) / max(abs(g_a), 1e-12))
+                 spec_small.n_mc, spec_small.seed, gap=abs(g_a - g_b) / max(abs(g_a), 1e-12))
 
     drifts = {}
     for lam in config.lambdas:

@@ -702,6 +702,75 @@ class TestInversion:
         assert len(radii) == len(nodes)
         assert np.allclose(radii, nodes, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_radial_route_matches_per_point_route(self, lam):
+        # the radial route reads the profile at r |theta| where the per-point
+        # route reads it at |r theta|, which moves only rounding
+        spec = QuadratureSpec(n_mc=4000, n_gauss=200, seed=3)
+        prof = EigenProfile(lam)
+        ts = (0.5, 1.0, 2.0)
+        omegas = np.stack([E1, -E1, _generic_omega()])
+        got = poisson._mc_recover_gt(lam, prof, ts, spec, omegas)
+        want = poisson._mc_recover_gt(lam, lambda x: prof(x), ts, spec, omegas)
+        for g_row, w_row in zip(got, want, strict=True):
+            for g, w in zip(g_row, w_row, strict=True):
+                assert abs(g - w) <= 1e-13 * abs(w)
+
+    def test_radial_route_evaluates_distinct_radii_once_per_node(self, monkeypatch):
+        n = 5000                        # above the row block, so no block is the whole sample
+        spec = QuadratureSpec(n_mc=n, n_gauss=200, seed=6)
+        pts = sample_sphere(n, spec.seed)
+        n_distinct = len(np.unique(np.sqrt(octonion._row_dot(pts, pts))))
+        shapes = []
+
+        class Watched(np.ndarray):
+            # records the shape of every ufunc result formed from the sample
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                args = (np.asarray(x) if isinstance(x, Watched) else x for x in inputs)
+                out = getattr(ufunc, method)(*args, **kwargs)
+                shapes.append(np.shape(out))
+                return out
+
+        monkeypatch.setattr(poisson, "_sphere_sample", lambda spec: pts.view(Watched))
+        ts, omegas = (0.5, 1.0), np.stack([E1, -E1])
+        prof = EigenProfile(1.0)
+        poisson._mc_recover_gt(1.0, lambda x: prof(x), ts, spec, omegas)
+        assert (n, 16) in shapes        # the per-point route scales the whole sample
+
+        lanes = []
+
+        def counted(lam, l, m, r):
+            lanes.append(np.shape(r))
+            return spherical_fn(lam, l, m, r)
+
+        def never(self, pts):
+            raise AssertionError("EigenProfile.__call__ called")
+
+        monkeypatch.setattr(poisson, "spherical_fn", counted)
+        monkeypatch.setattr(EigenProfile, "__call__", never)
+        shapes.clear()
+        poisson._mc_recover_gt(1.0, prof, ts, spec, omegas)
+        assert (n, 16) not in shapes
+        nodes = sum(len(quadrature._radial_rule(t)[0]) for t in ts)
+        assert len(lanes) == nodes
+        assert all(len(shape) == 1 and 1 <= shape[0] <= n_distinct for shape in lanes)
+
+    def test_radial_route_keeps_the_profile_errors(self):
+        spec = QuadratureSpec(n_mc=2000, n_gauss=200, seed=0)
+        prof = EigenProfile(1.0, 2, 0)
+        messages = []
+        for F in (prof, lambda x: prof(x)):
+            with pytest.raises(ValueError, match=r"only \(l, m\) = \(0, 0\)") as err:
+                poisson._mc_recover_gt(1.0, F, [1.0], spec, E1[None])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        # a node below 1 times a norm above 1 can round to radius 1, which
+        # spherical_fn refuses
+        r, norm = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        assert r * norm == 1.0
+        with pytest.raises(ValueError, match="radius must satisfy"):
+            EigenProfile(1.0)._at_radii(r, np.array([norm]), np.array([0]))
+
     @pytest.mark.xfail(
         strict=True,
         reason="successive differences of g_t are phase-modulated by the oscillating "
@@ -748,7 +817,9 @@ _INVERT_GOLDEN = {
                                      "ratio_00": "0x1.0000000000000p+0",
                                      "ratio_20": "0x1.f69bbf31666fap-1",
                                      "ratio_22": "0x1.fa6574ab1af9bp-1"}),
-    "inv-omega-mc-noise": ("measured", {"gap": "0x1.53c8440c94d9dp-5"}),
+    # re-pinned when the Monte Carlo route read the profile at r |theta| in
+    # place of |r theta|: the gap moved by 9.9e-15 relative (rounding)
+    "inv-omega-mc-noise": ("measured", {"gap": "0x1.53c8440c94dd8p-5"}),
     "inv-mean-square-drift": ("measured", {"drift_0.5": "0x1.cd484ebdac3b0p-3",
                                            "drift_1.0": "0x1.50119c9a997b0p-2",
                                            "drift_2.0": "0x1.9b3377a416840p-5"}),
@@ -762,6 +833,26 @@ def test_invert_suite_bitwise_golden_values():
         status, values = _INVERT_GOLDEN[c.check_id]
         assert c.status == status, c.check_id
         assert {k: float(v).hex() for k, v in c.measured.items()} == values, c.check_id
+
+
+def test_mc_noise_record_reproduces_from_its_seed():
+    # the record names the seed it sampled with (not the suite's), so a
+    # rerun from the record alone gives its gap bit for bit
+    config = SuiteConfig(suite="invert", seed=0)
+    rec = {c.check_id: c for c in run_suite(config).checks}["inv-omega-mc-noise"]
+    assert rec.seed == _check_seed(config, "inv-omega") != _check_seed(config, "invert")
+    lam = config.lambdas[0]
+    spec = QuadratureSpec(n_mc=rec.n_samples, n_gauss=config.n_gauss, seed=rec.seed)
+    (g_a,), (g_b,) = poisson._mc_recover_gt(lam, EigenProfile(lam), [1.0], spec,
+                                           np.stack([E1, -E1]))
+    assert (abs(g_a - g_b) / max(abs(g_a), 1e-12)).hex() == rec.measured["gap"].hex()
+
+
+def test_linearity_record_names_its_sample_seed():
+    config = SuiteConfig(suite="poisson", seed=3)
+    rec = {c.check_id: c for c in run_suite(config).checks}["po-transform-linearity"]
+    assert rec.seed == _check_seed(config, "po-linearity") != _check_seed(config, "poisson")
+    assert rec.n_samples == min(config.n_mc, 50_000)
 
 
 class TestOperatorNorm:

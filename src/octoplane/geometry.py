@@ -25,7 +25,7 @@ and the cz suite) draw each sample set row by row, transpose it once and
 normalize its columns, so every later form reads the block as drawn.
 
 The public functions take row-major ``(..., 16)`` points and go through
-the same cores (``_rowwise``): one pass over blocks of
+the same cores, driven by ``octonion._rowwise``: one pass over blocks of
 ``octonion._PASS_ROWS`` (2,048) rows, each transposed once, so their
 scratch memory is bounded by the block, not by the input, and a single
 point stays one broadcast column.  Their values equal those of
@@ -36,14 +36,13 @@ rows at a time, so its temporaries are bounded by the block.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .octonion import (_PASS_ROWS, _dot_cols, _mul_cols, _row_blocks, basis, oct_conj,
-                       oct_mul, oct_norm, oct_norm_sq)
+from .octonion import (_PASS_ROWS, _dot_cols, _mul_cols, _rowwise, basis, oct_conj, oct_mul,
+                       oct_norm, oct_norm_sq)
 from .quadrature import C_ZONAL, _sphere_cols, gauss_panels
 
 __all__ = [
@@ -92,11 +91,12 @@ class _Forms(NamedTuple):
         return _Forms(*(a[..., idx] for a in self))
 
 
-def _as_points(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (16,):
-        raise ValueError(f"points of O^2 need last axis 16, got shape {x.shape}")
-    return x
+def _as_points(*points) -> list[np.ndarray]:
+    out = [np.asarray(x, dtype=float) for x in points]
+    for x in out:
+        if x.shape[-1:] != (16,):
+            raise ValueError(f"points of O^2 need last axis 16, got shape {x.shape}")
+    return out
 
 
 def _forms(x: np.ndarray) -> _Forms:
@@ -178,31 +178,6 @@ def _rotate_cols(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([_mul_cols(u, x[:8]), _mul_cols(x[8:], u)])
 
 
-def _col_blocks(x: np.ndarray, shape: tuple[int, ...]):
-    """x's blocks of rows broadcast to shape (octonion._row_blocks), each
-    transposed once to a (16, m) block; a single point is one (16, 1)
-    column, repeated for every block."""
-    if x.size == 16:
-        return itertools.repeat(x.reshape(16, 1))
-    return (np.ascontiguousarray(blk.T) for blk in _row_blocks(x, shape))
-
-
-def _rowwise(core: Callable, width: tuple[int, ...], *points) -> np.ndarray:
-    """core on the rows of the points (arrays of shape (..., 16)) broadcast
-    together, one (16, m) block of each per block of _PASS_ROWS rows; its
-    (m,) or (*width, m) results are laid out row-major, shape
-    (*broadcast shape, *width).  A single row gives a numpy scalar or an
-    array of shape width."""
-    points = [_as_points(p) for p in points]
-    shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
-    out = np.empty(shape + width)
-    rows = out.reshape((-1,) + width)
-    blocks = [_col_blocks(p, shape) for p in points]
-    for r0 in range(0, len(rows), _PASS_ROWS):
-        rows[r0:r0 + _PASS_ROWS] = core(*(next(b) for b in blocks)).T
-    return out if out.ndim else out[()]
-
-
 def phi_form(x, y) -> np.ndarray:
     """Phi(x,y) = sum_j |x_j|^2 |y_j|^2 + 2 Re((x1 x2) conj(y1 y2)).
 
@@ -211,7 +186,7 @@ def phi_form(x, y) -> np.ndarray:
     Callers that pair one point set with several others form its invariants
     once with ``_forms`` and call ``_phi``.
     """
-    return _rowwise(lambda xt, yt: _phi(_forms(xt), _forms(yt)), (), x, y)
+    return _rowwise(lambda xt, yt: _phi(_forms(xt), _forms(yt)), (), *_as_points(x, y))
 
 
 def bracket(x, y) -> np.ndarray:
@@ -224,7 +199,7 @@ def bracket(x, y) -> np.ndarray:
     blocks of rows (``_bracket_cols``), so the scratch memory is bounded by
     the block, not the input.
     """
-    return _rowwise(_bracket_cols, (8,), x, y)
+    return _rowwise(_bracket_cols, (8,), *_as_points(x, y))
 
 
 def _zonal_psi(r, u, v):
@@ -236,7 +211,7 @@ def _zonal_psi(r, u, v):
 def psi_form(x, y) -> np.ndarray:
     """Psi(x,y) = 1 - 2<x,y>_R + Phi(x,y); strictly positive when one
     argument is in the open ball and the other in the closed ball."""
-    return _rowwise(lambda xt, yt: _psi(_forms(xt), _forms(yt)), (), x, y)
+    return _rowwise(lambda xt, yt: _psi(_forms(xt), _forms(yt)), (), *_as_points(x, y))
 
 
 def ni_dist(a, b) -> np.ndarray:
@@ -249,12 +224,12 @@ def ni_dist(a, b) -> np.ndarray:
     arguments (eps^{1/4} is 1e-4), so identical inputs short-circuit to
     exact zero and the result is clipped at zero against sub-ulp negatives.
     """
-    return _rowwise(lambda at, bt: _dist(_forms(at), _forms(bt)), (), a, b)
+    return _rowwise(lambda at, bt: _dist(_forms(at), _forms(bt)), (), *_as_points(a, b))
 
 
 def dist_to_e1(theta) -> np.ndarray:
     """d(theta, (1,0)) = |1 - conj(theta_1)|^{1/2}, cheap special case."""
-    return _rowwise(_dist_to_e1_cols, (), theta)
+    return _rowwise(_dist_to_e1_cols, (), *_as_points(theta))
 
 
 def unit_rotation(u) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,12 +241,12 @@ def unit_rotation(u) -> Callable[[np.ndarray], np.ndarray]:
     """
     u = np.asarray(u, dtype=float)
     n = oct_norm(u)
-    if abs(n - 1.0) > 1e-12:
+    if not abs(n - 1.0) <= 1e-12:
         raise ValueError("rotation parameter must be a unit octonion")
     u = u.reshape(8, 1)
 
     def act(x: np.ndarray) -> np.ndarray:
-        return _rowwise(lambda xt: _rotate_cols(u, xt), (16,), x)
+        return _rowwise(lambda xt: _rotate_cols(u, xt), (16,), *_as_points(x))
 
     return act
 
@@ -366,7 +341,7 @@ def jordan_embed(x) -> JordanMatrix:
     if x.shape != (16,):
         raise ValueError(f"expected one point of O^2, got shape {x.shape}")
     n2 = float(np.sum(x * x))
-    if n2 >= 1.0:
+    if not n2 < 1.0:
         raise ValueError(f"interior point required: |x|^2 = {n2!r} >= 1")
     x1, x2 = x[:8], x[8:]
     s = 1.0 / (1.0 - n2)
@@ -393,7 +368,7 @@ def boundary_embed(u, v) -> JordanMatrix:
     if u.shape != (8,) or v.shape != (8,):
         raise ValueError("u and v must be single octonions")
     n = float(oct_norm_sq(u) + oct_norm_sq(v))
-    if abs(n - 1.0) > 1e-12:
+    if not abs(n - 1.0) <= 1e-12:
         raise ValueError(f"|u|^2 + |v|^2 = {n!r}, expected 1")
     p = np.zeros((3, 3, 8))
     p[0, 1] = v
@@ -459,7 +434,7 @@ def ball_volume_quadrature(delta: float, n_gauss: int = 200) -> float:
 
         V = C_ZONAL int t^10 (2 cos a - t)^3 sin^6(a) dt da.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     d2 = min(delta * delta, 2.0)
     alpha_star = math.acos(d2 / 2.0)

@@ -40,15 +40,18 @@ axis of 8 or 16, and then adds +0.0, as numpy's reduction starts from +0.0
 the row-major points bit for bit, infinities and signed zeros included,
 and is NaN where that is; which NaN operand's sign and payload an addition
 passes on is not fixed by numpy itself, not even within one ``np.add``.
-The public functions take row-major ``(..., 8)`` arrays:
-``oct_mul`` transposes blocks of ``_PASS_ROWS`` rows into and out of
-``_mul_cols``, so the scratch memory is bounded by the block, not by the
-input.  ``_PASS_ROWS`` is the package's one row-block size.
+The public functions take row-major ``(..., 8)`` arrays.  ``_rowwise``, the
+package's one driver from row-major rows to such blocks, serves ``oct_mul``,
+``_row_dot`` and the public forms of ``geometry``: it transposes blocks of
+``_PASS_ROWS`` rows (the package's one row-block size) into a column core
+and its result back, so the scratch memory is bounded by the block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -106,8 +109,8 @@ def _term_rows() -> np.ndarray:
 _TERM_ROWS = _term_rows()
 _TERM_ROWS.setflags(write=False)
 
-# Rows per block of every row-blocked pass: the public functions that go
-# through _row_blocks (oct_mul, _row_dot, geometry.bracket, phi_form, ...) and the
+# Rows per block of every row-blocked pass: the functions that go through
+# _rowwise (oct_mul, _row_dot, geometry.bracket, phi_form, ...) and the
 # streamed passes over sample sets (the algebra suite, the geometry suite's
 # form checks, geometry.ball_volume_est, poisson.cz_suite's pairs, and its
 # Hormander tail, whose blocks are the runs of whole pairwise-sum leaves that
@@ -131,39 +134,45 @@ def _as_coeffs(a) -> np.ndarray:
     return a
 
 
-def _row_blocks(x: np.ndarray, shape: tuple[int, ...]):
-    """Consecutive blocks of at most _PASS_ROWS rows of x broadcast to
-    ``shape + x.shape[-1:]``, each of shape (rows, x.shape[-1]).  A broadcast
-    operand is gathered one block at a time, never expanded to full size; a
-    single row is repeated by a read-only view."""
+def _col_blocks(x: np.ndarray, shape: tuple[int, ...]):
+    """The rows of x broadcast to shape, in blocks of _PASS_ROWS rows, each
+    transposed once to a (w, m) block: sliced from x of that shape, gathered
+    block by block from a broadcast, never expanded to full size, and for a
+    single row one (w, 1) column, repeated for every block."""
     n, w = math.prod(shape), x.shape[-1]
+    if x.size == w:
+        return itertools.repeat(x.reshape(w, 1))
+    starts = range(0, n, _PASS_ROWS)
     if x.shape[:-1] == shape:
         rows = x.reshape(n, w)
-        for r0 in range(0, n, _PASS_ROWS):
-            yield rows[r0:r0 + _PASS_ROWS]
-    elif x.size == w:
-        row = x.reshape(1, w)
-        for r0 in range(0, n, _PASS_ROWS):
-            yield np.broadcast_to(row, (min(_PASS_ROWS, n - r0), w))
+        blocks = (rows[r0:r0 + _PASS_ROWS] for r0 in starts)
     else:
         xb = np.broadcast_to(x, shape + (w,))
-        for r0 in range(0, n, _PASS_ROWS):
-            yield xb[np.unravel_index(np.arange(r0, min(r0 + _PASS_ROWS, n)), shape)]
+        blocks = (xb[np.unravel_index(np.arange(r0, min(r0 + _PASS_ROWS, n)), shape)]
+                  for r0 in starts)
+    return (np.ascontiguousarray(blk.T) for blk in blocks)
+
+
+def _rowwise(core: Callable, width: tuple[int, ...], *rows) -> np.ndarray:
+    """core on the rows (arrays of shape (..., w)) broadcast together, one
+    (w, m) block of each per block of _PASS_ROWS rows; its (m,) or (*width, m)
+    results are laid out row-major, shape (*broadcast shape, *width).  A
+    single row gives a numpy scalar or an array of shape width."""
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in rows))
+    out = np.empty(shape + width)
+    flat = out.reshape((-1,) + width)
+    blocks = {id(x): _col_blocks(x, shape) for x in rows}   # an operand passed twice is cut once
+    for r0 in range(0, len(flat), _PASS_ROWS):
+        cols = {key: next(b) for key, b in blocks.items()}
+        flat[r0:r0 + _PASS_ROWS] = core(*(cols[id(x)] for x in rows)).T
+    return out if out.ndim else out[()]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.sum(a * b, axis=-1) over the broadcast leading axes of a and b,
-    bit for bit (a numpy scalar for single rows), with the product formed
-    one block of rows at a time."""
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(shape)
-    flat = out.reshape(-1)
-    r0 = 0
-    for a_blk, b_blk in zip(_row_blocks(a, shape), _row_blocks(b, shape)):
-        r1 = r0 + len(a_blk)
-        flat[r0:r1] = np.sum(a_blk * b_blk, axis=-1)
-        r0 = r1
-    return out if out.ndim else out[()]
+    """np.sum(a * b, axis=-1) over the broadcast leading axes of rows of 8
+    or 16 coordinates (a numpy scalar for single rows), through _dot_cols:
+    bit for bit but for the sign and payload of a NaN."""
+    return _rowwise(_dot_cols, (), a, b)
 
 
 def _mul_cols(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
@@ -205,17 +214,7 @@ def _dot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def oct_mul(a, b) -> np.ndarray:
     """Octonion product, bilinear in both arguments, |ab| = |a||b|."""
-    a = _as_coeffs(a)
-    b = _as_coeffs(b)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(shape + (8,))
-    rows = out.reshape(-1, 8)
-    r0 = 0
-    for a_blk, b_blk in zip(_row_blocks(a, shape), _row_blocks(b, shape)):
-        m = len(a_blk)
-        rows[r0:r0 + m] = _mul_cols(np.ascontiguousarray(a_blk.T), b_blk.T).T
-        r0 += m
-    return out
+    return _rowwise(_mul_cols, (8,), _as_coeffs(a), _as_coeffs(b))
 
 
 def oct_conj(a) -> np.ndarray:

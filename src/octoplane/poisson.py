@@ -97,10 +97,10 @@ _SZEGO_ROWS = 192
 # --------------------------------------------------------------------------
 
 def _inside(x: np.ndarray, name: str) -> np.ndarray:
-    """1 - |x|^2 for the points x of the ball; a point with |x| >= 1 raises
+    """1 - |x|^2 for the points x of the ball; a point with |x| >= 1 (or NaN) raises
     ValueError "<name> requires |x| < 1"."""
     n2 = _row_dot(x, x)
-    if np.any(n2 >= 1.0):
+    if not np.all(n2 < 1.0):
         raise ValueError(f"{name} requires |x| < 1")
     return 1.0 - n2
 
@@ -235,11 +235,14 @@ def poisson_transform(lam, f, x, spec: QuadratureSpec):
     Constant data reduces to |x| e1 by invariance and integrates with the
     zonal rule.  Any other f is a callable on boundary points, and the
     value is sphere_average of P_lam(x, .) f.
-    Refuses |x| > r_cap = 0.999, where the kernel peak outruns the quadrature.
+    Refuses x of any shape but (16,), and |x| > r_cap = 0.999 (or NaN),
+    where the kernel peak outruns the quadrature.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (16,):
+        raise ValueError(f"poisson_transform takes one point of O^2, got shape {x.shape}")
     radius = float(np.linalg.norm(x))
-    if radius > _R_CAP:
+    if not radius <= _R_CAP:
         raise ValueError(f"|x| = {radius} exceeds r_cap = {_R_CAP} accuracy guard")
 
     if isinstance(f, BoundaryConstant):

@@ -9,7 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from octoplane import geometry, suites
+from octoplane import geometry, octonion, suites
 from octoplane.geometry import (
     E1,
     JordanMatrix,
@@ -397,6 +397,59 @@ class TestBlockedKernels:
         with pytest.raises(ValueError, match=rf"points of O\^2 need 16 coordinates per "
                                              rf"column, got a block of shape \({width}, 5\)"):
             geometry._forms(bad.T)
+
+
+def _driver_cases():
+    """(name, function, operand width, number of operands) of every
+    row-major function that goes through octonion._rowwise."""
+    act = unit_rotation((basis(3) + 0.5 * basis(6)) / math.sqrt(1.25))
+    return [("oct_mul", oct_mul, 8, 2), ("_row_dot", octonion._row_dot, 16, 2),
+            ("phi_form", phi_form, 16, 2), ("psi_form", psi_form, 16, 2),
+            ("bracket", bracket, 16, 2), ("ni_dist", ni_dist, 16, 2),
+            ("dist_to_e1", dist_to_e1, 16, 1), ("unit_rotation act", act, 16, 1)]
+
+
+class TestOneDriver:
+    """octonion._rowwise is the one driver from row-major rows to column
+    blocks: every row-major function cuts its blocks at octonion._PASS_ROWS
+    rows alone, and no value depends on the block size."""
+
+    N = 2_053
+
+    def operands(self, width, count):
+        """Operands of the same shape, one broadcast single row, a broadcast
+        grid and one array passed twice; one-operand functions take the
+        larger operand."""
+        x, y = wide_points((self.N, width), 60), wide_points((self.N, width), 61)
+        y[::5, 8:] = 0.0      # degenerate bracket rows
+        y[1::7] = x[1::7]     # coincident points
+        kinds = [(x, y), (x[3], y), (wide_points((3, 1, width), 62), y[None]), (y, y)]
+        return [(b,) if count == 1 else (a, b) for a, b in kinds]
+
+    def test_block_size_is_read_from_octonion_alone(self, monkeypatch):
+        assert geometry._rowwise is octonion._rowwise
+        driver, blocks = octonion._rowwise, []
+
+        def spy(core, width, *rows):
+            def counted(*cols):
+                blocks.append(max(c.shape[1] for c in cols))
+                return core(*cols)
+            return driver(counted, width, *rows)
+
+        for name, fn, width, count in _driver_cases():
+            for args in self.operands(width, count):
+                want = np.asarray(fn(*args))
+                n = math.prod(np.broadcast_shapes(*(a.shape[:-1] for a in args)))
+                for rows in (7, 1_000):
+                    monkeypatch.setattr(octonion, "_PASS_ROWS", rows)
+                    monkeypatch.setattr(octonion, "_rowwise", spy)
+                    monkeypatch.setattr(geometry, "_rowwise", spy)
+                    blocks.clear()
+                    got = np.asarray(fn(*args))
+                    monkeypatch.undo()
+                    assert bitwise_equal(got, want), (name, rows, np.shape(args[0]))
+                    k = -(-n // rows)
+                    assert blocks == [rows] * (k - 1) + [n - rows * (k - 1)], (name, rows)
 
 
 class TestMetric:

@@ -256,7 +256,8 @@ class TestSparseKernel:
 
 
 class TestRowDot:
-    """_row_dot equals np.sum(a * b, axis=-1) bit for bit, on row blocks."""
+    """_row_dot equals np.sum(a * b, axis=-1) bit for bit, on row blocks, but
+    for the sign and payload of a NaN (it sums through _dot_cols)."""
 
     @staticmethod
     def assert_bitwise_sum(a, b):
@@ -286,6 +287,17 @@ class TestRowDot:
             x = wide_rand((n, 32), 27)
             self.assert_bitwise_sum(x[:, :16], x[:, 16:])
             self.assert_bitwise_sum(x[::2, :8], x[1::2, 8:16])
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_special_values(self, width):
+        n = 2 * _PASS_ROWS + 5
+        a, b = special_rows((n, width), 35), special_rows((n, width), 37)
+        with np.errstate(all="ignore"):
+            # rows 4 and 10 are finite, so their broadcast keeps b's infinities
+            for x, y in ((a, b), (a[4], b), (b, a[4]), (a[None, 10], b)):
+                want = np.sum(x * y, axis=-1)
+                assert same_bits_or_both_nan(_row_dot(x, y), want)
+                assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
 
 
 # coordinates whose products include +-0.0, +-inf, NaN, overflow and underflow

@@ -295,6 +295,35 @@ class TestTransform:
         with pytest.raises(ValueError, match="r_cap"):
             poisson_transform(1.0, BoundaryConstant(1.0), 0.9999 * E1, SPEC)
 
+    def test_refuses_a_stack_of_points_and_nan(self):
+        # a stack was read as one point at the stack's norm (|x| = 0.4243 for
+        # two copies of 0.3 e1), and NaN surfaced as a NumericsError
+        for x in (np.stack([0.3 * E1, 0.3 * E1]), (0.3 * E1)[None], np.zeros((16, 1))):
+            with pytest.raises(ValueError, match=r"one point of O\^2, got shape"):
+                poisson_transform(1.0, BoundaryConstant(1.0), x, SPEC)
+        nan = np.full(16, np.nan)
+        for f in (BoundaryConstant(1.0), lambda w: w[..., 0]):
+            with pytest.raises(ValueError, match="r_cap"):
+                poisson_transform(1.0, f, nan, SPEC)
+
+
+_NAN_ROWS = np.where(np.arange(5)[:, None] == 3, np.nan, 0.1 * sample_sphere(5, 8))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poisson_kernel(_NAN_ROWS, E1), "poisson_kernel requires"),
+    (lambda: poisson_kernel_lambda(1.0, _NAN_ROWS, E1), "poisson_kernel_lambda requires"),
+    (lambda: geometry.jordan_embed(_NAN_ROWS[3]), "interior point required"),
+    (lambda: geometry.unit_rotation(_NAN_ROWS[3, :8]), "unit octonion"),
+    (lambda: geometry.boundary_embed(_NAN_ROWS[3, :8], np.zeros(8)), "expected 1"),
+    (lambda: geometry.ball_volume_quadrature(math.nan), "delta must be positive"),
+], ids=["poisson_kernel", "poisson_kernel_lambda", "jordan_embed", "unit_rotation",
+        "boundary_embed", "ball_volume_quadrature"])
+def test_range_guards_refuse_nan(call, message):
+    """Each guard is the negation of its accepted range, so NaN raises it."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
 
 class TestEigenProfile:
     def test_pointwise_evaluation_matches_spherical_fn(self, monkeypatch):
